@@ -56,10 +56,12 @@ from .value_solver import (
     DppReport,
     EkelandResult,
     MixedStrategyII,
+    StateLattice,
     StrategyTreeI,
     VnSolution,
     best_response_I,
     brute_force_value,
+    build_lattice,
     cut_coefficients,
     dpp_check,
     ekeland_point,
@@ -89,6 +91,7 @@ __all__ = [
     "ProjectionField",
     "Scenario",
     "SolverFailure",
+    "StateLattice",
     "StepControlSequence",
     "StrategyTreeI",
     "TransportPlan",
@@ -98,6 +101,7 @@ __all__ = [
     "barycentric_projection",
     "best_response_I",
     "brute_force_value",
+    "build_lattice",
     "cut_coefficients",
     "dpp_check",
     "ekeland_point",

@@ -53,33 +53,39 @@ def covering_indices(v_grid: np.ndarray, radius: float) -> tuple[int, ...]:
 
 
 def _reachable_samples(scn: Scenario, n: int) -> list[np.ndarray]:
-    """Atoms of mu0 plus their one-stage images under every control pair."""
+    """Atoms of mu0 plus their one-stage images under every control pair,
+    atom by atom, u-major; the images come from one batched stage."""
     prob = scn.problem
-    tau = prob.T / n
-    pts = [np.asarray(x, dtype=float) for x in scn.mu0.points]
-    out = list(pts)
-    for x in pts:
-        for u in prob.u_grid:
-            for v in prob.v_grid:
-                out.append(advance_stage(prob, x, u, v, tau))
-    return out
+    pts = np.asarray(scn.mu0.points, dtype=float)
+    images = advance_stage(
+        prob,
+        np.repeat(pts, prob.n_u * prob.n_v, axis=0),
+        np.tile(np.repeat(prob.u_grid, prob.n_v, axis=0), (len(pts), 1)),
+        np.tile(prob.v_grid, (len(pts) * prob.n_u, 1)),
+        prob.T / n,
+    )
+    return list(pts) + list(images)
 
 
-def _hamiltonian_row(
-    scn: Scenario, p_vectors: np.ndarray, coarse: tuple[int, ...], n: int
-) -> tuple[float, float, float]:
+def _coarsening_bound(scn: Scenario, coarse: tuple[int, ...], n: int) -> float:
+    """gamma_n of the coarse v-grid, sampled on the reachable states."""
     prob = scn.problem
-    proj = ProjectionField(scn.mu0, p_vectors)
-    query = HamiltonianQuery(scn.mu0, proj, prob)
-    h_full = eval_H(query)
-    h_coarse = eval_Hn(query, coarse)
-    bound = gamma_n(
+    return gamma_n(
         prob,
         prob.v_grid,
         prob.v_grid[list(coarse)],
         _reachable_samples(scn, n),
-    ) * l2_norm(proj)
-    return h_full, h_coarse, bound
+    )
+
+
+def _hamiltonian_row(
+    scn: Scenario, p_vectors: np.ndarray, coarse: tuple[int, ...], gamma: float
+) -> tuple[float, float, float]:
+    proj = ProjectionField(scn.mu0, p_vectors)
+    query = HamiltonianQuery(scn.mu0, proj, scn.problem)
+    h_full = eval_H(query)
+    h_coarse = eval_Hn(query, coarse)
+    return h_full, h_coarse, gamma * l2_norm(proj)
 
 
 def cmd_solve(scn: Scenario, out_dir: str, repro: bool) -> int:
@@ -129,7 +135,9 @@ def cmd_converge(scn: Scenario, out_dir: str, seed: int) -> int:
             sequence_guard=scn.sequence_guard,
         )
         coarse = covering_indices(scn.problem.v_grid, 1.0 / n)
-        h_full, h_coarse, bound = _hamiltonian_row(scn, p_vectors, coarse, n)
+        h_full, h_coarse, bound = _hamiltonian_row(
+            scn, p_vectors, coarse, _coarsening_bound(scn, coarse, n)
+        )
         rows.append(
             f"{n},{_fmt(res.value)},{_fmt(res.gap)},"
             f"{_fmt(h_full - h_coarse)},{_fmt(bound)}"
@@ -166,12 +174,14 @@ def cmd_hamiltonian(scn: Scenario, out_dir: str, seed: int) -> int:
         coarse = covering_indices(scn.problem.v_grid, 1.0 / scn.n_stages)
     if any(i < 0 or i >= scn.problem.n_v for i in coarse):
         raise ConfigError("hamiltonian.coarse_indices: index out of range")
+    coarse = tuple(coarse)
+    gamma = _coarsening_bound(scn, coarse, scn.n_stages)
     rng = np.random.default_rng(seed)
     rows = ["query,H,Hn,gap,bound"]
     for qid in range(scn.hamiltonian_queries):
         p_vectors = rng.standard_normal((scn.mu0.n_atoms, scn.mu0.dim))
         h_full, h_coarse, bound = _hamiltonian_row(
-            scn, p_vectors, tuple(coarse), scn.n_stages
+            scn, p_vectors, coarse, gamma
         )
         rows.append(
             f"{qid},{_fmt(h_full)},{_fmt(h_coarse)},"
@@ -244,12 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
         p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker cap (the current solvers are single-threaded)",
-        )
-        p.add_argument(
             "--repro",
             action="store_true",
             help="zero the wall-time column for byte-reproducible output",
@@ -259,9 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         scn = load_scenario(args.config)
         seed = args.seed if args.seed is not None else scn.seed

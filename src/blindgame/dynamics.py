@@ -49,6 +49,8 @@ class ControlProblem:
     tests (Gronwall envelopes, value Lipschitz bounds); the library
     constructors fill them with exact constants where available and with
     documented estimates on the radius-``DOMAIN_RADIUS`` ball otherwise.
+    ``f`` must act on the last axis: the value solver calls it on (N, d)
+    batches of states with matching rows of controls.
     """
 
     dim: int
@@ -112,7 +114,12 @@ def advance_stage(
     v: np.ndarray,
     stage_len: float,
 ) -> np.ndarray:
-    """One stage of RK4 integration under constant controls u, v."""
+    """One stage of RK4 integration under constant controls u, v.
+
+    ``x`` is one state of shape (d,) or a batch of shape (N, d) with
+    matching rows of ``u`` and ``v``; every library ``f`` acts row by row,
+    so each row of a batch equals the single-state result bit for bit.
+    """
     h = stage_len / prob.substeps
     f = prob.f
     for _ in range(prob.substeps):
@@ -257,6 +264,13 @@ def _spectral(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
+def _matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``mat @ x`` for each row of ``x``; one matrix-vector product per row,
+    so a batch row equals the single-state product bit for bit (a batched
+    ``x @ mat.T`` may round differently)."""
+    return (mat @ x[..., None])[..., 0]
+
+
 def make_problem(
     kind: str,
     *,
@@ -281,14 +295,15 @@ def make_problem(
     Kinds: ``frozen`` (f = 0), ``constant`` (f = drift), ``linear``
     (f = A x), ``u_plus_v`` (scalar f = u + v), ``rotation`` (planar
     f = omega * (-x2, x1)), ``pursuit`` (planar f = u - v),
-    ``affine`` (f = A x + B u + C v).
+    ``affine`` (f = A x + B u + C v).  Each ``f`` acts on the last axis,
+    so it takes one state (d,) or a batch (N, d) with matching control rows.
     """
     kind = kind.strip().lower().replace("-", "_")
     ug, vg = as_grid(u_grid), as_grid(v_grid)
 
     if kind == "frozen":
         d = dim or 1
-        f = lambda x, u, v: np.zeros(d)
+        f = lambda x, u, v: np.zeros(np.shape(x))
         lip_f, bound = 0.0, 0.0
     elif kind == "constant":
         if drift is None:
@@ -297,7 +312,7 @@ def make_problem(
         d = c.shape[0]
         if dim is not None and dim != d:
             raise ValueError("dim does not match drift length")
-        f = lambda x, u, v: c
+        f = lambda x, u, v: np.broadcast_to(c, np.shape(x))
         lip_f, bound = 0.0, float(np.linalg.norm(c))
     elif kind == "linear":
         if A is None:
@@ -306,18 +321,20 @@ def make_problem(
         d = mat.shape[0]
         if mat.shape != (d, d):
             raise ValueError("A must be square")
-        f = lambda x, u, v: mat @ x
+        f = lambda x, u, v: _matvec(mat, x)
         lip_f = _spectral(mat)
         bound = lip_f * DOMAIN_RADIUS
     elif kind == "u_plus_v":
         d = 1
-        f = lambda x, u, v: np.array([float(u[0]) + float(v[0])])
+        f = lambda x, u, v: u[..., :1] + v[..., :1]
         lip_f = 0.0
         bound = _grid_norm_max(ug) + _grid_norm_max(vg)
     elif kind == "rotation":
         d = 2
         w = float(omega)
-        f = lambda x, u, v: np.array([-w * x[1], w * x[0]])
+        f = lambda x, u, v: np.stack(
+            [-w * x[..., 1], w * x[..., 0]], axis=-1
+        )
         lip_f = abs(w)
         bound = abs(w) * DOMAIN_RADIUS
     elif kind == "pursuit":
@@ -344,7 +361,9 @@ def make_problem(
             raise ValueError("A must be square")
         if matb.shape != (d, ug.shape[1]) or matc.shape != (d, vg.shape[1]):
             raise ValueError("B / C shapes do not match dim and grids")
-        f = lambda x, u, v: mata @ x + matb @ u + matc @ v
+        f = lambda x, u, v: (
+            _matvec(mata, x) + _matvec(matb, u) + _matvec(matc, v)
+        )
         lip_f = _spectral(mata)
         bound = (
             lip_f * DOMAIN_RADIUS

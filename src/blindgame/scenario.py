@@ -21,7 +21,7 @@ Validation errors name the offending field and line.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class Scenario:
     ekeland_eps: float = 0.1
     ekeland_domain: int = 40
     ekeland_func: str = "moment"
-    raw: dict = field(default_factory=dict)
 
 
 def parse_kv(text: str) -> dict[str, tuple[str, int]]:
@@ -311,5 +310,4 @@ def load_scenario(path_or_text: str) -> Scenario:
         ekeland_eps=fields.get_float("ekeland.eps", default=0.1),
         ekeland_domain=fields.get_int("ekeland.domain", default=40),
         ekeland_func=ekeland_func,
-        raw={k: v for k, (v, _) in fields.table.items()},
     )

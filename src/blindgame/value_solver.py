@@ -14,10 +14,13 @@ is computed by a cutting-plane loop: each best response of Player I against
 the master's current Q yields a linear functional of Q (its payoff against
 every pure sequence), the master maximizes the running lower envelope of
 those cuts over the sequence simplex, and the loop stops when the gap
-between the master value and the best lower bound closes.  A brute-force
-oracle builds the full matrix game over product trees and sequences and
-solves it directly; a one-step dynamic-programming check and a finite-space
-variational point search round out the module.
+between the master value and the best lower bound closes.  Every state
+reachable from the atoms depends only on the stage-control history, so a
+solve integrates them once, as a lattice, and reads every best response
+and cut off its leaf payoffs.  A brute-force oracle builds the full matrix
+game over product trees and sequences and solves it directly; a one-step
+dynamic-programming check and a finite-space variational point search
+round out the module.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .dynamics import (
     advance_stage,
     flow,
 )
-from .errors import SolverFailure
+from .errors import NumericFailure, SolverFailure
 from .measures import ParticleMeasure, split
 from .game_kernel import MatrixGame, MatrixGameSolution, solve_matrix_game
 from .simplex import max_weighted_min
@@ -42,6 +45,7 @@ from .transport import wasserstein2
 
 PROB_TOL = 1e-12
 SEQUENCE_GUARD = 10**6
+LATTICE_GUARD = 2 * 10**6
 BRUTE_ROW_GUARD = 10**5
 BRUTE_COL_GUARD = 10**3
 COLGEN_THRESHOLD = 10**4
@@ -64,6 +68,14 @@ def rank_of_seq(values: Sequence[int], n_v: int) -> int:
     for v in values:
         rank = rank * n_v + int(v)
     return rank
+
+
+def tree_prefixes(n_stages: int, n_v: int) -> list[tuple[int, ...]]:
+    """All v-history prefixes, ordered by length then lexicographically."""
+    out: list[tuple[int, ...]] = []
+    for k in range(n_stages):
+        out.extend(itertools.product(range(n_v), repeat=k))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +123,9 @@ class StrategyTreeI:
 
     ``trees[i]`` maps each v-history prefix (a tuple of v-grid indices of
     length 0 .. n_stages-1) to the u-grid index played at the next stage.
-    ``flagged`` lists (atom, prefix) pairs whose subtree had zero
-    probability under the generating mixed strategy; decisions there were
+    ``flagged`` lists, once each, the (atom, prefix) pairs whose prefix has
+    zero probability under the generating mixed strategy while its parent
+    prefix has positive probability; decisions in those subtrees were
     filled with uniform tie-break weights and cannot affect any payoff.
     """
 
@@ -204,10 +217,100 @@ def payoff(
     return total
 
 
+@dataclass(frozen=True, eq=False)
+class StateLattice:
+    """Terminal payoffs of every stage-control history, built once per solve.
+
+    Node j of level k is one atom under one (u, v) history of k stages,
+    and its children are ``j * n_u * n_v + iu * n_v + iv``; nodes are
+    numbered within their atom.  Only the leaf payoffs are kept:
+    ``payoffs[i, j]`` is g(X_T) of atom i at leaf j.  ``v_ranks[k][j]`` is
+    the rank of the v-history of node j of level k.
+    """
+
+    n_stages: int
+    n_u: int
+    n_v: int
+    payoffs: np.ndarray
+    v_ranks: tuple[np.ndarray, ...]
+
+
+def build_lattice(
+    prob: ControlProblem,
+    mu0: ParticleMeasure,
+    n: int,
+    guard: int = LATTICE_GUARD,
+) -> StateLattice:
+    """Integrate every state reachable in n stages, one batched RK4 call
+    per stage, and keep g at the leaves.
+
+    Raises ``NumericFailure`` naming the stage if any state, under any
+    control history, leaves the finite range.
+    """
+    _check_compat(prob, mu0, n)
+    n_u, n_v = prob.n_u, prob.n_v
+    branch = n_u * n_v
+    size = mu0.n_atoms * branch**n
+    if size > guard:
+        raise ValueError(
+            f"state lattice of atoms * (|u_grid| * |v_grid|)^n = {size} "
+            f"leaf states exceeds the lattice guard {guard}"
+        )
+    tau = prob.T / n
+    u_rows = np.repeat(prob.u_grid, n_v, axis=0)
+    v_rows = np.tile(prob.v_grid, (n_u, 1))
+    x = np.asarray(mu0.points, dtype=float)
+    v_ranks = [np.zeros(1, dtype=np.int64)]
+    for k in range(n):
+        parents = x.shape[0]
+        x = advance_stage(
+            prob,
+            np.repeat(x, branch, axis=0),
+            np.tile(u_rows, (parents, 1)),
+            np.tile(v_rows, (parents, 1)),
+            tau,
+        )
+        if not np.all(np.isfinite(x)):
+            raise NumericFailure("trajectory left the finite range", stage=k)
+        ranks = v_ranks[-1][:, None, None] * n_v + np.arange(n_v)
+        v_ranks.append(
+            np.broadcast_to(ranks, (ranks.shape[0], n_u, n_v)).reshape(-1)
+        )
+    payoffs = np.array([float(prob.g(y)) for y in x])
+    return StateLattice(
+        n, n_u, n_v, payoffs.reshape(mu0.n_atoms, -1), tuple(v_ranks)
+    )
+
+
+def _lattice_for(
+    prob: ControlProblem,
+    mu0: ParticleMeasure,
+    n: int,
+    lattice: StateLattice | None,
+) -> StateLattice:
+    if lattice is None:
+        return build_lattice(prob, mu0, n)
+    if (lattice.n_stages, lattice.n_u, lattice.n_v) != (n, prob.n_u, prob.n_v):
+        raise ValueError("lattice shape does not match the game")
+    if lattice.payoffs.shape[0] != mu0.n_atoms:
+        raise ValueError("lattice has one row per atom of a different measure")
+    return lattice
+
+
+def _descend(
+    nodes: np.ndarray, dec: np.ndarray, n_u: int, n_v: int
+) -> np.ndarray:
+    """Per atom, the children of ``nodes`` under the u decisions ``dec``,
+    one per v index, in v-prefix rank order."""
+    children = ((nodes * n_u + dec) * n_v)[..., None] + np.arange(n_v)
+    return children.reshape(nodes.shape[0], -1)
+
+
 def best_response_I(
     prob: ControlProblem,
     mu0: ParticleMeasure,
     strat_ii: MixedStrategyII,
+    lattice: StateLattice | None = None,
 ) -> tuple[StrategyTreeI, float]:
     """Exact minimizing delayed tree per atom, by backward induction.
 
@@ -216,109 +319,95 @@ def best_response_I(
     continuation, which is exactly the one-stage information delay.
     Zero-probability prefixes are filled by minimizing under uniform
     continuation weights and flagged (their decisions are payoff-free).
+
+    One backward sweep over the lattice levels values every node at once:
+    a live node sums its live children in v order, a dead node takes the
+    uniform mean of its children, and ties go to the first u.
     """
     n = strat_ii.n_stages
     _check_compat(prob, mu0, n)
+    lattice = _lattice_for(prob, mu0, n, lattice)
     n_u, n_v = prob.n_u, prob.n_v
-    tau = prob.T / n
-    mass: dict[tuple[int, ...], float] = {}
+    q = np.zeros(n_v**n)
     for seq, p in zip(strat_ii.support, strat_ii.probs):
-        for k in range(n + 1):
-            pref = seq.values[:k]
-            mass[pref] = mass.get(pref, 0.0) + float(p)
+        if max(seq.values) >= n_v:
+            raise ValueError("mix sequence has a v index out of range")
+        q[rank_of_seq(seq.values, n_v)] = p
+    live_v = [(q.reshape(n_v**k, -1) > 0.0).any(axis=1) for k in range(n + 1)]
+    live = [lv[ranks] for lv, ranks in zip(live_v, lattice.v_ranks)]
 
-    flagged: list[tuple[int, tuple[int, ...]]] = []
-    trees: list[dict] = []
+    g = lattice.payoffs
+    values = np.where(live[n], q[lattice.v_ranks[n]] * g, g)
+    choices = [None] * n
+    for k in range(n - 1, -1, -1):
+        children = values.reshape(mu0.n_atoms, -1, n_u, n_v)
+        use = live[k + 1].reshape(-1, n_u, n_v) | ~live[k][:, None, None]
+        tot = np.zeros(children.shape[:-1])
+        for iv in range(n_v):
+            tot += np.where(use[..., iv], children[..., iv], 0.0)
+        tot = np.where(live[k][:, None], tot, tot / n_v)
+        choices[k] = np.argmin(tot, axis=-1)
+        values = np.take_along_axis(tot, choices[k][..., None], -1)[..., 0]
+
     value = 0.0
-
-    for i, (w, x0) in enumerate(zip(mu0.weights, mu0.points)):
-
-        def fill_dead(x: np.ndarray, prefix: tuple[int, ...]) -> tuple[float, dict]:
-            """Uniform-weight pseudo value and decisions for a dead subtree."""
-            if len(prefix) == n:
-                return float(prob.g(x)), {}
-            best_val, best_decs = None, None
-            for iu in range(n_u):
-                tot = 0.0
-                decs: dict = {}
-                for iv in range(n_v):
-                    y = advance_stage(prob, x, prob.u_grid[iu], prob.v_grid[iv], tau)
-                    val, sub = fill_dead(y, prefix + (iv,))
-                    tot += val
-                    decs.update(sub)
-                tot /= n_v
-                if best_val is None or tot < best_val:
-                    best_val, best_decs = tot, decs | {prefix: iu}
-            return best_val, best_decs
-
-        def solve_live(x: np.ndarray, prefix: tuple[int, ...]) -> tuple[float, dict]:
-            """Unnormalized optimal value sum over sequences extending prefix."""
-            if len(prefix) == n:
-                return mass[prefix] * float(prob.g(x)), {}
-            best_val, best_iu, best_decs = None, None, None
-            for iu in range(n_u):
-                tot = 0.0
-                decs: dict = {}
-                for iv in range(n_v):
-                    child = prefix + (iv,)
-                    if mass.get(child, 0.0) <= 0.0:
-                        continue
-                    y = advance_stage(prob, x, prob.u_grid[iu], prob.v_grid[iv], tau)
-                    val, sub = solve_live(y, child)
-                    tot += val
-                    decs.update(sub)
-                if best_val is None or tot < best_val:
-                    best_val, best_iu, best_decs = tot, iu, decs
-            decisions = best_decs | {prefix: best_iu}
-            # Fill the zero-mass children under the chosen control.
-            for iv in range(n_v):
-                child = prefix + (iv,)
-                if mass.get(child, 0.0) <= 0.0:
-                    flagged.append((i, child))
-                    y = advance_stage(
-                        prob, x, prob.u_grid[best_iu], prob.v_grid[iv], tau
-                    )
-                    _, sub = fill_dead(y, child)
-                    decisions.update(sub)
-            return best_val, decisions
-
-        atom_value, decisions = solve_live(np.asarray(x0, dtype=float), ())
-        trees.append(decisions)
+    for w, atom_value in zip(mu0.weights, values[:, 0]):
         value += w * atom_value
 
-    tree = StrategyTreeI(n, n_v, tuple(trees), tuple(flagged))
-    return tree, value
+    # Read each tree forward along its own decisions.
+    rows = np.arange(mu0.n_atoms)[:, None]
+    nodes = np.zeros((mu0.n_atoms, 1), dtype=np.int64)
+    decisions = []
+    for k in range(n):
+        dec = choices[k][rows, nodes]
+        decisions.append(dec)
+        nodes = _descend(nodes, dec, n_u, n_v)
+    prefixes = tree_prefixes(n, n_v)
+    trees = tuple(
+        dict(zip(prefixes, row.tolist()))
+        for row in np.concatenate(decisions, axis=1)
+    )
+    dead_children = [
+        seq_from_rank(int(r), k, n_v)
+        for k in range(1, n + 1)
+        for r in np.nonzero(~live_v[k] & np.repeat(live_v[k - 1], n_v))[0]
+    ]
+    flagged = tuple(
+        (i, child) for i in range(mu0.n_atoms) for child in dead_children
+    )
+    return StrategyTreeI(n, n_v, trees, flagged), float(value)
 
 
 def cut_coefficients(
     prob: ControlProblem,
     mu0: ParticleMeasure,
     tree: StrategyTreeI,
+    lattice: StateLattice | None = None,
 ) -> np.ndarray:
     """Payoff of the tree against every pure sequence, by sequence rank.
 
-    Walks the v-prefix tree once per atom, threading the trajectory state,
-    so shared prefixes are integrated once.
+    Follows each atom's decisions down the lattice to the leaf of every
+    sequence and gathers the leaf payoffs, accumulated atom by atom.
     """
     n, n_v = tree.n_stages, tree.n_v
-    n_seq = n_v**n
-    tau = prob.T / n
-    coeffs = np.zeros(n_seq)
-
-    for i, (w, x0) in enumerate(zip(mu0.weights, mu0.points)):
-        decisions = tree.trees[i]
-
-        def walk(x: np.ndarray, prefix: tuple[int, ...], base: int, span: int):
-            if len(prefix) == n:
-                coeffs[base] += w * float(prob.g(x))
-                return
-            iu = decisions[prefix]
-            child_span = span // n_v
-            for iv in range(n_v):
-                y = advance_stage(prob, x, prob.u_grid[iu], prob.v_grid[iv], tau)
-                walk(y, prefix + (iv,), base + iv * child_span, child_span)
-
-        walk(np.asarray(x0, dtype=float), (), 0, n_seq)
+    _check_compat(prob, mu0, n)
+    if n_v != prob.n_v or len(tree.trees) != mu0.n_atoms:
+        raise ValueError("tree shape does not match the game")
+    lattice = _lattice_for(prob, mu0, n, lattice)
+    prefixes = tree_prefixes(n, n_v)
+    flat = np.array(
+        [[t[p] for p in prefixes] for t in tree.trees], dtype=np.int64
+    )
+    if np.any(flat >= prob.n_u):
+        raise ValueError("tree decision out of range of the u-grid")
+    nodes = np.zeros((mu0.n_atoms, 1), dtype=np.int64)
+    start = 0
+    for k in range(n):
+        dec = flat[:, start:start + n_v**k]
+        start += n_v**k
+        nodes = _descend(nodes, dec, prob.n_u, n_v)
+    coeffs = np.zeros(n_v**n)
+    for w, g, leaves in zip(mu0.weights, lattice.payoffs, nodes):
+        coeffs += w * g[leaves]
     return coeffs
 
 
@@ -398,6 +487,7 @@ def solve_Vn(
     max_iter: int = 200,
     sequence_guard: int = SEQUENCE_GUARD,
     colgen_threshold: int = COLGEN_THRESHOLD,
+    lattice_guard: int = LATTICE_GUARD,
 ) -> VnSolution:
     """Certified value of the n-stage discretized game.
 
@@ -417,6 +507,7 @@ def solve_Vn(
             f"|v_grid|^n = {n_seq} exceeds the enumeration guard "
             f"{sequence_guard}"
         )
+    lattice = build_lattice(prob, mu0, n, lattice_guard)
 
     q_current = MixedStrategyII.pure(
         StepControlSequence(n, seq_from_rank(0, n, prob.n_v))
@@ -431,8 +522,8 @@ def solve_Vn(
     converged = False
 
     for it in range(1, max_iter + 1):
-        tree, br_value = best_response_I(prob, mu0, q_current)
-        coeffs = cut_coefficients(prob, mu0, tree)
+        tree, br_value = best_response_I(prob, mu0, q_current, lattice)
+        coeffs = cut_coefficients(prob, mu0, tree, lattice)
         cut = Cut(coeffs, tag=f"br{it:03d}")
         cuts.append(cut)
         best_lower = max(best_lower, br_value)
@@ -463,14 +554,6 @@ def solve_Vn(
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
-
-def tree_prefixes(n_stages: int, n_v: int) -> list[tuple[int, ...]]:
-    """All v-history prefixes, ordered by length then lexicographically."""
-    out: list[tuple[int, ...]] = []
-    for k in range(n_stages):
-        out.extend(itertools.product(range(n_v), repeat=k))
-    return out
-
 
 @dataclass(frozen=True, eq=False)
 class BruteForceResult:

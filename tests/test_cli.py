@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from blindgame import ConfigError, ParticleMeasure, load_scenario, to_csv
-from blindgame.cli import covering_indices, main
+from blindgame import (
+    ConfigError,
+    ParticleMeasure,
+    advance_stage,
+    load_scenario,
+    to_csv,
+)
+from blindgame.cli import _reachable_samples, covering_indices, main
 
 PENNIES = """
 problem.label    = pennies
@@ -201,3 +207,26 @@ class TestCoveringIndices:
         grid = np.array([[-1.0], [0.0], [1.0]])
         assert covering_indices(grid, 1.0) == (0, 2)
         assert covering_indices(grid, 3.0) == (0,)
+
+
+class TestReachableSamples:
+    def test_batched_stage_matches_per_pair_integration(self, tmp_path):
+        cfg = tmp_path / "affine.cfg"
+        cfg.write_text(
+            "problem.kind = affine\nproblem.dim = 2\nproblem.T = 1.0\n"
+            "problem.n_stages = 3\nproblem.A = 0.1, 0.7, -0.3, 0.2\n"
+            "problem.B = 0.3, 1\nproblem.C = 1.1, -0.4\n"
+            "problem.u_grid = -1, 0.3, 1\nproblem.v_grid = -1, -0.3, 0.5\n"
+            "mu0.atoms = 0.5 0.3 0.1; 0.5 -0.2 0.4\n"
+        )
+        scn = load_scenario(str(cfg))
+        prob = scn.problem
+        expected = [np.asarray(x, dtype=float) for x in scn.mu0.points]
+        for x in scn.mu0.points:
+            for u in prob.u_grid:
+                for v in prob.v_grid:
+                    expected.append(advance_stage(prob, x, u, v, prob.T / 3))
+        got = _reachable_samples(scn, 3)
+        assert len(got) == len(expected) == 2 + 2 * 3 * 3
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)

@@ -265,3 +265,61 @@ class TestProblemLibrary:
             StepControlSequence(2, (0,))
         with pytest.raises(ValueError, match="nonnegative"):
             StepControlSequence(1, (-1,))
+
+
+def _library_problems(rng):
+    """One problem of each library kind with random coefficients."""
+    d = 3
+
+    def grids(cu=1, cv=1):
+        return {
+            "T": 1.0,
+            "u_grid": rng.uniform(-1.0, 1.0, size=(2, cu)),
+            "v_grid": rng.uniform(-1.0, 1.0, size=(3, cv)),
+        }
+
+    def mat(cols):
+        return rng.uniform(-1.0, 1.0, size=(d, cols))
+
+    return [
+        make_problem("frozen", dim=d, **grids()),
+        make_problem("constant", drift=mat(1)[:, 0], **grids()),
+        make_problem("linear", A=mat(d), **grids()),
+        make_problem("u_plus_v", **grids()),
+        make_problem("rotation", omega=float(rng.uniform(-2, 2)), **grids()),
+        make_problem("pursuit", **grids(2, 2)),
+        make_problem(
+            "affine", dim=d, A=mat(d), B=mat(2), C=mat(1), **grids(2, 1)
+        ),
+    ]
+
+
+class TestBatchedDynamics:
+    """f and advance_stage on an (N, d) batch equal the per-state results
+    bit for bit, which is what lets the solver integrate in batches."""
+
+    def _batch(self, prob, rng, size=200):
+        x = rng.uniform(-3.0, 3.0, size=(size, prob.dim))
+        u = prob.u_grid[rng.integers(prob.n_u, size=size)]
+        v = prob.v_grid[rng.integers(prob.n_v, size=size)]
+        return x, u, v
+
+    def test_every_kind_f_rows_match_single_states(self):
+        rng = np.random.default_rng(41)
+        for prob in _library_problems(rng):
+            x, u, v = self._batch(prob, rng)
+            batch = np.asarray(prob.f(x, u, v), dtype=float)
+            assert batch.shape == x.shape, prob.label
+            for i in range(x.shape[0]):
+                single = np.asarray(prob.f(x[i], u[i], v[i]), dtype=float)
+                assert single.shape == (prob.dim,), prob.label
+                assert np.array_equal(batch[i], single), prob.label
+
+    def test_every_kind_stage_rows_match_single_states(self):
+        rng = np.random.default_rng(42)
+        for prob in _library_problems(rng):
+            x, u, v = self._batch(prob, rng, size=50)
+            batch = advance_stage(prob, x, u, v, 0.3)
+            for i in range(x.shape[0]):
+                single = advance_stage(prob, x[i], u[i], v[i], 0.3)
+                assert np.array_equal(batch[i], single), prob.label

@@ -6,11 +6,13 @@ import pytest
 from blindgame import (
     MatrixGame,
     MixedStrategyII,
+    NumericFailure,
     ParticleMeasure,
     StepControlSequence,
     StrategyTreeI,
     best_response_I,
     brute_force_value,
+    build_lattice,
     cut_coefficients,
     dpp_check,
     ekeland_point,
@@ -365,6 +367,120 @@ class TestSolveVn:
         direct = solve_Vn(prob, mu, 2, tol=1e-9, colgen_threshold=10**4)
         colgen = solve_Vn(prob, mu, 2, tol=1e-9, colgen_threshold=2)
         assert direct.value == pytest.approx(colgen.value, abs=1e-9)
+
+
+class TestStateLattice:
+    """Best responses and cuts read off the lattice, checked against the
+    brute-force matrix, the zero-mass flags and the guards."""
+
+    @staticmethod
+    def _games():
+        yield pennies(), dirac0(), 2
+        yield make_problem(
+            "affine", A=[[0.3]], B=[[1.0]], C=[[0.7]], dim=1, T=1.0,
+            u_grid=[-1.0, 0.5], v_grid=[-1.0, 0.0, 1.0],
+        ), ParticleMeasure(np.array([[0.4], [-0.2]]), np.array([0.3, 0.7])), 2
+        yield make_problem(
+            "pursuit", T=1.0, u_grid=[[1.0, 0.0], [0.0, 1.0]],
+            v_grid=[[1.0, 0.0], [0.0, -1.0]],
+        ), ParticleMeasure(np.array([[0.2, 0.1]]), np.array([1.0])), 3
+
+    @staticmethod
+    def _mixes(rng, n, n_v):
+        n_seq = n_v**n
+        dense = rng.uniform(0.1, 1.0, n_seq)
+        sparse = np.where(rng.uniform(size=n_seq) < 0.5, 0.0, dense)
+        sparse[int(rng.integers(n_seq))] = 1.0
+        pure = np.zeros(n_seq)
+        pure[n_seq - 1] = 1.0
+        for q in (np.full(n_seq, 1.0), dense, sparse, pure):
+            q = q / q.sum()
+            ranks = np.nonzero(q)[0]
+            yield q, MixedStrategyII(
+                tuple(
+                    StepControlSequence(n, seq_from_rank(int(r), n, n_v))
+                    for r in ranks
+                ),
+                q[ranks],
+            )
+
+    def test_value_and_cut_match_brute_force_matrix(self):
+        rng = np.random.default_rng(23)
+        for prob, mu, n in self._games():
+            bf = brute_force_value(prob, mu, n)
+            n_prefix = len(tree_prefixes(n, prob.n_v))
+            for q, mix in self._mixes(rng, n, prob.n_v):
+                tree, val = best_response_I(prob, mu, mix)
+                assert val == pytest.approx(min(bf.matrix @ q), abs=1e-12)
+                # The brute-force row of this product of trees.
+                combo = tuple(
+                    sum(
+                        t[p] * prob.n_u ** (n_prefix - 1 - k)
+                        for k, p in enumerate(tree_prefixes(n, prob.n_v))
+                    )
+                    for t in tree.trees
+                )
+                row = bf.matrix[bf.row_trees.index(combo)]
+                assert np.array_equal(cut_coefficients(prob, mu, tree), row)
+
+    def test_flagged_are_dead_children_of_live_prefixes(self):
+        prob, _, n = list(self._games())[2]
+        mu = ParticleMeasure(
+            np.array([[0.2, 0.1], [-0.3, 0.0]]), np.array([0.5, 0.5])
+        )
+        support = tuple(
+            StepControlSequence(n, vals)
+            for vals in [(0, 1, 0), (0, 1, 1), (1, 0, 0)]
+        )
+        mix = MixedStrategyII(support, np.array([0.5, 0.0, 0.5]))
+        tree, _ = best_response_I(prob, mu, mix)
+
+        def mass(prefix):
+            return sum(
+                p
+                for s, p in zip(mix.support, mix.probs)
+                if s.values[: len(prefix)] == prefix
+            )
+
+        expected = {
+            (i, child)
+            for i in range(mu.n_atoms)
+            for k in range(1, n + 1)
+            for child in itertools.product(range(prob.n_v), repeat=k)
+            if mass(child) <= 0.0 and mass(child[:-1]) > 0.0
+        }
+        assert (0, (0, 1, 1)) in expected and (1, (0, 0)) in expected
+        assert len(tree.flagged) == len(set(tree.flagged))
+        assert set(tree.flagged) == expected
+
+    def test_blow_up_raises_numeric_failure_naming_the_stage(self):
+        # One RK4 step per stage multiplies x by about 4e306: stage 0 stays
+        # finite, stage 1 overflows.
+        prob = make_problem(
+            "linear", A=[[1e77]], T=2.0, u_grid=[0.0, 1.0],
+            v_grid=[0.0, 1.0], substeps=1,
+        )
+        mu = ParticleMeasure(np.array([[1.0]]), np.array([1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailure, match="stage=1") as exc:
+                solve_Vn(prob, mu, 2)
+        assert exc.value.stage == 1
+
+    def test_lattice_guard_names_the_size(self):
+        wide = make_problem(
+            "u_plus_v", T=1.0, u_grid=np.linspace(-1, 1, 10),
+            v_grid=np.linspace(-1, 1, 10),
+        )
+        with pytest.raises(ValueError, match="= 100000000 leaf states"):
+            solve_Vn(wide, dirac0(), 4)
+        with pytest.raises(ValueError, match="16 leaf states .* guard 10$"):
+            solve_Vn(pennies(), dirac0(), 2, lattice_guard=10)
+
+    def test_prebuilt_lattice_must_match_the_game(self):
+        lattice = build_lattice(pennies(), dirac0(), 2)
+        mix = uniform_mix(3, 2)
+        with pytest.raises(ValueError, match="lattice"):
+            best_response_I(pennies(), dirac0(), mix, lattice)
 
 
 class TestBruteForce:
