@@ -119,11 +119,18 @@ def advance_stage(
     ``x`` is one state of shape (d,) or a batch of shape (N, d) with
     matching rows of ``u`` and ``v``; every library ``f`` acts row by row,
     so each row of a batch equals the single-state result bit for bit.
+    A batch raises ``ValueError`` if ``f`` returns a different shape, as an
+    ``f`` written for single states only would.
     """
     h = stage_len / prob.substeps
     f = prob.f
     for _ in range(prob.substeps):
         k1 = np.asarray(f(x, u, v), dtype=float)
+        if x.ndim == 2 and k1.shape != x.shape:
+            raise ValueError(
+                f"f returned shape {k1.shape} for a batch of shape "
+                f"{x.shape}; f must act on the last axis"
+            )
         k2 = np.asarray(f(x + 0.5 * h * k1, u, v), dtype=float)
         k3 = np.asarray(f(x + 0.5 * h * k2, u, v), dtype=float)
         k4 = np.asarray(f(x + h * k3, u, v), dtype=float)

@@ -239,22 +239,22 @@ def build_lattice(
     prob: ControlProblem,
     mu0: ParticleMeasure,
     n: int,
-    guard: int = LATTICE_GUARD,
 ) -> StateLattice:
     """Integrate every state reachable in n stages, one batched RK4 call
     per stage, and keep g at the leaves.
 
-    Raises ``NumericFailure`` naming the stage if any state, under any
-    control history, leaves the finite range.
+    Raises ``ValueError`` before any allocation if the lattice has more
+    than ``LATTICE_GUARD`` leaf states, and ``NumericFailure`` naming the
+    stage if any state, under any control history, leaves the finite range.
     """
     _check_compat(prob, mu0, n)
     n_u, n_v = prob.n_u, prob.n_v
     branch = n_u * n_v
     size = mu0.n_atoms * branch**n
-    if size > guard:
+    if size > LATTICE_GUARD:
         raise ValueError(
             f"state lattice of atoms * (|u_grid| * |v_grid|)^n = {size} "
-            f"leaf states exceeds the lattice guard {guard}"
+            f"leaf states exceeds the lattice guard {LATTICE_GUARD}"
         )
     tau = prob.T / n
     u_rows = np.repeat(prob.u_grid, n_v, axis=0)
@@ -487,7 +487,6 @@ def solve_Vn(
     max_iter: int = 200,
     sequence_guard: int = SEQUENCE_GUARD,
     colgen_threshold: int = COLGEN_THRESHOLD,
-    lattice_guard: int = LATTICE_GUARD,
 ) -> VnSolution:
     """Certified value of the n-stage discretized game.
 
@@ -507,7 +506,7 @@ def solve_Vn(
             f"|v_grid|^n = {n_seq} exceeds the enumeration guard "
             f"{sequence_guard}"
         )
-    lattice = build_lattice(prob, mu0, n, lattice_guard)
+    lattice = build_lattice(prob, mu0, n)
 
     q_current = MixedStrategyII.pure(
         StepControlSequence(n, seq_from_rank(0, n, prob.n_v))

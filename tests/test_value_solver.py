@@ -28,6 +28,8 @@ from blindgame import (
 )
 from dataclasses import replace
 
+from blindgame import value_solver
+
 
 def pennies(T=1.0):
     return make_problem(
@@ -473,8 +475,23 @@ class TestStateLattice:
         )
         with pytest.raises(ValueError, match="= 100000000 leaf states"):
             solve_Vn(wide, dirac0(), 4)
+
+    def test_lattice_guard_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(value_solver, "LATTICE_GUARD", 10)
         with pytest.raises(ValueError, match="16 leaf states .* guard 10$"):
-            solve_Vn(pennies(), dirac0(), 2, lattice_guard=10)
+            solve_Vn(pennies(), dirac0(), 2)
+
+    def test_single_state_only_f_is_rejected(self):
+        # Written for one state: on a batch it returns row 0's derivative,
+        # shape (1, 1), which RK4 would broadcast over every row.
+        prob = replace(
+            pennies(), f=lambda x, u, v: np.array([u[0] + v[0]])
+        )
+        assert brute_force_value(prob, dirac0(), 1).value == pytest.approx(
+            1.0, abs=1e-12
+        )
+        with pytest.raises(ValueError, match="f must act on the last axis"):
+            solve_Vn(prob, dirac0(), 1)
 
     def test_prebuilt_lattice_must_match_the_game(self):
         lattice = build_lattice(pennies(), dirac0(), 2)
