@@ -1,13 +1,12 @@
 """Exact quadratic optimal transport between particle measures.
 
-The solver is a transportation simplex on the bipartite structure of the
-problem, with Bland's smallest-index anti-cycling rule.  All pivoting is
-done in exact arithmetic: marginals are converted to integers over a common
-denominator (weights are first snapped to rationals with denominator at most
-10**12), flows stay integers throughout, and duals / reduced costs are exact
-``Fraction``s of the float cost entries (floats are dyadic rationals, so no
-precision is lost).  The returned plan is therefore an exact optimum of the
-float cost matrix, and the deterministic pivot order makes it canonical.
+The solver is a transportation simplex with Bland's smallest-index rule,
+in exact integers: the marginals over a common denominator (weights are
+first snapped to rationals with denominator at most 10**12) and the float
+costs times their largest denominator, which is exact as floats are dyadic.
+The basis tree and its node potentials persist across pivots (Bonneel et
+al. 2011), and the final basis is certified optimal from scratch.  The plan
+is an exact optimum of the float costs, canonical by the fixed pivot order.
 
 Also provides the barycentric projection of a plan: the vector field on the
 target measure that averages the displacements ``x - y`` arriving at each
@@ -19,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .measures import ParticleMeasure
 
 MARGINAL_TOL = 1e-9
 _WEIGHT_DENOM = 10**12
+#: Pivot cap of the transport simplex; read at call time.
+MAX_PIVOTS = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,136 +136,132 @@ def _northwest_corner(
     return flows
 
 
-def _tree_adjacency(
-    basis: dict[tuple[int, int], int], m: int, k: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    row_adj: list[list[int]] = [[] for _ in range(m)]
-    col_adj: list[list[int]] = [[] for _ in range(k)]
-    for (i, j) in basis:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    return row_adj, col_adj
+def _integer_costs(cost_f: np.ndarray) -> list[list[int]]:
+    """The float costs times their largest denominator, as exact ints.
 
-
-def _duals(
-    basis: dict[tuple[int, int], int],
-    cost: list[list[Fraction]],
-    m: int,
-    k: int,
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Solve u_i + v_j = c_ij on the basis tree, anchored at u_0 = 0."""
-    row_adj, col_adj = _tree_adjacency(basis, m, k)
-    u: list[Fraction | None] = [None] * m
-    v: list[Fraction | None] = [None] * k
-    u[0] = Fraction(0)
-    stack: list[tuple[str, int]] = [("r", 0)]
-    while stack:
-        side, idx = stack.pop()
-        if side == "r":
-            for j in row_adj[idx]:
-                if v[j] is None:
-                    v[j] = cost[idx][j] - u[idx]
-                    stack.append(("c", j))
-        else:
-            for i in col_adj[idx]:
-                if u[i] is None:
-                    u[i] = cost[i][idx] - v[idx]
-                    stack.append(("r", i))
-    if any(x is None for x in u) or any(x is None for x in v):
-        raise InvalidStateError("transport basis is not a spanning tree")
-    return u, v
-
-
-def _find_cycle(
-    basis: dict[tuple[int, int], int], enter: tuple[int, int], m: int, k: int
-) -> list[tuple[int, int]]:
-    """Cells of the unique cycle closed by ``enter``, starting with it.
-
-    Cells at even positions gain flow, odd positions lose flow.
+    Floats are dyadic, so every product is an integer.  NaN and inf raise.
     """
-    row_adj, col_adj = _tree_adjacency(basis, m, k)
-    i0, j0 = enter
-    # Path from column node j0 back to row node i0 through the tree.
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-    seen = {("c", j0)}
-    stack = [("c", j0)]
+    ratios = [[c.as_integer_ratio() for c in row] for row in cost_f.tolist()]
+    scale = max(d for row in ratios for _, d in row)
+    return [[n * (scale // d) for n, d in row] for row in ratios]
+
+
+def _hang(top, adj, parent, depth, pot, cost, m) -> None:
+    """Set parent, depth and potential below ``top``, whose own are set.
+
+    Rows are nodes ``0..m-1`` and columns ``m..m+k-1``; a basic cell (i, j)
+    joins i and m+j and fixes ``pot[i] + pot[m+j] = cost[i][j]``.
+    """
+    stack = [top]
     while stack:
-        side, idx = stack.pop()
-        if (side, idx) == ("r", i0):
-            break
-        nbrs = (
-            [("r", i) for i in col_adj[idx]]
-            if side == "c"
-            else [("c", j) for j in row_adj[idx]]
-        )
-        for nb in nbrs:
-            if nb not in seen:
-                seen.add(nb)
-                parent[nb] = (side, idx)
-                stack.append(nb)
-    node = ("r", i0)
-    if node not in seen:
-        raise InvalidStateError("entering cell closes no cycle")
-    path_nodes = [node]
-    while node != ("c", j0):
-        node = parent[node]
-        path_nodes.append(node)
-    # path_nodes alternates r, c, r, ..., c; consecutive pairs are basis cells
-    cycle = [enter]
-    for a, b in zip(path_nodes[:-1], path_nodes[1:]):
-        cell = (a[1], b[1]) if a[0] == "r" else (b[1], a[1])
-        cycle.append(cell)
-    return cycle
+        x = stack.pop()
+        if depth[x] >= len(parent):
+            raise InvalidStateError("transport basis has a cycle")
+        for y in adj[x]:
+            if y != parent[x]:
+                c = cost[x][y - m] if x < m else cost[y][x - m]
+                parent[y], depth[y], pot[y] = x, depth[x] + 1, c - pot[x]
+                stack.append(y)
 
 
-def _solve_transport(
-    cost_f: np.ndarray, a: list[int], b: list[int], max_iter: int
-) -> dict[tuple[int, int], int]:
-    """Exact transportation simplex; returns optimal basic integer flows."""
+def _tree(basis: dict[tuple[int, int], int], cost, m: int, k: int):
+    """Adjacency, parent, depth and potential (the duals anchored at
+    ``u_0 = 0``) of ``basis`` hung from row 0; unreached nodes keep parent -1.
+    """
+    adj: list[list[int]] = [[] for _ in range(m + k)]
+    for i, j in basis:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent, depth, pot = [-1] * (m + k), [0] * (m + k), [0] * (m + k)
+    _hang(0, adj, parent, depth, pot, cost, m)
+    return adj, parent, depth, pot
+
+
+def _certify(basis: dict[tuple[int, int], int], cost, a, b) -> None:
+    """Raise ``InvalidStateError`` unless ``basis`` is an optimal tree flow.
+
+    Exact checks, with duals from a fresh traversal of ``basis``: a spanning
+    tree, flows >= 0 summing to ``a`` and ``b``, and reduced costs >= 0.
+    """
     m, k = len(a), len(b)
-    cost = [[Fraction(float(cost_f[i, j])) for j in range(k)] for i in range(m)]
-    basis = _northwest_corner(a, b)
-    for it in range(max_iter):
-        u, v = _duals(basis, cost, m, k)
-        enter = None
-        for i in range(m):  # Bland: first cell with negative reduced cost
-            for j in range(k):
-                if (i, j) not in basis and cost[i][j] - u[i] - v[j] < 0:
-                    enter = (i, j)
-                    break
-            if enter is not None:
-                break
-        if enter is None:
-            return basis
-        cycle = _find_cycle(basis, enter, m, k)
-        minus = cycle[1::2]
-        theta = min(basis[c] for c in minus)
-        leave = min(
-            (c for c in minus if basis[c] == theta),
-            key=lambda c: c[0] * k + c[1],
-        )
-        for idx, c in enumerate(cycle):
-            if idx == 0:
-                continue
-            basis[c] = basis[c] + theta if idx % 2 == 0 else basis[c] - theta
-        del basis[leave]
-        basis[enter] = theta
-    raise SolverFailure("transport simplex hit iteration cap", max_iter)
+    _, parent, _, pot = _tree(basis, cost, m, k)
+    if len(basis) != m + k - 1 or -1 in parent[1:]:
+        raise InvalidStateError("transport basis is not a spanning tree")
+    rows = [sum(f for (i, _), f in basis.items() if i == r) for r in range(m)]
+    cols = [sum(f for (_, j), f in basis.items() if j == c) for c in range(k)]
+    if min(basis.values()) < 0 or rows != a or cols != b:
+        raise InvalidStateError("transport flows are not feasible")
+    if any(min(map(sub, cost[i], pot[m:])) < pot[i] for i in range(m)):
+        raise InvalidStateError("transport basis has a negative reduced cost")
+
+
+def _solve_transport(cost, a: list[int], b: list[int]) -> dict:
+    """Exact transportation simplex; returns optimal basic integer flows.
+
+    A pivot enters the first cell in row-major order with a negative
+    reduced cost, walks both its ends up the tree to find the cycle, and
+    drops the minus-cell of least flow, ties to the smallest ``i*k + j``.
+    The subtree cut off is hung again from the entering end inside it, so
+    only its potentials change and row 0 stays the root.
+    """
+    m, k = len(a), len(b)
+    flows = _northwest_corner(a, b)
+    adj, parent, depth, pot = _tree(flows, cost, m, k)
+
+    def cell(z: int) -> tuple[int, int]:  # the cell from node z to its parent
+        return (z, parent[z] - m) if z < m else (parent[z], z - m)
+    for pivots in range(MAX_PIVOTS + 1):
+        v = pot[m:]
+        i0 = next((i for i in range(m) if min(map(sub, cost[i], v)) < pot[i]), -1)
+        if i0 < 0:
+            break
+        if pivots == MAX_PIVOTS:
+            msg = f"transport simplex hit the pivot cap on a {m} x {k} problem"
+            raise SolverFailure(msg, pivots)
+        j0 = next(j for j in range(k) if cost[i0][j] - v[j] < pot[i0])
+        xs, ys = [i0], [m + j0]  # the tree paths up to the common ancestor
+        while xs[-1] != ys[-1]:
+            path = xs if depth[xs[-1]] >= depth[ys[-1]] else ys
+            path.append(parent[path[-1]])
+        del xs[-1], ys[-1]
+        # Cycle edges, by child node: from either end they lose, gain, ...
+        minus = [cell(z) for z in xs[::2] + ys[::2]]
+        leave = min(minus, key=lambda c: (flows[c], c))
+        theta = flows[leave]
+        for c in minus:
+            flows[c] -= theta
+        for z in xs[1::2] + ys[1::2]:
+            flows[cell(z)] += theta
+        del flows[leave]
+        flows[i0, j0] = theta
+        # Cut at the leaving cell's child q; hang q's subtree from its end.
+        q = leave[0] if parent[leave[0]] == m + leave[1] else m + leave[1]
+        a_end, b_end = (i0, m + j0) if q in xs else (m + j0, i0)
+        adj[q].remove(parent[q])
+        adj[parent[q]].remove(q)
+        adj[a_end].append(b_end)
+        adj[b_end].append(a_end)
+        parent[a_end], depth[a_end] = b_end, depth[b_end] + 1
+        pot[a_end] = cost[i0][j0] - pot[b_end]
+        _hang(a_end, adj, parent, depth, pot, cost, m)
+    _certify(flows, cost, a, b)
+    return flows
 
 
 def wasserstein2(
-    mu: ParticleMeasure, nu: ParticleMeasure, max_iter: int = 200_000
+    mu: ParticleMeasure, nu: ParticleMeasure
 ) -> tuple[float, TransportPlan]:
     """Wasserstein-2 distance and an optimal plan between two measures.
 
     Returns ``(distance, plan)`` with ``distance = sqrt(plan.cost)``.  The
     plan is the canonical optimum selected by the deterministic pivot order.
+    Raises ``SolverFailure`` past ``MAX_PIVOTS`` pivots.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} != {nu.dim}")
     cost_f = _cost_matrix(mu, nu)
     a, b, denom = _integer_marginals(mu, nu)
-    basis = _solve_transport(cost_f, a, b, max_iter)
+    basis = _solve_transport(_integer_costs(cost_f), a, b)
     coupling = np.zeros((mu.n_atoms, nu.n_atoms))
     total = 0.0
     for (i, j) in sorted(basis):

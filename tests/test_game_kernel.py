@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -220,10 +222,84 @@ class TestGammaN:
         with pytest.raises(ValueError, match="sample"):
             gamma_n(prob, prob.v_grid, prob.v_grid, [])
 
+    @pytest.mark.parametrize("kind", ["affine", "pursuit", "u_plus_v", "rotation"])
+    def test_batched_equals_the_per_row_loop(self, kind):
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            prob = _library_problem(rng, kind)
+            coarse = prob.v_grid[: int(rng.integers(1, prob.n_v + 1))]
+            samples = list(rng.uniform(-3, 3, size=(40, prob.dim)))
+            got = gamma_n(prob, prob.v_grid, coarse, samples)
+            assert got == gamma_n_loop(prob, prob.v_grid, coarse, samples)
+
+    def test_nan_rows_are_skipped(self):
+        prob = dataclasses.replace(
+            pennies_problem(),
+            f=lambda x, u, v: np.where(
+                x[..., :1] > 0.0, np.nan, x[..., :1] * (u[..., :1] + v[..., :1])
+            ),
+        )
+        samples = [np.array([1.0]), np.array([-2.0]), np.array([-0.5])]
+        coarse = prob.v_grid[[0]]
+        assert gamma_n(prob, prob.v_grid, coarse, samples) == 4.0
+        assert gamma_n(prob, prob.v_grid, coarse, samples[:1]) == 0.0
+
+    def test_single_state_f_rejected(self):
+        prob = dataclasses.replace(
+            pennies_problem(), f=lambda x, u, v: np.array([u[0] + v[0]])
+        )
+        samples = [np.zeros(1), np.ones(1)]
+        with pytest.raises(ValueError, match="last axis"):
+            gamma_n(prob, prob.v_grid, prob.v_grid[[0]], samples)
+
     def test_nearest_pairing_is_deterministic(self):
         fine = np.array([[0.0]])
         coarse = np.array([[-1.0], [1.0]])  # tie: first index wins
         assert nearest_coarse(fine, coarse)[0] == 0
+
+
+def gamma_n_loop(problem, fine_v, coarse_v, sample_points):
+    """Reference gamma_n: two single-state f calls per (x, u, fine v)."""
+    fine = np.asarray(fine_v, dtype=float).reshape(len(fine_v), -1)
+    coarse = np.asarray(coarse_v, dtype=float).reshape(len(coarse_v), -1)
+    pairing = nearest_coarse(fine, coarse)
+    worst = 0.0
+    for x in sample_points:
+        for u in problem.u_grid:
+            for i, v in enumerate(fine):
+                d = float(
+                    np.linalg.norm(
+                        np.asarray(problem.f(x, u, v), dtype=float)
+                        - np.asarray(problem.f(x, u, coarse[pairing[i]]), dtype=float)
+                    )
+                )
+                if d > worst:
+                    worst = d
+    return worst
+
+
+def _library_problem(rng, kind):
+    if kind == "affine":
+        dim, cdim = 2, int(rng.integers(1, 3))
+        return make_problem(
+            "affine",
+            A=rng.uniform(-0.5, 0.5, size=(dim, dim)),
+            B=rng.uniform(-1, 1, size=(dim, cdim)),
+            C=rng.uniform(-1, 1, size=(dim, cdim)),
+            dim=dim,
+            T=1.0,
+            u_grid=rng.uniform(-1, 1, size=(3, cdim)),
+            v_grid=rng.uniform(-1, 1, size=(6, cdim)),
+        )
+    planar = kind in ("pursuit", "rotation")
+    shape = (4, 2) if planar else 4
+    return make_problem(
+        kind,
+        T=1.0,
+        u_grid=rng.uniform(-1, 1, size=shape),
+        v_grid=rng.uniform(-1, 1, size=(6, 2) if planar else 6),
+        omega=float(rng.uniform(0.5, 2.0)),
+    )
 
 
 def _random_affine(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from blindgame import (
     InvalidStateError,
+    SolverFailure,
     ParticleMeasure,
     TransportPlan,
     barycentric_projection,
@@ -13,6 +14,7 @@ from blindgame import (
     reverse_plan,
     wasserstein2,
 )
+from blindgame import transport
 
 
 def random_cloud(rng, n, d, equal_weights=False):
@@ -120,6 +122,59 @@ class TestWasserstein:
         _, plan = wasserstein2(mu, nu)
         assert np.max(np.abs(plan.coupling.sum(axis=1) - mu.weights)) <= 1e-9
         assert np.max(np.abs(plan.coupling.sum(axis=0) - nu.weights)) <= 1e-9
+
+
+def exact_problem(mu, nu):
+    """Integer costs and marginals of a pair, as the simplex sees them."""
+    a, b, _ = transport._integer_marginals(mu, nu)
+    return transport._integer_costs(transport._cost_matrix(mu, nu)), a, b
+
+
+class TestExactSimplex:
+    def test_integer_costs_are_exact_multiples(self):
+        cost_f = np.array([[0.5, 3.0], [0.1, 0.0]])
+        tenth, scale = (0.1).as_integer_ratio()
+        assert transport._integer_costs(cost_f) == [
+            [scale // 2, 3 * scale],
+            [tenth, 0],
+        ]
+        for bad, exc in [(np.nan, ValueError), (np.inf, OverflowError)]:
+            with pytest.raises(exc):
+                transport._integer_costs(np.array([[1.0, bad]]))
+
+    def test_certificate_rejects_feasible_non_optimal_basis(self):
+        # The northwest corner sends 0 -> 2 and 2 -> 0; crossing costs 0.
+        mu = ParticleMeasure(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
+        nu = ParticleMeasure(np.array([[2.0], [0.0]]), np.array([0.5, 0.5]))
+        cost, a, b = exact_problem(mu, nu)
+        corner = transport._northwest_corner(a, b)
+        with pytest.raises(InvalidStateError, match="negative reduced cost"):
+            transport._certify(corner, cost, a, b)
+        transport._certify(transport._solve_transport(cost, a, b), cost, a, b)
+
+    def test_certificate_rejects_broken_bases(self):
+        rng = np.random.default_rng(5)
+        cost, a, b = exact_problem(random_cloud(rng, 3, 2), random_cloud(rng, 2, 2))
+        basis = transport._solve_transport(cost, a, b)
+        cell, flow = next(iter(basis.items()))
+        cases = [
+            ({**basis, cell: flow + 1}, "not feasible"),
+            ({c: f for c, f in basis.items() if c != cell}, "spanning tree"),
+            ({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, "cycle"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(InvalidStateError, match=message):
+                transport._certify(bad, cost, a, b)
+
+    def test_pivot_cap_names_the_shape(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        mu, nu = random_cloud(rng, 6, 2), random_cloud(rng, 5, 2)
+        monkeypatch.setattr(transport, "MAX_PIVOTS", 1)
+        with pytest.raises(SolverFailure, match="6 x 5 problem") as err:
+            wasserstein2(mu, nu)
+        assert err.value.iterations == 1
+        monkeypatch.setattr(transport, "MAX_PIVOTS", 200_000)
+        wasserstein2(mu, nu)
 
 
 class TestPlanType:
