@@ -26,6 +26,8 @@ from .simplex import max_weighted_min
 from .transport import ProjectionField
 
 DUALITY_TOL = 1e-9
+#: Rows per batched call of ``f`` in ``gamma_n``; bounds its temporaries.
+GAMMA_BATCH_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +181,8 @@ def gamma_n(
     An empirical stand-in for the coarsening modulus of the dynamics: the
     sup over all states is not computable, so it is taken over the supplied
     sample points (callers should include at least the atoms the
-    Hamiltonians are evaluated on).  ``f`` is called twice, each time on a
-    batch of every (sample, u, fine v) row, so it must act on the last axis.
+    Hamiltonians are evaluated on).  ``f`` is called on batches of
+    (sample, u, fine v) rows, so it must act on the last axis.
     """
     pts = [np.asarray(x, dtype=float).reshape(-1) for x in sample_points]
     if len(pts) == 0:
@@ -188,22 +190,30 @@ def gamma_n(
     fine = as_grid(fine_v)
     coarse = as_grid(coarse_v)
     pairing = nearest_coarse(fine, coarse)
-    reps = len(pts) * problem.n_u
-    x = np.repeat(np.array(pts), problem.n_u * len(fine), axis=0)
-    u = np.tile(np.repeat(problem.u_grid, len(fine), axis=0), (len(pts), 1))
-    f_fine, f_coarse = (
-        np.asarray(problem.f(x, u, np.tile(v, (reps, 1))), dtype=float)
-        for v in (fine, coarse[pairing])
-    )
-    diff = f_fine - f_coarse
-    if diff.shape != x.shape:
-        raise ValueError(
-            f"f returned shape {diff.shape} for a batch of shape {x.shape}; "
-            "f must act on the last axis"
+    # The (u, fine v) rows of one sample, u-major, and their paired v rows.
+    u_rows = np.repeat(problem.u_grid, len(fine), axis=0)
+    v_rows = [np.tile(v, (problem.n_u, 1)) for v in (fine, coarse[pairing])]
+    step = max(1, GAMMA_BATCH_ROWS // len(u_rows))
+    worst = 0.0
+    for start in range(0, len(pts), step):
+        chunk = np.array(pts[start : start + step])
+        x = np.repeat(chunk, len(u_rows), axis=0)
+        u = np.tile(u_rows, (len(chunk), 1))
+        f_fine, f_coarse = (
+            np.asarray(problem.f(x, u, np.tile(v, (len(chunk), 1))), dtype=float)
+            for v in v_rows
         )
-    # Row norms can differ from the 1-d norm in the last bit, so the 1-d
-    # norm decides among the rows near the top; NaN rows never count.
-    norms = np.linalg.norm(diff, axis=1)
-    top = float(np.max(norms, initial=0.0, where=~np.isnan(norms)))
-    near = np.flatnonzero(norms >= top * (1.0 - 1e-12)) if top > 0.0 else []
-    return max((float(np.linalg.norm(diff[r])) for r in near), default=0.0)
+        diff = f_fine - f_coarse
+        if diff.shape != x.shape:
+            raise ValueError(
+                f"f returned shape {diff.shape} for a batch of shape "
+                f"{x.shape}; f must act on the last axis"
+            )
+        # Row norms can differ from the 1-d norm in the last bit, so the
+        # 1-d norm decides among the rows near the top; NaN rows never count.
+        norms = np.linalg.norm(diff, axis=1)
+        top = float(np.max(norms, initial=0.0, where=~np.isnan(norms)))
+        if top > 0.0:
+            near = np.flatnonzero(norms >= top * (1.0 - 1e-12))
+            worst = max(worst, *(float(np.linalg.norm(diff[r])) for r in near))
+    return worst

@@ -210,6 +210,7 @@ def _solve_transport(cost, a: list[int], b: list[int]) -> dict:
 
     def cell(z: int) -> tuple[int, int]:  # the cell from node z to its parent
         return (z, parent[z] - m) if z < m else (parent[z], z - m)
+
     for pivots in range(MAX_PIVOTS + 1):
         v = pot[m:]
         i0 = next((i for i in range(m) if min(map(sub, cost[i], v)) < pot[i]), -1)
@@ -224,7 +225,7 @@ def _solve_transport(cost, a: list[int], b: list[int]) -> dict:
             path = xs if depth[xs[-1]] >= depth[ys[-1]] else ys
             path.append(parent[path[-1]])
         del xs[-1], ys[-1]
-        # Cycle edges, by child node: from either end they lose, gain, ...
+        # From either end, the cycle's edges alternately lose and gain flow.
         minus = [cell(z) for z in xs[::2] + ys[::2]]
         leave = min(minus, key=lambda c: (flows[c], c))
         theta = flows[leave]

@@ -19,6 +19,7 @@ from blindgame import (
     solve_matrix_game,
     wasserstein2,
 )
+from blindgame import game_kernel
 
 
 def certificate_gap(a, sol):
@@ -222,8 +223,10 @@ class TestGammaN:
         with pytest.raises(ValueError, match="sample"):
             gamma_n(prob, prob.v_grid, prob.v_grid, [])
 
+    @pytest.mark.parametrize("rows", [game_kernel.GAMMA_BATCH_ROWS, 5])
     @pytest.mark.parametrize("kind", ["affine", "pursuit", "u_plus_v", "rotation"])
-    def test_batched_equals_the_per_row_loop(self, kind):
+    def test_batched_equals_the_per_row_loop(self, kind, rows, monkeypatch):
+        monkeypatch.setattr(game_kernel, "GAMMA_BATCH_ROWS", rows)
         rng = np.random.default_rng(61)
         for _ in range(10):
             prob = _library_problem(rng, kind)
