@@ -195,7 +195,7 @@ def _certify(basis: dict[tuple[int, int], int], cost, a, b) -> None:
         raise InvalidStateError("transport basis has a negative reduced cost")
 
 
-def _solve_transport(cost, a: list[int], b: list[int]) -> dict:
+def _solve_transport(cost, a: list[int], b: list[int]) -> dict[tuple[int, int], int]:
     """Exact transportation simplex; returns optimal basic integer flows.
 
     A pivot enters the first cell in row-major order with a negative
