@@ -8,10 +8,13 @@ from __future__ import annotations
 
 
 class SolverFailure(RuntimeError):
-    """An LP solve did not converge. Carries the iteration count."""
+    """An LP solve did not converge or failed its certificate.  Carries the
+    bare message, so that callers can add context, and the iteration
+    count."""
 
     def __init__(self, message: str, iterations: int = 0):
         super().__init__(f"{message} (iterations={iterations})")
+        self.message = message
         self.iterations = iterations
 
 

@@ -22,10 +22,9 @@ import numpy as np
 from .dynamics import ControlProblem, as_grid
 from .errors import SolverFailure
 from .measures import ParticleMeasure
-from .simplex import max_weighted_min
+from .simplex import DUALITY_TOL, max_weighted_min
 from .transport import ProjectionField
 
-DUALITY_TOL = 1e-9
 #: Rows per batched call of ``f`` in ``gamma_n``; bounds its temporaries.
 GAMMA_BATCH_ROWS = 4096
 

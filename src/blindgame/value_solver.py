@@ -459,14 +459,25 @@ def _solve_master(
     cuts, run until no sequence improves the restricted value.
     """
     n_cuts, n_seq = cut_matrix.shape
+
+    def lp(sub: np.ndarray):
+        try:
+            return max_weighted_min([1.0], [sub])
+        except SolverFailure as exc:
+            raise SolverFailure(
+                f"master LP ({n_cuts} cuts x {n_seq} sequences): "
+                f"{exc.message}",
+                exc.iterations,
+            ) from exc
+
     if n_seq <= colgen_threshold:
-        sol = max_weighted_min([1.0], [cut_matrix])
+        sol = lp(cut_matrix)
         return sol.value, sol.q
     cols = [0]
     in_cols = {0}
     for _ in range(n_seq):
         sub = cut_matrix[:, cols]
-        sol = max_weighted_min([1.0], [sub])
+        sol = lp(sub)
         lam = sol.row_duals[0]
         scores = lam @ cut_matrix
         best = int(np.argmax(scores))

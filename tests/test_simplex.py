@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blindgame import max_weighted_min
+from blindgame import SolverFailure, max_weighted_min, simplex
 
 
 def dual_certificate_gap(weights, groups, sol):
@@ -90,6 +90,93 @@ class TestWeightedGroups:
             sol = max_weighted_min(weights, groups)
             gap = dual_certificate_gap(weights, groups, sol)
             assert -1e-9 <= gap <= 1e-9
+
+
+def _highs_value(weights, groups):
+    """The same LP solved by scipy's HiGHS: max sum_j w_j z_j subject to
+    z_j <= (C_j q)_r for every row r, q in the simplex."""
+    optimize = pytest.importorskip("scipy.optimize")
+    k, j = groups[0].shape[1], len(groups)
+    a_ub = np.vstack(
+        [
+            np.hstack([-c, np.tile(np.eye(j)[g], (c.shape[0], 1))])
+            for g, c in enumerate(groups)
+        ]
+    )
+    res = optimize.linprog(
+        np.concatenate([np.zeros(k), -np.asarray(weights)]),
+        A_ub=a_ub,
+        b_ub=np.zeros(a_ub.shape[0]),
+        A_eq=np.concatenate([np.ones(k), np.zeros(j)])[None],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * k + [(None, None)] * j,
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def _degenerate_instance(rng):
+    """Integer-valued groups with duplicated rows and columns, so that
+    ratio ties are the rule rather than the exception."""
+    k = int(rng.integers(1, 9))
+    groups = []
+    for _ in range(int(rng.integers(1, 4))):
+        r = int(rng.integers(1, 8))
+        c = rng.integers(-2, 3, size=(r, k)).astype(float)
+        if r > 1:
+            c[rng.integers(r)] = c[rng.integers(r)]
+        if k > 1:
+            c[:, rng.integers(k)] = c[:, rng.integers(k)]
+        if rng.random() < 0.3:
+            c = c / 7.0  # entries inexact in binary
+        groups.append(c)
+    weights = rng.integers(1, 4, size=len(groups)) / 4.0
+    return weights, groups
+
+
+class TestDegenerateBattery:
+    def test_values_match_highs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            weights, groups = _degenerate_instance(rng)
+            sol = max_weighted_min(weights, groups)
+            assert sol.certified_gap <= simplex.DUALITY_TOL
+            assert sol.value == pytest.approx(
+                _highs_value(weights, groups), abs=1e-9
+            )
+
+
+class TestCertificate:
+    PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+    def test_gap_is_reported(self):
+        sol = max_weighted_min([1.0], [self.PENNIES])
+        assert sol.certified_gap == dual_certificate_gap(
+            [1.0], [self.PENNIES], sol
+        )
+
+    def test_wrong_basis_raises(self, monkeypatch):
+        # q_0, the level and the first slack: feasible with q = (1, 0),
+        # value -1, while its duals bound the value by 1.
+        wrong = [0, 2, 3]
+
+        def wrong_simplex(a_mat, b, cost):
+            x_basic = simplex._solve_basis(a_mat, wrong, b)
+            y = simplex._solve_basis(a_mat, wrong, cost[wrong], transpose=True)
+            return wrong, 0, x_basic, y
+
+        monkeypatch.setattr(simplex, "_primal_simplex", wrong_simplex)
+        with pytest.raises(SolverFailure, match="certificate gap 2.000e\\+00"):
+            max_weighted_min([1.0], [self.PENNIES])
+
+    def test_pivot_cap_names_the_lp(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+        with pytest.raises(
+            SolverFailure,
+            match=r"iteration cap: 0 pivots on a 3 x 5 LP \(iterations=0\)",
+        ):
+            max_weighted_min([1.0], [self.PENNIES])
 
 
 class TestValidation:

@@ -8,6 +8,7 @@ from blindgame import (
     MixedStrategyII,
     NumericFailure,
     ParticleMeasure,
+    SolverFailure,
     StepControlSequence,
     StrategyTreeI,
     best_response_I,
@@ -28,7 +29,7 @@ from blindgame import (
 )
 from dataclasses import replace
 
-from blindgame import value_solver
+from blindgame import simplex, value_solver
 
 
 def pennies(T=1.0):
@@ -369,6 +370,50 @@ class TestSolveVn:
         direct = solve_Vn(prob, mu, 2, tol=1e-9, colgen_threshold=10**4)
         colgen = solve_Vn(prob, mu, 2, tol=1e-9, colgen_threshold=2)
         assert direct.value == pytest.approx(colgen.value, abs=1e-9)
+
+
+class TestMasterLPRegressions:
+    """Games whose master LP cycled, or pivoted onto a numerically
+    singular basis, under a float Bland leaving rule."""
+
+    @staticmethod
+    def halves():
+        return ParticleMeasure(np.array([[-0.3], [0.4]]), np.array([0.5, 0.5]))
+
+    def test_u_plus_v_on_eight_point_v_grid(self):
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
+            v_grid=np.linspace(-1.0, 1.0, 8),
+        )
+        res = solve_Vn(prob, self.halves(), 2)
+        assert res.converged and res.gap <= 1e-7
+        assert abs(res.value - 0.5) <= 1e-7 + 1e-9
+
+    def test_u_plus_v_on_three_point_grids_at_four_stages(self):
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
+            v_grid=[-1.0, 0.0, 1.0],
+        )
+        res = solve_Vn(prob, self.halves(), 4)
+        assert res.converged and res.gap <= 1e-7
+
+    def test_planar_pursuit_on_unit_directions(self):
+        dirs = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        prob = make_problem("pursuit", T=1.0, u_grid=dirs, v_grid=dirs)
+        mu = ParticleMeasure(
+            np.array([[0.3, 0.1], [-0.2, 0.4]]), np.array([0.5, 0.5])
+        )
+        res = solve_Vn(prob, mu, 3)
+        assert res.converged and res.gap <= 1e-7
+
+    def test_master_failure_names_the_lp(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+        msg = (
+            r"master LP \(1 cuts x 4 sequences\): simplex hit the "
+            r"iteration cap: 0 pivots on a 2 x 6 LP \(iterations=0\)"
+        )
+        with pytest.raises(SolverFailure, match=msg):
+            solve_Vn(pennies(), dirac0(), 2)
 
 
 class TestStateLattice:
