@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import advance_stage
+from .dynamics import advance_stage, terminal_costs
 from .errors import NumericFailure, SolverFailure
 from .game_kernel import HamiltonianQuery, eval_H, eval_Hn, gamma_n
 from .measures import ParticleMeasure, second_moment
@@ -96,7 +96,6 @@ def cmd_solve(scn: Scenario, out_dir: str, repro: bool) -> int:
         scn.n_stages,
         tol=scn.tol,
         max_iter=scn.max_iter,
-        sequence_guard=scn.sequence_guard,
     )
     wall_ms = 0 if repro else int((time.perf_counter() - start) * 1000)
     rows = ["scenario,n,value,gap,iterations,wall_time_ms"]
@@ -132,7 +131,6 @@ def cmd_converge(scn: Scenario, out_dir: str, seed: int) -> int:
             n,
             tol=scn.tol,
             max_iter=scn.max_iter,
-            sequence_guard=scn.sequence_guard,
         )
         coarse = covering_indices(scn.problem.v_grid, 1.0 / n)
         h_full, h_coarse, bound = _hamiltonian_row(
@@ -154,7 +152,6 @@ def cmd_oracle(scn: Scenario, out_dir: str) -> int:
         scn.n_stages,
         tol=scn.tol,
         max_iter=scn.max_iter,
-        sequence_guard=scn.sequence_guard,
     )
     bf = brute_force_value(scn.problem, scn.mu0, scn.n_stages)
     diff = abs(res.value - bf.value)
@@ -220,9 +217,8 @@ def cmd_ekeland(scn: Scenario, out_dir: str, seed: int) -> int:
     if scn.ekeland_func == "moment":
         func = lambda t, mu: t + second_moment(mu)
     else:
-        g = scn.problem.g
         func = lambda t, mu: t + float(
-            sum(w * g(x) for w, x in zip(mu.weights, mu.points))
+            sum(mu.weights * terminal_costs(scn.problem, mu.points))
         )
     res = ekeland_point(domain, func, scn.ekeland_eps)
     rows = ["scenario,index,value,eps,iterations,violations"]

@@ -49,13 +49,13 @@ class ControlProblem:
     tests (Gronwall envelopes, value Lipschitz bounds); the library
     constructors fill them with exact constants where available and with
     documented estimates on the radius-``DOMAIN_RADIUS`` ball otherwise.
-    ``f`` must act on the last axis: the value solver calls it on (N, d)
-    batches of states with matching rows of controls.
+    ``f`` and ``g`` must act on the last axis: the solver calls them on
+    (N, d) batches of states, ``f`` with matching rows of controls.
     """
 
     dim: int
     f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], float]
+    g: Callable[[np.ndarray], np.ndarray]
     T: float
     u_grid: np.ndarray
     v_grid: np.ndarray
@@ -138,29 +138,52 @@ def advance_stage(
     return x
 
 
+def stage_step(
+    prob: ControlProblem, x: np.ndarray, iu, iv, stage_len: float, stage: int
+) -> np.ndarray:
+    """Advance one state (d,) or a batch (N, d) through stage ``stage``
+    under one u-grid index ``iu`` and v-grid index ``iv`` per row.  Raises
+    ``ValueError`` on an index off its grid and ``NumericFailure`` naming
+    the stage on a non-finite state."""
+    if np.any((iu < 0) | (iu >= prob.n_u) | (iv < 0) | (iv >= prob.n_v)):
+        raise ValueError(f"stage {stage}: control index out of range")
+    x = advance_stage(prob, x, prob.u_grid[iu], prob.v_grid[iv], stage_len)
+    if not np.all(np.isfinite(x)):
+        raise NumericFailure("trajectory left the finite range", stage=stage)
+    return x
+
+
+def terminal_costs(prob: ControlProblem, x: np.ndarray) -> np.ndarray:
+    """g of each row of the batch ``x``, checked to give one value per row."""
+    out = np.asarray(prob.g(x), dtype=float)
+    if out.shape != x.shape[:1]:
+        raise ValueError(
+            f"g returned shape {out.shape} for a batch of shape {x.shape}; "
+            "g must act on the last axis"
+        )
+    return out
+
+
 def flow(
     prob: ControlProblem,
     x0,
     u_seq: StepControlSequence,
     v_seq: StepControlSequence,
 ) -> np.ndarray:
-    """Endpoint X_T of the stage-wise integrated trajectory from x0."""
+    """Endpoints X_T of the stage-wise trajectories from x0 (d,) or (N, d)."""
     if u_seq.n_stages != v_seq.n_stages:
         raise ValueError(
             f"stage mismatch: {u_seq.n_stages} != {v_seq.n_stages}"
         )
     n = u_seq.n_stages
     tau = prob.T / n
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != prob.dim:
-        raise ValueError(f"x0 has dimension {x.shape[0]}, expected {prob.dim}")
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x.shape[-1] != prob.dim:
+        raise ValueError(f"x0 has dimension {x.shape[-1]}, expected {prob.dim}")
+    rows = np.zeros(x.shape[:-1], dtype=np.int64)
     for k in range(n):
-        iu, iv = u_seq.values[k], v_seq.values[k]
-        if iu >= prob.n_u or iv >= prob.n_v:
-            raise ValueError(f"stage {k}: control index out of range")
-        x = advance_stage(prob, x, prob.u_grid[iu], prob.v_grid[iv], tau)
-        if not np.all(np.isfinite(x)):
-            raise NumericFailure("trajectory left the finite range", stage=k)
+        iu, iv = rows + u_seq.values[k], rows + v_seq.values[k]
+        x = stage_step(prob, x, iu, iv, tau, k)
     return x
 
 
@@ -172,8 +195,9 @@ def payoff_open_loop(
 ) -> float:
     """Expected terminal cost when both controls ignore the initial state."""
     total = 0.0
-    for w, x in zip(mu0.weights, mu0.points):
-        total += w * float(prob.g(flow(prob, x, u_seq, v_seq)))
+    ends = flow(prob, mu0.points, u_seq, v_seq)
+    for term in mu0.weights * terminal_costs(prob, ends):
+        total += term
     return total
 
 
@@ -194,37 +218,19 @@ def stage_pushforward(
             f"u_assignment has {len(u_assignment)} entries "
             f"for {mu.n_atoms} atoms"
         )
-    if not 0 <= v_index < prob.n_v:
-        raise ValueError("v_index out of range")
-    v = prob.v_grid[v_index]
-    new_points = []
-    for k, (x, iu) in enumerate(zip(mu.points, u_assignment)):
-        if not 0 <= iu < prob.n_u:
-            raise ValueError(f"atom {k}: u index out of range")
-        y = advance_stage(prob, x, prob.u_grid[iu], v, stage_len)
-        if not np.all(np.isfinite(y)):
-            raise NumericFailure("trajectory left the finite range", stage=0)
-        new_points.append(y)
-    return ParticleMeasure(np.array(new_points), mu.weights.copy())
+    iu, iv = np.asarray(u_assignment), np.full(mu.n_atoms, v_index)
+    y = stage_step(prob, mu.points, iu, iv, stage_len, 0)
+    return ParticleMeasure(y, mu.weights.copy())
 
 
 # ---------------------------------------------------------------------------
 # Terminal payoffs
 # ---------------------------------------------------------------------------
 
-def payoff_abs() -> tuple[Callable, float]:
-    """g(x) = |x| (Euclidean norm); Lipschitz constant 1."""
-    return (lambda x: float(np.linalg.norm(x)), 1.0)
-
-
-def payoff_quadratic() -> tuple[Callable, float]:
-    """g(x) = |x|^2; slope bound taken on the radius-DOMAIN_RADIUS ball."""
-    return (lambda x: float(np.dot(x, x)), 2.0 * DOMAIN_RADIUS)
-
-
-def payoff_linear(coeffs) -> tuple[Callable, float]:
-    c = np.asarray(coeffs, dtype=float).reshape(-1)
-    return (lambda x: float(np.dot(c, x)), float(np.linalg.norm(c)))
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a, b)`` per row, bit for bit (a batched ``x @ b`` or
+    ``np.einsum`` may round differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def payoff_table(xs, vals) -> tuple[Callable, float]:
@@ -238,17 +244,27 @@ def payoff_table(xs, vals) -> tuple[Callable, float]:
     if np.any(np.diff(xs) <= 0):
         raise ValueError("payoff table breakpoints must be distinct")
     lip = float(np.max(np.abs(np.diff(vals) / np.diff(xs))))
-    return (lambda x: float(np.interp(float(x[0]), xs, vals)), lip)
+    return (lambda x: np.interp(x[..., 0], xs, vals), lip)
 
 
 def make_payoff(kind: str, *, coeffs=None, table=None, dim: int = 1):
+    """Library terminal payoff g and its Lipschitz constant.
+
+    Kinds: ``abs`` (|x|), ``quadratic`` (|x|^2, slope bound taken on the
+    radius-``DOMAIN_RADIUS`` ball), ``linear`` (c . x, ``coeffs`` default
+    all ones) and ``custom-table`` (see ``payoff_table``).  Each g acts on
+    the last axis: it takes one state (d,) or a batch (N, d) and returns
+    one payoff per row.
+    """
     kind = kind.strip().lower().replace("_", "-")
     if kind == "abs":
-        return payoff_abs()
+        return (lambda x: np.sqrt(_rowdot(x, x)), 1.0)
     if kind == "quadratic":
-        return payoff_quadratic()
+        return (lambda x: _rowdot(x, x), 2.0 * DOMAIN_RADIUS)
     if kind == "linear":
-        return payoff_linear(np.ones(dim) if coeffs is None else coeffs)
+        c = np.ones(dim) if coeffs is None else coeffs
+        c = np.asarray(c, dtype=float).reshape(-1)
+        return (lambda x: _rowdot(c, x), float(np.linalg.norm(c)))
     if kind == "custom-table":
         if dim != 1:
             raise ValueError("custom-table payoff requires dim = 1")

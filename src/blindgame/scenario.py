@@ -41,7 +41,6 @@ class Scenario:
     n_stages: int
     tol: float
     max_iter: int
-    sequence_guard: int
     seed: int
     sweep: tuple[int, ...] = ()
     transport_target: ParticleMeasure | None = None
@@ -273,7 +272,6 @@ def load_scenario(path_or_text: str) -> Scenario:
     max_iter = fields.get_int("solver.max_iter", default=200)
     if max_iter < 1:
         raise ConfigError("solver.max_iter: must be >= 1")
-    guard = fields.get_int("solver.guard_sequences", default=10**6)
 
     sweep: tuple[int, ...] = ()
     if fields.has("sweep.n"):
@@ -301,7 +299,6 @@ def load_scenario(path_or_text: str) -> Scenario:
         n_stages=n_stages,
         tol=tol,
         max_iter=max_iter,
-        sequence_guard=guard,
         seed=fields.get_int("seed", default=0),
         sweep=sweep,
         transport_target=_load_measure(fields, "transport.target", base_dir),

@@ -31,13 +31,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import (
+# advance_stage stays importable here: the benchmark tracer wraps it by name.
+from .dynamics import (  # noqa: F401
     ControlProblem,
     StepControlSequence,
     advance_stage,
     flow,
+    stage_pushforward,
+    stage_step,
+    terminal_costs,
 )
-from .errors import NumericFailure, SolverFailure
+from .errors import SolverFailure
 from .measures import ParticleMeasure, split
 from .game_kernel import MatrixGame, MatrixGameSolution, solve_matrix_game
 from .simplex import max_weighted_min
@@ -121,8 +125,10 @@ class MixedStrategyII:
 class StrategyTreeI:
     """One delayed decision tree per atom.
 
-    ``trees[i]`` maps each v-history prefix (a tuple of v-grid indices of
-    length 0 .. n_stages-1) to the u-grid index played at the next stage.
+    ``decisions[i, c]`` is the u-grid index atom i plays at the stage after
+    the v-history prefix ``tree_prefixes(n_stages, n_v)[c]``: one row per
+    atom, one column per prefix of length 0 .. n_stages-1, ordered by
+    length then lexicographically (read-only int64).
     ``flagged`` lists, once each, the (atom, prefix) pairs whose prefix has
     zero probability under the generating mixed strategy while its parent
     prefix has positive probability; decisions in those subtrees were
@@ -131,33 +137,24 @@ class StrategyTreeI:
 
     n_stages: int
     n_v: int
-    trees: tuple[dict, ...]
+    decisions: np.ndarray
     flagged: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
         if self.n_stages < 1 or self.n_v < 1:
             raise ValueError("need n_stages >= 1 and n_v >= 1")
-        expected = sum(self.n_v**k for k in range(self.n_stages))
-        for i, tree in enumerate(self.trees):
-            if len(tree) != expected:
-                raise ValueError(
-                    f"tree {i} has {len(tree)} decisions, expected {expected}"
-                )
-            for prefix, dec in tree.items():
-                if (
-                    not isinstance(prefix, tuple)
-                    or len(prefix) >= self.n_stages
-                    or any(not 0 <= v < self.n_v for v in prefix)
-                ):
-                    raise ValueError(f"tree {i}: invalid prefix {prefix!r}")
-                if int(dec) < 0:
-                    raise ValueError(f"tree {i}: invalid decision at {prefix!r}")
-
-    def u_sequence(self, atom: int, seq_values: Sequence[int]) -> tuple[int, ...]:
-        """The u indices the atom's tree plays along a full v-sequence."""
-        tree = self.trees[atom]
-        vals = tuple(int(v) for v in seq_values)
-        return tuple(tree[vals[:k]] for k in range(self.n_stages))
+        dec = np.array(self.decisions)
+        width = sum(self.n_v**k for k in range(self.n_stages))
+        if dec.dtype.kind not in "iu" or dec.ndim != 2 or dec.shape[1] != width:
+            raise ValueError(
+                f"decisions must be integers of shape (atoms, {width}), "
+                f"got {dec.dtype} of shape {dec.shape}"
+            )
+        if np.any(dec < 0):
+            raise ValueError("decisions must be nonnegative")
+        dec = dec.astype(np.int64)
+        dec.setflags(write=False)
+        object.__setattr__(self, "decisions", dec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,18 +199,34 @@ def payoff(
     strat_i: StrategyTreeI,
     strat_ii: MixedStrategyII,
 ) -> float:
-    """Expected terminal cost of a tree profile against a blind mix."""
-    n = strat_ii.n_stages
+    """Expected terminal cost of a tree profile against a blind mix.
+
+    Every (atom, support sequence) path is integrated in one batch, and
+    the weighted payoffs are summed in (atom, sequence) order.
+    """
+    n, n_v = strat_ii.n_stages, prob.n_v
     _check_compat(prob, mu0, n)
-    if strat_i.n_stages != n or strat_i.n_v != prob.n_v:
+    if strat_i.n_stages != n or strat_i.n_v != n_v:
         raise ValueError("strategy shapes do not match")
-    if len(strat_i.trees) != mu0.n_atoms:
+    if strat_i.decisions.shape[0] != mu0.n_atoms:
         raise ValueError("one tree per atom required")
+    seqs = np.array([s.values for s in strat_ii.support])
+    if seqs.max() >= n_v:
+        raise ValueError("mix sequence has a v index out of range")
+    # Prefixes are numbered level by level (``tree_prefixes`` order), so
+    # prefix c extended by v has column c * n_v + 1 + v.
+    cols = np.zeros_like(seqs)
+    for k in range(1, n):
+        cols[:, k] = cols[:, k - 1] * n_v + 1 + seqs[:, k - 1]
+    iu = strat_i.decisions[:, cols].reshape(-1, n)
+    iv = np.tile(seqs, (mu0.n_atoms, 1))
+    x = np.repeat(mu0.points, len(seqs), axis=0)
+    for k in range(n):
+        x = stage_step(prob, x, iu[:, k], iv[:, k], prob.T / n, k)
+    weights = np.outer(mu0.weights, strat_ii.probs).reshape(-1)
     total = 0.0
-    for i, (w, x) in enumerate(zip(mu0.weights, mu0.points)):
-        for seq, p in zip(strat_ii.support, strat_ii.probs):
-            u_seq = StepControlSequence(n, strat_i.u_sequence(i, seq.values))
-            total += w * p * float(prob.g(flow(prob, x, u_seq, seq)))
+    for term in weights * terminal_costs(prob, x):
+        total += term
     return total
 
 
@@ -245,7 +258,8 @@ def build_lattice(
 
     Raises ``ValueError`` before any allocation if the lattice has more
     than ``LATTICE_GUARD`` leaf states, and ``NumericFailure`` naming the
-    stage if any state, under any control history, leaves the finite range.
+    stage if any state, under any control history, leaves the finite range;
+    ``ValueError`` if ``f`` or ``g`` does not act on the last axis.
     """
     _check_compat(prob, mu0, n)
     n_u, n_v = prob.n_u, prob.n_v
@@ -257,26 +271,18 @@ def build_lattice(
             f"leaf states exceeds the lattice guard {LATTICE_GUARD}"
         )
     tau = prob.T / n
-    u_rows = np.repeat(prob.u_grid, n_v, axis=0)
-    v_rows = np.tile(prob.v_grid, (n_u, 1))
-    x = np.asarray(mu0.points, dtype=float)
+    branch_u = np.repeat(np.arange(n_u), n_v)
+    branch_v = np.tile(np.arange(n_v), n_u)
+    x = mu0.points
     v_ranks = [np.zeros(1, dtype=np.int64)]
     for k in range(n):
-        parents = x.shape[0]
-        x = advance_stage(
-            prob,
-            np.repeat(x, branch, axis=0),
-            np.tile(u_rows, (parents, 1)),
-            np.tile(v_rows, (parents, 1)),
-            tau,
-        )
-        if not np.all(np.isfinite(x)):
-            raise NumericFailure("trajectory left the finite range", stage=k)
+        iu, iv = np.tile(branch_u, x.shape[0]), np.tile(branch_v, x.shape[0])
+        x = stage_step(prob, np.repeat(x, branch, axis=0), iu, iv, tau, k)
         ranks = v_ranks[-1][:, None, None] * n_v + np.arange(n_v)
         v_ranks.append(
             np.broadcast_to(ranks, (ranks.shape[0], n_u, n_v)).reshape(-1)
         )
-    payoffs = np.array([float(prob.g(y)) for y in x])
+    payoffs = terminal_costs(prob, x)
     return StateLattice(
         n, n_u, n_v, payoffs.reshape(mu0.n_atoms, -1), tuple(v_ranks)
     )
@@ -361,11 +367,6 @@ def best_response_I(
         dec = choices[k][rows, nodes]
         decisions.append(dec)
         nodes = _descend(nodes, dec, n_u, n_v)
-    prefixes = tree_prefixes(n, n_v)
-    trees = tuple(
-        dict(zip(prefixes, row.tolist()))
-        for row in np.concatenate(decisions, axis=1)
-    )
     dead_children = [
         seq_from_rank(int(r), k, n_v)
         for k in range(1, n + 1)
@@ -374,7 +375,8 @@ def best_response_I(
     flagged = tuple(
         (i, child) for i in range(mu0.n_atoms) for child in dead_children
     )
-    return StrategyTreeI(n, n_v, trees, flagged), float(value)
+    tree = StrategyTreeI(n, n_v, np.concatenate(decisions, axis=1), flagged)
+    return tree, float(value)
 
 
 def cut_coefficients(
@@ -390,20 +392,14 @@ def cut_coefficients(
     """
     n, n_v = tree.n_stages, tree.n_v
     _check_compat(prob, mu0, n)
-    if n_v != prob.n_v or len(tree.trees) != mu0.n_atoms:
+    if n_v != prob.n_v or tree.decisions.shape[0] != mu0.n_atoms:
         raise ValueError("tree shape does not match the game")
     lattice = _lattice_for(prob, mu0, n, lattice)
-    prefixes = tree_prefixes(n, n_v)
-    flat = np.array(
-        [[t[p] for p in prefixes] for t in tree.trees], dtype=np.int64
-    )
-    if np.any(flat >= prob.n_u):
+    if np.any(tree.decisions >= prob.n_u):
         raise ValueError("tree decision out of range of the u-grid")
     nodes = np.zeros((mu0.n_atoms, 1), dtype=np.int64)
-    start = 0
-    for k in range(n):
-        dec = flat[:, start:start + n_v**k]
-        start += n_v**k
+    levels = np.cumsum([n_v**k for k in range(n - 1)], dtype=np.int64)
+    for dec in np.split(tree.decisions, levels, axis=1):
         nodes = _descend(nodes, dec, prob.n_u, n_v)
     coeffs = np.zeros(n_v**n)
     for w, g, leaves in zip(mu0.weights, lattice.payoffs, nodes):
@@ -449,12 +445,10 @@ def _mix_from_vector(q: np.ndarray, n: int, n_v: int) -> MixedStrategyII:
     return MixedStrategyII(support, probs / float(np.sum(probs)))
 
 
-def _solve_master(
-    cut_matrix: np.ndarray, colgen_threshold: int
-) -> tuple[float, np.ndarray]:
+def _solve_master(cut_matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """max over the sequence simplex of the minimum over cuts.
 
-    Direct LP when the number of sequences is small; otherwise column
+    Direct LP up to ``COLGEN_THRESHOLD`` sequences; otherwise column
     generation on the restricted simplex, priced with the dual mix over
     cuts, run until no sequence improves the restricted value.
     """
@@ -470,7 +464,7 @@ def _solve_master(
                 exc.iterations,
             ) from exc
 
-    if n_seq <= colgen_threshold:
+    if n_seq <= COLGEN_THRESHOLD:
         sol = lp(cut_matrix)
         return sol.value, sol.q
     cols = [0]
@@ -496,8 +490,6 @@ def solve_Vn(
     n: int,
     tol: float = 1e-7,
     max_iter: int = 200,
-    sequence_guard: int = SEQUENCE_GUARD,
-    colgen_threshold: int = COLGEN_THRESHOLD,
 ) -> VnSolution:
     """Certified value of the n-stage discretized game.
 
@@ -505,6 +497,9 @@ def solve_Vn(
     Player I's exact best response at the master's mix (lower bound and a
     new cut) until the gap closes below tol.  Termination is finite: there
     are finitely many pure best-response trees.
+
+    The module constants ``SEQUENCE_GUARD`` (on ``|v_grid|^n``) and
+    ``COLGEN_THRESHOLD`` are read at call time.
     """
     _check_compat(prob, mu0, n)
     if tol <= 0.0:
@@ -512,10 +507,10 @@ def solve_Vn(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     n_seq = prob.n_v**n
-    if n_seq > sequence_guard:
+    if n_seq > SEQUENCE_GUARD:
         raise ValueError(
             f"|v_grid|^n = {n_seq} exceeds the enumeration guard "
-            f"{sequence_guard}"
+            f"{SEQUENCE_GUARD}"
         )
     lattice = build_lattice(prob, mu0, n)
 
@@ -540,7 +535,7 @@ def solve_Vn(
         cut_at_gen = cut.at(q_vec)
 
         cut_matrix = np.vstack([c.coeffs for c in cuts])
-        master_value, q_vec = _solve_master(cut_matrix, colgen_threshold)
+        master_value, q_vec = _solve_master(cut_matrix)
         gap = max(master_value - best_lower, 0.0)
         history.append(
             IterationRecord(br_value, cut_at_gen, master_value, gap)
@@ -670,17 +665,12 @@ def _one_stage_measure(
     stage_len: float,
 ) -> ParticleMeasure:
     """Split each atom over its u-mix and advance one stage under v."""
-    v = prob.v_grid[v_index]
-    fanout = []
-    for i, x in enumerate(mu0.points):
-        branches = []
-        for iu in range(prob.n_u):
-            if rho[i, iu] <= 0.0:
-                continue
-            y = advance_stage(prob, x, prob.u_grid[iu], v, stage_len)
-            branches.append((rho[i, iu], y))
-        fanout.append(branches)
-    return split(mu0, fanout)
+    fanout = [
+        [(r, x) for r in row if r > 0.0] for row, x in zip(rho, mu0.points)
+    ]
+    branch_u = np.nonzero(rho > 0.0)[1]
+    mu_split = split(mu0, fanout)
+    return stage_pushforward(prob, mu_split, branch_u, v_index, stage_len)
 
 
 def _dyadic_simplex(n_parts: int, resolution: int) -> list[np.ndarray]:

@@ -158,6 +158,23 @@ class TestPayoffOpenLoop:
         val = payoff_open_loop(prob, mu, seq(1, 1), seq(0, 0))
         assert val == pytest.approx(0.0, abs=1e-24)
 
+    def test_blow_up_raises_numeric_failure_naming_the_stage(self):
+        prob = _blow_up_problem()
+        mu = ParticleMeasure(np.array([[1.0], [0.5]]), np.array([0.5, 0.5]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailure, match="stage=1") as exc:
+                payoff_open_loop(prob, mu, seq(0, 0), seq(0, 0))
+        assert exc.value.stage == 1
+
+
+def _blow_up_problem(rate=1e77):
+    """x' = rate * x with one RK4 step per stage: at rate 1e77 one stage
+    multiplies x by about 4e306, so stage 0 stays finite and stage 1
+    overflows; at 1e200 stage 0 overflows."""
+    return make_problem(
+        "linear", A=[[rate]], T=2.0, u_grid=[0.0], v_grid=[0.0], substeps=1
+    )
+
 
 class TestStagePushforward:
     def test_frozen_dynamics_keep_measure(self):
@@ -216,6 +233,14 @@ class TestStagePushforward:
             ),
         )
         assert np.array_equal(out.points, mapped.points)
+
+    def test_blow_up_raises_numeric_failure_naming_the_stage(self):
+        prob = _blow_up_problem(1e200)
+        mu = ParticleMeasure(np.array([[1.0], [0.0]]), np.array([0.5, 0.5]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailure, match="stage=0") as exc:
+                stage_pushforward(prob, mu, [0, 0], 0, 1.0)
+        assert exc.value.stage == 0
 
     def test_assignment_length_checked(self):
         prob = make_problem("frozen", dim=1, T=1.0, u_grid=[0.0], v_grid=[0.0])
@@ -314,6 +339,28 @@ class TestBatchedDynamics:
                 single = np.asarray(prob.f(x[i], u[i], v[i]), dtype=float)
                 assert single.shape == (prob.dim,), prob.label
                 assert np.array_equal(batch[i], single), prob.label
+
+    def test_every_kind_g_rows_match_single_states(self):
+        rng = np.random.default_rng(43)
+        for d in (1, 2, 3):
+            kinds = [
+                make_payoff("abs"),
+                make_payoff("quadratic"),
+                make_payoff("linear", dim=d),
+                make_payoff("linear", coeffs=rng.uniform(-2, 2, d), dim=d),
+            ]
+            if d == 1:
+                kinds.append(make_payoff(
+                    "custom-table", table=[(-1.0, 2.0), (0.5, -1.0), (2.0, 0.3)]
+                ))
+            x = rng.uniform(-3.0, 3.0, size=(200, d))
+            for k, (g, _) in enumerate(kinds):
+                batch = np.asarray(g(x), dtype=float)
+                assert batch.shape == (200,), (d, k)
+                for i in range(x.shape[0]):
+                    single = np.asarray(g(x[i]), dtype=float)
+                    assert single.shape == (), (d, k)
+                    assert batch[i] == single, (d, k)
 
     def test_every_kind_stage_rows_match_single_states(self):
         rng = np.random.default_rng(42)

@@ -123,16 +123,60 @@ class TestStrategyTypes:
                 (s, StepControlSequence(2, (0, 0))), np.array([0.5, 0.5])
             )
 
-    def test_tree_completeness_checked(self):
-        with pytest.raises(ValueError, match="decisions"):
-            StrategyTreeI(2, 2, ({(): 0, (0,): 0},))  # (1,) missing
+    def test_tree_needs_one_column_per_prefix(self):
+        # Prefixes (), (0,), (1,): three columns.
+        assert StrategyTreeI(2, 2, [[0, 1, 0]]).decisions.shape == (1, 3)
+        msg = r"\(atoms, 3\), got int64 of shape \(1, 2\)"
+        with pytest.raises(ValueError, match=msg):
+            StrategyTreeI(2, 2, [[0, 0]])  # (1,) missing
+        with pytest.raises(ValueError, match=r"shape \(3,\)$"):
+            StrategyTreeI(2, 2, [0, 0, 0])  # no atom axis
 
-    def test_tree_prefix_validity_checked(self):
-        with pytest.raises(ValueError, match="prefix"):
-            StrategyTreeI(2, 2, ({(): 0, (0,): 0, (5,): 0},))
+    def test_tree_decisions_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            StrategyTreeI(2, 2, [[0, -1, 0]])
+
+    def test_tree_decisions_must_be_integers(self):
+        with pytest.raises(ValueError, match="got float64"):
+            StrategyTreeI(2, 2, np.array([[0.0, 1.0, 0.0]]))
+
+    def test_tree_decisions_are_a_read_only_copy(self):
+        dec = np.array([[0, 1, 0]], dtype=np.int32)
+        tree = StrategyTreeI(2, 2, dec)
+        dec[0, 0] = 1
+        assert tree.decisions.dtype == np.int64
+        assert tree.decisions.tolist() == [[0, 1, 0]]
+        with pytest.raises(ValueError, match="read-only"):
+            tree.decisions[0, 0] = 1
+
+
+def scalar_flow_payoff(prob, mu0, tree, mix):
+    """Reference payoff: one scalar ``flow`` per (atom, sequence) path,
+    summed in that order."""
+    n, n_v = mix.n_stages, prob.n_v
+    column = {p: c for c, p in enumerate(tree_prefixes(n, n_v))}
+    total = 0.0
+    for i, (w, x) in enumerate(zip(mu0.weights, mu0.points)):
+        for seq, p in zip(mix.support, mix.probs):
+            u_vals = tuple(
+                int(tree.decisions[i, column[seq.values[:k]]])
+                for k in range(n)
+            )
+            end = flow(prob, x, StepControlSequence(n, u_vals), seq)
+            total += w * p * float(prob.g(end))
+    return total
 
 
 class TestPayoff:
+    def test_decision_off_the_u_grid_is_rejected(self):
+        tree = StrategyTreeI(2, 2, [[0, 0, 2]])  # u-grid has 2 points
+        with pytest.raises(ValueError, match="stage 1: control index"):
+            payoff(pennies(), dirac0(), tree, uniform_mix(2, 2))
+        # Only prefix (1,) plays the bad index; a mix that never reaches
+        # it has a payoff.
+        mix = MixedStrategyII.pure(StepControlSequence(2, (0, 1)))
+        assert payoff(pennies(), dirac0(), tree, mix) == pytest.approx(1.0)
+
     def test_constant_payoff(self):
         prob = make_problem(
             "u_plus_v",
@@ -143,7 +187,7 @@ class TestPayoff:
             g_table=[(-100.0, 5.0), (100.0, 5.0)],
         )
         mu = dirac0()
-        tree = StrategyTreeI(1, 2, ({(): 0},))
+        tree = StrategyTreeI(1, 2, [[0]])
         assert payoff(prob, mu, tree, uniform_mix(1, 2)) == pytest.approx(
             5.0, abs=1e-12
         )
@@ -154,7 +198,7 @@ class TestPayoff:
             g_kind="quadratic",
         )
         mu = ParticleMeasure(np.array([[1.0], [2.0]]), np.array([0.5, 0.5]))
-        tree = StrategyTreeI(1, 2, ({(): 1}, {(): 0}))
+        tree = StrategyTreeI(1, 2, [[1], [0]])
         expected = 0.5 * 1.0 + 0.5 * 4.0
         assert payoff(prob, mu, tree, uniform_mix(1, 2)) == pytest.approx(
             expected, abs=0
@@ -168,7 +212,7 @@ class TestPayoff:
             v_grid=[-1.0, 1.0],
             g_kind="quadratic",
         )
-        tree = StrategyTreeI(1, 2, ({(): 0},))  # play u = -1 blindly
+        tree = StrategyTreeI(1, 2, [[0]])  # play u = -1 blindly
         pure_plus = MixedStrategyII.pure(StepControlSequence(1, (1,)))
         assert payoff(prob, dirac0(), tree, pure_plus) == pytest.approx(
             0.0, abs=1e-24
@@ -221,7 +265,7 @@ class TestBestResponse:
         prob = pennies()
         mix = MixedStrategyII.pure(StepControlSequence(2, (0, 0)))
         tree, _ = best_response_I(prob, dirac0(), mix)
-        assert len(tree.trees[0]) == 3  # (), (0,), (1,)
+        assert tree.decisions.shape == (1, 3)  # (), (0,), (1,)
         assert (0, (1,)) in tree.flagged
 
     def test_never_beaten_by_exhaustive_enumeration(self):
@@ -318,7 +362,7 @@ class TestSolveVn:
         with pytest.raises(ValueError, match="tol"):
             solve_Vn(prob, dirac0(), 1, tol=0.0)
         with pytest.raises(ValueError, match="guard"):
-            solve_Vn(prob, dirac0(), 25, sequence_guard=10**6)
+            solve_Vn(prob, dirac0(), 25)
 
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(14)
@@ -359,7 +403,12 @@ class TestSolveVn:
             assert rec.br_value <= rec.master_value + 1e-9
             prev_master = rec.master_value
 
-    def test_column_generation_matches_direct(self):
+    def test_sequence_guard_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(value_solver, "SEQUENCE_GUARD", 3)
+        with pytest.raises(ValueError, match="= 4 exceeds .* guard 3$"):
+            solve_Vn(pennies(), dirac0(), 2)
+
+    def test_column_generation_matches_direct(self, monkeypatch):
         prob = make_problem(
             "u_plus_v",
             T=1.0,
@@ -367,8 +416,9 @@ class TestSolveVn:
             v_grid=[-1.0, 0.0, 1.0],
         )
         mu = dirac0()
-        direct = solve_Vn(prob, mu, 2, tol=1e-9, colgen_threshold=10**4)
-        colgen = solve_Vn(prob, mu, 2, tol=1e-9, colgen_threshold=2)
+        direct = solve_Vn(prob, mu, 2, tol=1e-9)
+        monkeypatch.setattr(value_solver, "COLGEN_THRESHOLD", 2)
+        colgen = solve_Vn(prob, mu, 2, tol=1e-9)
         assert direct.value == pytest.approx(colgen.value, abs=1e-9)
 
 
@@ -462,10 +512,10 @@ class TestStateLattice:
                 # The brute-force row of this product of trees.
                 combo = tuple(
                     sum(
-                        t[p] * prob.n_u ** (n_prefix - 1 - k)
-                        for k, p in enumerate(tree_prefixes(n, prob.n_v))
+                        int(d) * prob.n_u ** (n_prefix - 1 - k)
+                        for k, d in enumerate(row)
                     )
-                    for t in tree.trees
+                    for row in tree.decisions
                 )
                 row = bf.matrix[bf.row_trees.index(combo)]
                 assert np.array_equal(cut_coefficients(prob, mu, tree), row)
@@ -537,6 +587,28 @@ class TestStateLattice:
         )
         with pytest.raises(ValueError, match="f must act on the last axis"):
             solve_Vn(prob, dirac0(), 1)
+
+    def test_single_state_only_g_is_rejected(self):
+        # Written for one state: on a batch it returns one number for all
+        # rows, shape (), which would silently weight every leaf alike.
+        prob = replace(pennies(), g=lambda x: float(np.linalg.norm(x)))
+        assert brute_force_value(prob, dirac0(), 1).value == pytest.approx(
+            1.0, abs=1e-12
+        )
+        with pytest.raises(
+            ValueError, match=r"g returned shape \(\) for a batch of shape "
+            r"\(4, 1\); g must act on the last axis"
+        ):
+            solve_Vn(prob, dirac0(), 1)
+
+    def test_payoff_of_best_responses_matches_scalar_flow(self):
+        rng = np.random.default_rng(29)
+        for prob, mu, n in self._games():
+            for _, mix in self._mixes(rng, n, prob.n_v):
+                tree, _ = best_response_I(prob, mu, mix)
+                assert payoff(prob, mu, tree, mix) == scalar_flow_payoff(
+                    prob, mu, tree, mix
+                )
 
     def test_prebuilt_lattice_must_match_the_game(self):
         lattice = build_lattice(pennies(), dirac0(), 2)
