@@ -30,7 +30,6 @@ from .transport import (
 )
 from .dynamics import (
     ControlProblem,
-    StepControlSequence,
     advance_stage,
     as_grid,
     flow,
@@ -66,7 +65,6 @@ from .value_solver import (
     dpp_check,
     ekeland_point,
     payoff,
-    rank_of_seq,
     seq_from_rank,
     solve_Vn,
     tree_prefixes,
@@ -92,7 +90,6 @@ __all__ = [
     "Scenario",
     "SolverFailure",
     "StateLattice",
-    "StepControlSequence",
     "StrategyTreeI",
     "TransportPlan",
     "VnSolution",
@@ -121,7 +118,6 @@ __all__ = [
     "plan_to_csv",
     "prune",
     "pushforward",
-    "rank_of_seq",
     "reverse_plan",
     "second_moment",
     "seq_from_rank",

@@ -19,13 +19,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import advance_stage, terminal_costs
+# advance_stage stays importable here: the benchmark tracer wraps it by name.
+from .dynamics import advance_stage, stage_step, terminal_costs  # noqa: F401
 from .errors import NumericFailure, SolverFailure
 from .game_kernel import HamiltonianQuery, eval_H, eval_Hn, gamma_n
 from .measures import ParticleMeasure, second_moment
 from .scenario import ConfigError, Scenario, load_scenario
 from .transport import ProjectionField, l2_norm, plan_to_csv, wasserstein2
-from .value_solver import brute_force_value, ekeland_point, solve_Vn
+from .value_solver import (
+    brute_force_value,
+    ekeland_point,
+    seq_from_rank,
+    solve_Vn,
+)
 
 
 def _fmt(v) -> str:
@@ -54,15 +60,14 @@ def covering_indices(v_grid: np.ndarray, radius: float) -> tuple[int, ...]:
 
 def _reachable_samples(scn: Scenario, n: int) -> list[np.ndarray]:
     """Atoms of mu0 plus their one-stage images under every control pair,
-    atom by atom, u-major; the images come from one batched stage."""
+    atom by atom, u-major; the images come from one checked batched stage."""
     prob = scn.problem
     pts = np.asarray(scn.mu0.points, dtype=float)
-    images = advance_stage(
-        prob,
-        np.repeat(pts, prob.n_u * prob.n_v, axis=0),
-        np.tile(np.repeat(prob.u_grid, prob.n_v, axis=0), (len(pts), 1)),
-        np.tile(prob.v_grid, (len(pts) * prob.n_u, 1)),
-        prob.T / n,
+    branch = prob.n_u * prob.n_v
+    iu = np.tile(np.repeat(np.arange(prob.n_u), prob.n_v), len(pts))
+    iv = np.tile(np.arange(prob.n_v), len(pts) * prob.n_u)
+    images = stage_step(
+        prob, np.repeat(pts, branch, axis=0), iu, iv, prob.T / n, 0
     )
     return list(pts) + list(images)
 
@@ -106,9 +111,11 @@ def cmd_solve(scn: Scenario, out_dir: str, repro: bool) -> int:
     _write(out_dir, "values.csv", "\n".join(rows) + "\n")
 
     cert = ["kind,tag,seq,value"]
-    for seq, p in zip(res.q_star.support, res.q_star.probs):
-        label = "-".join(str(v) for v in seq.values)
-        cert.append(f"q_star,,{label},{_fmt(p)}")
+    q_star = res.q_star
+    for rank in q_star.support:
+        seq = seq_from_rank(int(rank), q_star.n_stages, q_star.n_v)
+        label = "-".join(str(v) for v in seq)
+        cert.append(f"q_star,,{label},{_fmt(q_star.q[rank])}")
     for cut in res.cuts:
         for rank, coef in enumerate(cut.coeffs):
             cert.append(f"cut,{cut.tag},{rank},{_fmt(coef)}")

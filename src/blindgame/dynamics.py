@@ -87,26 +87,6 @@ class ControlProblem:
         return self.v_grid.shape[0]
 
 
-@dataclass(frozen=True)
-class StepControlSequence:
-    """Indices into a control grid, one per stage."""
-
-    n_stages: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        if self.n_stages < 1:
-            raise ValueError("n_stages must be >= 1")
-        if len(vals) != self.n_stages:
-            raise ValueError(
-                f"got {len(vals)} values for {self.n_stages} stages"
-            )
-        if any(v < 0 for v in vals):
-            raise ValueError("grid indices must be nonnegative")
-        object.__setattr__(self, "values", vals)
-
-
 def advance_stage(
     prob: ControlProblem,
     x: np.ndarray,
@@ -167,31 +147,31 @@ def terminal_costs(prob: ControlProblem, x: np.ndarray) -> np.ndarray:
 def flow(
     prob: ControlProblem,
     x0,
-    u_seq: StepControlSequence,
-    v_seq: StepControlSequence,
+    u_seq: Sequence[int],
+    v_seq: Sequence[int],
 ) -> np.ndarray:
-    """Endpoints X_T of the stage-wise trajectories from x0 (d,) or (N, d)."""
-    if u_seq.n_stages != v_seq.n_stages:
+    """Endpoints X_T of the stage-wise trajectories from x0 (d,) or (N, d)
+    under one u-grid and one v-grid index per stage."""
+    n = len(u_seq)
+    if n == 0 or len(v_seq) != n:
         raise ValueError(
-            f"stage mismatch: {u_seq.n_stages} != {v_seq.n_stages}"
+            f"need one u and one v index per stage, got {n} and {len(v_seq)}"
         )
-    n = u_seq.n_stages
     tau = prob.T / n
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape[-1] != prob.dim:
         raise ValueError(f"x0 has dimension {x.shape[-1]}, expected {prob.dim}")
     rows = np.zeros(x.shape[:-1], dtype=np.int64)
     for k in range(n):
-        iu, iv = rows + u_seq.values[k], rows + v_seq.values[k]
-        x = stage_step(prob, x, iu, iv, tau, k)
+        x = stage_step(prob, x, rows + u_seq[k], rows + v_seq[k], tau, k)
     return x
 
 
 def payoff_open_loop(
     prob: ControlProblem,
     mu0: ParticleMeasure,
-    u_seq: StepControlSequence,
-    v_seq: StepControlSequence,
+    u_seq: Sequence[int],
+    v_seq: Sequence[int],
 ) -> float:
     """Expected terminal cost when both controls ignore the initial state."""
     total = 0.0

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ControlProblem, as_grid
+from .dynamics import ControlProblem, _rowdot, as_grid
 from .errors import SolverFailure
 from .measures import ParticleMeasure
 from .simplex import DUALITY_TOL, max_weighted_min
@@ -114,20 +114,27 @@ class HamiltonianQuery:
 
 
 def _pairing_tables(q: HamiltonianQuery) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per positive-weight atom, the (n_u, n_v) table <f(y,u,v), p(y)>."""
+    """Per positive-weight atom, the (n_u, n_v) table <f(y,u,v), p(y)>.
+
+    ``f`` is called once on every (atom, u, v) row, u-major as in
+    ``gamma_n``, so it must act on the last axis.
+    """
     prob = q.problem
     keep = q.base.weights > 0.0
     weights = q.base.weights[keep]
-    tables = []
-    for y, p in zip(q.base.points[keep], q.field.vectors[keep]):
-        c = np.empty((prob.n_u, prob.n_v))
-        for iu, u in enumerate(prob.u_grid):
-            for iv, v in enumerate(prob.v_grid):
-                c[iu, iv] = float(
-                    np.dot(np.asarray(prob.f(y, u, v), dtype=float), p)
-                )
-        tables.append(c)
-    return weights, tables
+    pts, vecs = q.base.points[keep], q.field.vectors[keep]
+    branch = prob.n_u * prob.n_v
+    x = np.repeat(pts, branch, axis=0)
+    u = np.tile(np.repeat(prob.u_grid, prob.n_v, axis=0), (len(pts), 1))
+    v = np.tile(prob.v_grid, (len(pts) * prob.n_u, 1))
+    fx = np.asarray(prob.f(x, u, v), dtype=float)
+    if fx.shape != x.shape:
+        raise ValueError(
+            f"f returned shape {fx.shape} for a batch of shape "
+            f"{x.shape}; f must act on the last axis"
+        )
+    c = _rowdot(fx, np.repeat(vecs, branch, axis=0))
+    return weights, list(c.reshape(len(pts), prob.n_u, prob.n_v))
 
 
 def eval_H(q: HamiltonianQuery) -> float:

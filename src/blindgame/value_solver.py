@@ -34,7 +34,6 @@ import numpy as np
 # advance_stage stays importable here: the benchmark tracer wraps it by name.
 from .dynamics import (  # noqa: F401
     ControlProblem,
-    StepControlSequence,
     advance_stage,
     flow,
     stage_pushforward,
@@ -67,13 +66,6 @@ def seq_from_rank(rank: int, n_stages: int, n_v: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def rank_of_seq(values: Sequence[int], n_v: int) -> int:
-    rank = 0
-    for v in values:
-        rank = rank * n_v + int(v)
-    return rank
-
-
 def tree_prefixes(n_stages: int, n_v: int) -> list[tuple[int, ...]]:
     """All v-history prefixes, ordered by length then lexicographically."""
     out: list[tuple[int, ...]] = []
@@ -84,41 +76,40 @@ def tree_prefixes(n_stages: int, n_v: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class MixedStrategyII:
-    """Probability vector over distinct stage-control sequences."""
+    """Player II's blind mix: ``q[r]`` is the probability of the v-sequence
+    ``seq_from_rank(r, n_stages, n_v)`` (read-only, length n_v**n_stages)."""
 
-    support: tuple[StepControlSequence, ...]
-    probs: np.ndarray
+    n_stages: int
+    n_v: int
+    q: np.ndarray
 
     def __post_init__(self):
-        support = tuple(self.support)
-        if len(support) == 0:
-            raise ValueError("empty support")
-        n = support[0].n_stages
-        if any(s.n_stages != n for s in support):
-            raise ValueError("support sequences have mixed stage counts")
-        if len({s.values for s in support}) != len(support):
-            raise ValueError("support sequences must be distinct")
-        p = np.asarray(self.probs, dtype=float).reshape(-1)
-        if p.shape[0] != len(support):
-            raise ValueError("probs length differs from support size")
-        if np.any(p < 0.0):
-            raise ValueError("probs must be nonnegative")
-        total = float(np.sum(p))
+        if self.n_stages < 1 or self.n_v < 1:
+            raise ValueError("need n_stages >= 1 and n_v >= 1")
+        q = np.array(self.q, dtype=float)
+        size = self.n_v**self.n_stages
+        if q.shape != (size,):
+            raise ValueError(f"q must have shape ({size},), got {q.shape}")
+        if not np.all(np.isfinite(q)) or np.any(q < 0.0):
+            raise ValueError("q must be finite and nonnegative")
+        total = float(np.sum(q[q > 0.0]))
         if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"probs sum to {total!r}")
+            raise ValueError(f"q sums to {total!r}")
         if total != 1.0:
-            p = p / total
-        p.setflags(write=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", p)
+            q = q / total
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
 
     @property
-    def n_stages(self) -> int:
-        return self.support[0].n_stages
+    def support(self) -> np.ndarray:
+        """Ranks of the sequences played with positive probability."""
+        return np.flatnonzero(self.q)
 
     @classmethod
-    def pure(cls, seq: StepControlSequence) -> "MixedStrategyII":
-        return cls((seq,), np.array([1.0]))
+    def pure(cls, n_stages: int, n_v: int, rank: int = 0) -> "MixedStrategyII":
+        q = np.zeros(n_v**n_stages)
+        q[rank] = 1.0
+        return cls(n_stages, n_v, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +197,12 @@ def payoff(
     """
     n, n_v = strat_ii.n_stages, prob.n_v
     _check_compat(prob, mu0, n)
-    if strat_i.n_stages != n or strat_i.n_v != n_v:
+    if strat_i.n_stages != n or n_v != strat_i.n_v or n_v != strat_ii.n_v:
         raise ValueError("strategy shapes do not match")
     if strat_i.decisions.shape[0] != mu0.n_atoms:
         raise ValueError("one tree per atom required")
-    seqs = np.array([s.values for s in strat_ii.support])
-    if seqs.max() >= n_v:
-        raise ValueError("mix sequence has a v index out of range")
+    support = strat_ii.support
+    seqs = np.stack(np.unravel_index(support, (n_v,) * n), axis=1)
     # Prefixes are numbered level by level (``tree_prefixes`` order), so
     # prefix c extended by v has column c * n_v + 1 + v.
     cols = np.zeros_like(seqs)
@@ -223,7 +213,7 @@ def payoff(
     x = np.repeat(mu0.points, len(seqs), axis=0)
     for k in range(n):
         x = stage_step(prob, x, iu[:, k], iv[:, k], prob.T / n, k)
-    weights = np.outer(mu0.weights, strat_ii.probs).reshape(-1)
+    weights = np.outer(mu0.weights, strat_ii.q[support]).reshape(-1)
     total = 0.0
     for term in weights * terminal_costs(prob, x):
         total += term
@@ -332,13 +322,11 @@ def best_response_I(
     """
     n = strat_ii.n_stages
     _check_compat(prob, mu0, n)
+    if strat_ii.n_v != prob.n_v:
+        raise ValueError("mix has a different v-grid size than the game")
     lattice = _lattice_for(prob, mu0, n, lattice)
     n_u, n_v = prob.n_u, prob.n_v
-    q = np.zeros(n_v**n)
-    for seq, p in zip(strat_ii.support, strat_ii.probs):
-        if max(seq.values) >= n_v:
-            raise ValueError("mix sequence has a v index out of range")
-        q[rank_of_seq(seq.values, n_v)] = p
+    q = strat_ii.q
     live_v = [(q.reshape(n_v**k, -1) > 0.0).any(axis=1) for k in range(n + 1)]
     live = [lv[ranks] for lv, ranks in zip(live_v, lattice.v_ranks)]
 
@@ -434,17 +422,6 @@ class VnSolution:
     history: tuple[IterationRecord, ...]
 
 
-def _mix_from_vector(q: np.ndarray, n: int, n_v: int) -> MixedStrategyII:
-    idx = np.nonzero(q > 1e-15)[0]
-    if idx.size == 0:
-        idx = np.array([int(np.argmax(q))])
-    probs = q[idx]
-    support = tuple(
-        StepControlSequence(n, seq_from_rank(int(r), n, n_v)) for r in idx
-    )
-    return MixedStrategyII(support, probs / float(np.sum(probs)))
-
-
 def _solve_master(cut_matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """max over the sequence simplex of the minimum over cuts.
 
@@ -514,11 +491,8 @@ def solve_Vn(
         )
     lattice = build_lattice(prob, mu0, n)
 
-    q_current = MixedStrategyII.pure(
-        StepControlSequence(n, seq_from_rank(0, n, prob.n_v))
-    )
-    q_vec = np.zeros(n_seq)
-    q_vec[0] = 1.0
+    q_current = MixedStrategyII.pure(n, prob.n_v)
+    q_vec = q_current.q
     cuts: list[Cut] = []
     history: list[IterationRecord] = []
     best_lower = -np.inf
@@ -540,7 +514,15 @@ def solve_Vn(
         history.append(
             IterationRecord(br_value, cut_at_gen, master_value, gap)
         )
-        q_current = _mix_from_vector(q_vec, n, prob.n_v)
+        # The next mix keeps the master's entries above 1e-15 (else its
+        # argmax): the live prefixes decide the best response.
+        keep = q_vec > 1e-15
+        if not keep.any():
+            keep[np.argmax(q_vec)] = True
+        q_kept = np.where(keep, q_vec, 0.0)
+        q_current = MixedStrategyII(
+            n, prob.n_v, q_kept / float(np.sum(q_kept[keep]))
+        )
         if gap <= tol:
             converged = True
             break
@@ -567,7 +549,7 @@ class BruteForceResult:
     col_mix: np.ndarray
     matrix: np.ndarray
     row_trees: tuple[tuple[int, ...], ...]
-    col_seqs: tuple[StepControlSequence, ...]
+    col_seqs: tuple[tuple[int, ...], ...]
     game: MatrixGameSolution
 
 
@@ -602,9 +584,7 @@ def brute_force_value(
         )
 
     prefix_index = {p: k for k, p in enumerate(prefixes)}
-    seqs = [
-        StepControlSequence(n, seq_from_rank(r, n, n_v)) for r in range(n_cols)
-    ]
+    seqs = [seq_from_rank(r, n, n_v) for r in range(n_cols)]
 
     # Per-atom payoff tables, then product rows weighted by the atom masses.
     tables = []
@@ -616,10 +596,9 @@ def brute_force_value(
             ]
             for s, seq in enumerate(seqs):
                 u_vals = tuple(
-                    decisions[prefix_index[seq.values[:k]]] for k in range(n)
+                    decisions[prefix_index[seq[:k]]] for k in range(n)
                 )
-                u_seq = StepControlSequence(n, u_vals)
-                table[t, s] = float(prob.g(flow(prob, x, u_seq, seq)))
+                table[t, s] = float(prob.g(flow(prob, x, u_vals, seq)))
         tables.append(table)
 
     row_trees = list(
@@ -712,11 +691,10 @@ def dpp_check(
     if n_v == 1:
         # Continuation is linear in the measure: pure per-atom controls
         # are exact and the whole check collapses to per-atom minimization.
-        v_seq = StepControlSequence(n, (0,) * n)
         rhs = 0.0
         for w, x in zip(mu0.weights, mu0.points):
             best = min(
-                float(prob.g(flow(prob, x, StepControlSequence(n, u_vals), v_seq)))
+                float(prob.g(flow(prob, x, u_vals, (0,) * n)))
                 for u_vals in itertools.product(range(n_u), repeat=n)
             )
             rhs += w * best

@@ -14,7 +14,6 @@ from blindgame import (
     MatrixGame,
     ParticleMeasure,
     ProjectionField,
-    StepControlSequence,
     barycentric_projection,
     brute_force_value,
     dpp_check,
@@ -367,11 +366,10 @@ def test_criterion_6_closed_forms():
         u_grid=[-1.0, 1.0], v_grid=[0.5],
     )
     mu2 = measure([[0.4], [-2.0]], [0.5, 0.5])
-    v_seq = StepControlSequence(2, (0, 0))
     expected2 = sum(
         w
         * min(
-            float(single_v.g(flow(single_v, x, StepControlSequence(2, u), v_seq)))
+            float(single_v.g(flow(single_v, x, u, (0, 0))))
             for u in itertools.product(range(2), repeat=2)
         )
         for w, x in zip(mu2.weights, mu2.points)

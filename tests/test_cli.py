@@ -210,6 +210,22 @@ class TestCoveringIndices:
 
 
 class TestReachableSamples:
+    @pytest.mark.parametrize("atoms", ["1.0 1.0", "0.5 1.0; 0.5 -1.0"])
+    def test_overflow_names_the_stage(self, atoms, tmp_path, capsys):
+        cfg = tmp_path / "blow.cfg"
+        cfg.write_text(
+            "problem.kind = linear\nproblem.dim = 1\nproblem.A = 1e200\n"
+            "problem.T = 1.0\nproblem.n_stages = 1\n"
+            "problem.u_grid = -1, 1\nproblem.v_grid = -1, 0, 1\n"
+            f"mu0.atoms = {atoms}\n"
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["hamiltonian", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "trajectory left the finite range (stage=0)" in capsys.readouterr().err
+        assert not (out / "hamiltonian.csv").exists()
+
     def test_batched_stage_matches_per_pair_integration(self, tmp_path):
         cfg = tmp_path / "affine.cfg"
         cfg.write_text(

@@ -5,7 +5,6 @@ from blindgame import (
     ControlProblem,
     NumericFailure,
     ParticleMeasure,
-    StepControlSequence,
     advance_stage,
     flow,
     make_payoff,
@@ -16,30 +15,26 @@ from blindgame import (
 )
 
 
-def seq(*vals):
-    return StepControlSequence(len(vals), tuple(vals))
-
-
 class TestFlow:
     def test_frozen_dynamics_stay_put(self):
         prob = make_problem(
             "frozen", dim=2, T=1.0, u_grid=[0.0, 1.0], v_grid=[0.0]
         )
-        x = flow(prob, [0.3, -0.7], seq(1), seq(0))
+        x = flow(prob, [0.3, -0.7], (1,), (0,))
         assert np.array_equal(x, [0.3, -0.7])
 
     def test_constant_drift_is_exact(self):
         prob = make_problem(
             "constant", drift=[2.0, -1.0], T=0.5, u_grid=[0.0], v_grid=[0.0]
         )
-        x = flow(prob, [1.0, 1.0], seq(0, 0), seq(0, 0))
+        x = flow(prob, [1.0, 1.0], (0, 0), (0, 0))
         assert np.allclose(x, [2.0, 0.5], atol=1e-14)
 
     def test_exponential_decay(self):
         prob = make_problem(
             "linear", A=[[-1.0]], dim=1, T=1.0, u_grid=[0.0], v_grid=[0.0]
         )
-        x = flow(prob, [1.0], seq(0), seq(0))
+        x = flow(prob, [1.0], (0,), (0,))
         assert x[0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
     def test_rotation_closed_form(self):
@@ -47,7 +42,7 @@ class TestFlow:
         prob = make_problem(
             "rotation", omega=w, T=1.0, u_grid=[0.0], v_grid=[0.0]
         )
-        x = flow(prob, [1.0, 0.0], seq(0, 0), seq(0, 0))
+        x = flow(prob, [1.0, 0.0], (0, 0), (0, 0))
         assert np.allclose(x, [np.cos(w), np.sin(w)], atol=1e-8)
 
     def test_affine_closed_form(self):
@@ -67,18 +62,18 @@ class TestFlow:
         x0 = 0.4
         forcing = b * u + c * v
         expected = x0 * np.exp(a) + forcing / a * (np.exp(a) - 1.0)
-        x = flow(prob, [x0], seq(0), seq(0))
+        x = flow(prob, [x0], (0,), (0,))
         assert x[0] == pytest.approx(expected, abs=1e-8)
 
     def test_stage_count_mismatch(self):
         prob = make_problem("u_plus_v", T=1.0, u_grid=[0.0], v_grid=[0.0])
         with pytest.raises(ValueError, match="stage"):
-            flow(prob, [0.0], seq(0), seq(0, 0))
+            flow(prob, [0.0], (0,), (0, 0))
 
     def test_index_out_of_range(self):
         prob = make_problem("u_plus_v", T=1.0, u_grid=[0.0], v_grid=[0.0])
         with pytest.raises(ValueError, match="index"):
-            flow(prob, [0.0], seq(1), seq(0))
+            flow(prob, [0.0], (1,), (0,))
 
     def test_nonfinite_state_raises_with_stage(self):
         blow = ControlProblem(
@@ -94,7 +89,7 @@ class TestFlow:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailure) as err:
-                flow(blow, [10.0], seq(0, 0), seq(0, 0))
+                flow(blow, [10.0], (0, 0), (0, 0))
         assert err.value.stage == 0
 
     def test_gronwall_envelope_on_sampled_pairs(self):
@@ -113,8 +108,8 @@ class TestFlow:
         for _ in range(25):
             x = rng.uniform(-2, 2, size=2)
             y = rng.uniform(-2, 2, size=2)
-            controls = seq(*rng.integers(0, 2, size=4))
-            controls_v = seq(*rng.integers(0, 2, size=4))
+            controls = tuple(rng.integers(0, 2, size=4))
+            controls_v = tuple(rng.integers(0, 2, size=4))
             fx = flow(prob, x, controls, controls_v)
             fy = flow(prob, y, controls, controls_v)
             bound = growth * np.linalg.norm(x - y) * 1.05
@@ -133,7 +128,7 @@ class TestPayoffOpenLoop:
         )
         # zero linear payoff stands in for g == const after shifting
         mu = ParticleMeasure(np.array([[0.1], [2.0]]), np.array([0.5, 0.5]))
-        assert payoff_open_loop(prob, mu, seq(0), seq(1)) == 0.0
+        assert payoff_open_loop(prob, mu, (0,), (1,)) == 0.0
 
     def test_frozen_dynamics_average_g(self):
         prob = make_problem(
@@ -142,7 +137,7 @@ class TestPayoffOpenLoop:
         )
         mu = ParticleMeasure(np.array([[1.0], [3.0]]), np.array([0.25, 0.75]))
         expected = 0.25 * 1.0 + 0.75 * 9.0
-        assert payoff_open_loop(prob, mu, seq(0), seq(0)) == pytest.approx(
+        assert payoff_open_loop(prob, mu, (0,), (0,)) == pytest.approx(
             expected, abs=0
         )
 
@@ -155,7 +150,7 @@ class TestPayoffOpenLoop:
             g_kind="quadratic",
         )
         mu = ParticleMeasure(np.array([[0.0]]), np.array([1.0]))
-        val = payoff_open_loop(prob, mu, seq(1, 1), seq(0, 0))
+        val = payoff_open_loop(prob, mu, (1, 1), (0, 0))
         assert val == pytest.approx(0.0, abs=1e-24)
 
     def test_blow_up_raises_numeric_failure_naming_the_stage(self):
@@ -163,7 +158,7 @@ class TestPayoffOpenLoop:
         mu = ParticleMeasure(np.array([[1.0], [0.5]]), np.array([0.5, 0.5]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailure, match="stage=1") as exc:
-                payoff_open_loop(prob, mu, seq(0, 0), seq(0, 0))
+                payoff_open_loop(prob, mu, (0, 0), (0, 0))
         assert exc.value.stage == 1
 
 
@@ -191,7 +186,7 @@ class TestStagePushforward:
         )
         mu = ParticleMeasure(np.array([[0.3]]), np.array([1.0]))
         out = stage_pushforward(prob, mu, [1], 0, prob.T)
-        end = flow(prob, [0.3], seq(1), seq(0))
+        end = flow(prob, [0.3], (1,), (0,))
         assert np.array_equal(out.points[0], end)
 
     def test_per_atom_translation(self):
@@ -265,7 +260,7 @@ class TestProblemLibrary:
             u_grid=[[1.0, 0.0], [0.0, 1.0]],
             v_grid=[[0.0, 0.0]],
         )
-        x = flow(prob, [0.0, 0.0], seq(0), seq(0))
+        x = flow(prob, [0.0, 0.0], (0,), (0,))
         assert np.allclose(x, [1.0, 0.0], atol=1e-14)
 
     def test_t_must_be_positive(self):
@@ -286,10 +281,15 @@ class TestProblemLibrary:
             make_payoff("custom-table", table=[(0.0, 0.0), (1.0, 1.0)], dim=2)
 
     def test_sequence_validation(self):
-        with pytest.raises(ValueError, match="values"):
-            StepControlSequence(2, (0,))
-        with pytest.raises(ValueError, match="nonnegative"):
-            StepControlSequence(1, (-1,))
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[0.0, 1.0], v_grid=[0.0, 1.0]
+        )
+        with pytest.raises(ValueError, match="got 2 and 1"):
+            flow(prob, [0.0], (0, 0), (0,))
+        with pytest.raises(ValueError, match="got 0 and 0"):
+            flow(prob, [0.0], (), ())
+        with pytest.raises(ValueError, match="stage 1: control index"):
+            flow(prob, [0.0], (0, -1), (0, 0))
 
 
 def _library_problems(rng):

@@ -114,6 +114,39 @@ class TestHamiltonians:
         q = HamiltonianQuery(mu, ProjectionField(mu, np.array([[1.0]])), prob)
         assert eval_Hn(q, [0]) == pytest.approx(-2.0, abs=1e-12)
 
+    def test_single_state_f_rejected(self):
+        prob = dataclasses.replace(
+            pennies_problem(), f=lambda x, u, v: np.array([u[0] + v[0]])
+        )
+        mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        q = HamiltonianQuery(mu, ProjectionField(mu, np.ones((2, 1))), prob)
+        with pytest.raises(ValueError, match="last axis"):
+            eval_H(q)
+
+    @pytest.mark.parametrize("kind", ["affine", "pursuit", "u_plus_v", "rotation"])
+    def test_pairing_tables_equal_the_per_pair_loop(self, kind):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            prob = _library_problem(rng, kind)
+            mu, field = _random_query(rng, prob)
+            w = np.where(rng.uniform(size=mu.n_atoms) < 0.3, 0.0, mu.weights)
+            w[0] = 1.0
+            mu = ParticleMeasure(mu.points, w / w.sum())
+            field = ProjectionField(mu, field.vectors)
+            keep = mu.weights > 0.0
+            weights, tables = game_kernel._pairing_tables(
+                HamiltonianQuery(mu, field, prob)
+            )
+            assert np.array_equal(weights, mu.weights[keep])
+            expected = [
+                [
+                    [float(np.dot(prob.f(y, u, v), p)) for v in prob.v_grid]
+                    for u in prob.u_grid
+                ]
+                for y, p in zip(mu.points[keep], field.vectors[keep])
+            ]
+            assert [t.tolist() for t in tables] == expected
+
     def test_full_coarse_grid_equals_H(self):
         rng = np.random.default_rng(0)
         prob = _random_affine(rng)

@@ -9,7 +9,6 @@ from blindgame import (
     NumericFailure,
     ParticleMeasure,
     SolverFailure,
-    StepControlSequence,
     StrategyTreeI,
     best_response_I,
     brute_force_value,
@@ -20,7 +19,6 @@ from blindgame import (
     flow,
     make_problem,
     payoff,
-    rank_of_seq,
     seq_from_rank,
     solve_Vn,
     solve_matrix_game,
@@ -43,11 +41,7 @@ def dirac0():
 
 
 def uniform_mix(n, n_v):
-    seqs = tuple(
-        StepControlSequence(n, vals)
-        for vals in itertools.product(range(n_v), repeat=n)
-    )
-    return MixedStrategyII(seqs, np.full(len(seqs), 1.0 / len(seqs)))
+    return MixedStrategyII(n, n_v, np.full(n_v**n, 1.0 / n_v**n))
 
 
 def exhaustive_best_response_value(prob, mu0, mix):
@@ -60,12 +54,10 @@ def exhaustive_best_response_value(prob, mu0, mix):
         best = np.inf
         for decisions in itertools.product(range(n_u), repeat=len(prefixes)):
             val = 0.0
-            for seq, p in zip(mix.support, mix.probs):
-                u_vals = tuple(
-                    decisions[index[seq.values[:k]]] for k in range(n)
-                )
-                u_seq = StepControlSequence(n, u_vals)
-                val += p * float(prob.g(flow(prob, x, u_seq, seq)))
+            for r in mix.support:
+                seq = seq_from_rank(int(r), n, n_v)
+                u_vals = tuple(decisions[index[seq[:k]]] for k in range(n))
+                val += mix.q[r] * float(prob.g(flow(prob, x, u_vals, seq)))
             best = min(best, val)
         total += w * best
     return total
@@ -75,17 +67,13 @@ def blind_tree_value(prob, mu0, n):
     """Value when Player I is restricted to history-blind (open-loop)
     per-atom controls, by full enumeration."""
     n_u, n_v = prob.n_u, prob.n_v
-    seqs = [
-        StepControlSequence(n, seq_from_rank(r, n, n_v))
-        for r in range(n_v**n)
-    ]
+    seqs = [seq_from_rank(r, n, n_v) for r in range(n_v**n)]
     tables = []
     for x in mu0.points:
         tab = np.empty((n_u**n, len(seqs)))
         for t, u_vals in enumerate(itertools.product(range(n_u), repeat=n)):
-            u_seq = StepControlSequence(n, u_vals)
             for s, seq in enumerate(seqs):
-                tab[t, s] = float(prob.g(flow(prob, x, u_seq, seq)))
+                tab[t, s] = float(prob.g(flow(prob, x, u_vals, seq)))
         tables.append(tab)
     rows = []
     for combo in itertools.product(range(n_u**n), repeat=mu0.n_atoms):
@@ -99,8 +87,9 @@ class TestSequenceRanks:
     def test_round_trip(self):
         for n_v in (1, 2, 3):
             for n in (1, 2, 3):
-                for r in range(n_v**n):
-                    assert rank_of_seq(seq_from_rank(r, n, n_v), n_v) == r
+                assert [seq_from_rank(r, n, n_v) for r in range(n_v**n)] == list(
+                    itertools.product(range(n_v), repeat=n)
+                )
 
     def test_lexicographic(self):
         assert seq_from_rank(0, 2, 3) == (0, 0)
@@ -113,15 +102,40 @@ class TestSequenceRanks:
 
 class TestStrategyTypes:
     def test_mix_validation(self):
-        s = StepControlSequence(1, (0,))
-        with pytest.raises(ValueError, match="distinct"):
-            MixedStrategyII((s, s), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="sum"):
-            MixedStrategyII((s,), np.array([0.9]))
-        with pytest.raises(ValueError, match="stage"):
-            MixedStrategyII(
-                (s, StepControlSequence(2, (0, 0))), np.array([0.5, 0.5])
-            )
+            MixedStrategyII(1, 2, np.array([0.9, 0.0]))
+        with pytest.raises(ValueError, match="sum"):
+            MixedStrategyII(1, 2, np.array([0.5, 0.5 + 1e-11]))
+        with pytest.raises(ValueError, match=r"shape \(4,\), got \(2,\)"):
+            MixedStrategyII(2, 2, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"shape \(2,\), got \(1, 2\)"):
+            MixedStrategyII(1, 2, np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            MixedStrategyII(1, 3, np.array([0.6, -0.1, 0.5]))
+        # Within PROB_TOL of 1 the mix is renormalised.
+        mix = MixedStrategyII(1, 2, np.array([0.5, 0.5 + 1e-13]))
+        assert mix.q.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_mix_must_be_finite(self):
+        # A NaN entry would make every prefix of the best response dead.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                MixedStrategyII(1, 2, np.array([bad, 0.0]))
+
+    def test_mix_is_a_read_only_copy(self):
+        q = np.array([0.0, 0.25, 0.0, 0.75])
+        mix = MixedStrategyII(2, 2, q)
+        q[0] = 1.0
+        assert mix.q.tolist() == [0.0, 0.25, 0.0, 0.75]
+        assert mix.support.tolist() == [1, 3]
+        with pytest.raises(ValueError, match="read-only"):
+            mix.q[0] = 1.0
+
+    def test_pure_mix(self):
+        mix = MixedStrategyII.pure(2, 3, rank=5)
+        assert mix.q.tolist() == [0.0] * 5 + [1.0] + [0.0] * 3
+        assert mix.support.tolist() == [5]
+        assert MixedStrategyII.pure(1, 2).support.tolist() == [0]
 
     def test_tree_needs_one_column_per_prefix(self):
         # Prefixes (), (0,), (1,): three columns.
@@ -157,13 +171,13 @@ def scalar_flow_payoff(prob, mu0, tree, mix):
     column = {p: c for c, p in enumerate(tree_prefixes(n, n_v))}
     total = 0.0
     for i, (w, x) in enumerate(zip(mu0.weights, mu0.points)):
-        for seq, p in zip(mix.support, mix.probs):
+        for r in mix.support:
+            seq = seq_from_rank(int(r), n, n_v)
             u_vals = tuple(
-                int(tree.decisions[i, column[seq.values[:k]]])
-                for k in range(n)
+                int(tree.decisions[i, column[seq[:k]]]) for k in range(n)
             )
-            end = flow(prob, x, StepControlSequence(n, u_vals), seq)
-            total += w * p * float(prob.g(end))
+            end = flow(prob, x, u_vals, seq)
+            total += w * mix.q[r] * float(prob.g(end))
     return total
 
 
@@ -174,7 +188,7 @@ class TestPayoff:
             payoff(pennies(), dirac0(), tree, uniform_mix(2, 2))
         # Only prefix (1,) plays the bad index; a mix that never reaches
         # it has a payoff.
-        mix = MixedStrategyII.pure(StepControlSequence(2, (0, 1)))
+        mix = MixedStrategyII.pure(2, 2, rank=1)  # sequence (0, 1)
         assert payoff(pennies(), dirac0(), tree, mix) == pytest.approx(1.0)
 
     def test_constant_payoff(self):
@@ -213,7 +227,7 @@ class TestPayoff:
             g_kind="quadratic",
         )
         tree = StrategyTreeI(1, 2, [[0]])  # play u = -1 blindly
-        pure_plus = MixedStrategyII.pure(StepControlSequence(1, (1,)))
+        pure_plus = MixedStrategyII.pure(1, 2, rank=1)
         assert payoff(prob, dirac0(), tree, pure_plus) == pytest.approx(
             0.0, abs=1e-24
         )
@@ -232,7 +246,7 @@ class TestBestResponse:
             v_grid=[0.25],
         )
         mu = ParticleMeasure(np.array([[0.2], [-1.0]]), np.array([0.5, 0.5]))
-        mix = MixedStrategyII.pure(StepControlSequence(2, (0, 0)))
+        mix = MixedStrategyII.pure(2, 1)
         _, val = best_response_I(prob, mu, mix)
         assert val == pytest.approx(
             exhaustive_best_response_value(prob, mu, mix), abs=1e-12
@@ -240,7 +254,7 @@ class TestBestResponse:
 
     def test_pure_mix_is_anticipated(self):
         prob = pennies()
-        mix = MixedStrategyII.pure(StepControlSequence(2, (1, 0)))
+        mix = MixedStrategyII.pure(2, 2, rank=2)  # sequence (1, 0)
         tree, val = best_response_I(prob, dirac0(), mix)
         # the known pure sequence can be cancelled stage by stage
         assert val == pytest.approx(0.0, abs=1e-12)
@@ -261,9 +275,16 @@ class TestBestResponse:
             val, abs=1e-12
         )
 
+    def test_mix_on_another_v_grid_is_rejected(self):
+        mix = MixedStrategyII.pure(1, 3)
+        with pytest.raises(ValueError, match="v-grid"):
+            best_response_I(pennies(), dirac0(), mix)
+        with pytest.raises(ValueError, match="shapes"):
+            payoff(pennies(), dirac0(), StrategyTreeI(1, 2, [[0]]), mix)
+
     def test_zero_mass_prefixes_are_flagged_and_complete(self):
         prob = pennies()
-        mix = MixedStrategyII.pure(StepControlSequence(2, (0, 0)))
+        mix = MixedStrategyII.pure(2, 2)
         tree, _ = best_response_I(prob, dirac0(), mix)
         assert tree.decisions.shape == (1, 3)  # (), (0,), (1,)
         assert (0, (1,)) in tree.flagged
@@ -287,13 +308,9 @@ class TestBestResponse:
             n = 2
             ranks = rng.choice(4, size=2, replace=False)
             probs = rng.uniform(0.2, 1.0, size=2)
-            mix = MixedStrategyII(
-                tuple(
-                    StepControlSequence(n, seq_from_rank(int(r), n, 2))
-                    for r in ranks
-                ),
-                probs / probs.sum(),
-            )
+            q = np.zeros(4)
+            q[ranks] = probs / probs.sum()
+            mix = MixedStrategyII(n, 2, q)
             _, val = best_response_I(prob, mu, mix)
             oracle = exhaustive_best_response_value(prob, mu, mix)
             assert val <= oracle + 1e-9
@@ -308,9 +325,7 @@ class TestCutCoefficients:
         tree, _ = best_response_I(prob, mu, mix)
         coeffs = cut_coefficients(prob, mu, tree)
         for r in range(4):
-            pure = MixedStrategyII.pure(
-                StepControlSequence(2, seq_from_rank(r, 2, 2))
-            )
+            pure = MixedStrategyII.pure(2, 2, r)
             assert coeffs[r] == pytest.approx(
                 payoff(prob, mu, tree, pure), abs=1e-12
             )
@@ -355,7 +370,7 @@ class TestSolveVn:
     def test_matching_pennies_value_one(self):
         res = solve_Vn(pennies(), dirac0(), 1, tol=1e-9)
         assert res.value == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(res.q_star.probs, [0.5, 0.5], atol=1e-9)
+        assert np.allclose(res.q_star.q, [0.5, 0.5], atol=1e-9)
 
     def test_validation(self):
         prob = pennies()
@@ -492,14 +507,7 @@ class TestStateLattice:
         pure[n_seq - 1] = 1.0
         for q in (np.full(n_seq, 1.0), dense, sparse, pure):
             q = q / q.sum()
-            ranks = np.nonzero(q)[0]
-            yield q, MixedStrategyII(
-                tuple(
-                    StepControlSequence(n, seq_from_rank(int(r), n, n_v))
-                    for r in ranks
-                ),
-                q[ranks],
-            )
+            yield q, MixedStrategyII(n, n_v, q)
 
     def test_value_and_cut_match_brute_force_matrix(self):
         rng = np.random.default_rng(23)
@@ -525,18 +533,16 @@ class TestStateLattice:
         mu = ParticleMeasure(
             np.array([[0.2, 0.1], [-0.3, 0.0]]), np.array([0.5, 0.5])
         )
-        support = tuple(
-            StepControlSequence(n, vals)
-            for vals in [(0, 1, 0), (0, 1, 1), (1, 0, 0)]
-        )
-        mix = MixedStrategyII(support, np.array([0.5, 0.0, 0.5]))
+        # Sequences (0, 1, 0) and (1, 0, 0) live; (0, 1, 1) dead.
+        q = np.array([0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0])
+        mix = MixedStrategyII(n, prob.n_v, q)
         tree, _ = best_response_I(prob, mu, mix)
 
         def mass(prefix):
             return sum(
-                p
-                for s, p in zip(mix.support, mix.probs)
-                if s.values[: len(prefix)] == prefix
+                mix.q[r]
+                for r in range(prob.n_v**n)
+                if seq_from_rank(r, n, prob.n_v)[: len(prefix)] == prefix
             )
 
         expected = {
