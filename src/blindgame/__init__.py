@@ -51,7 +51,6 @@ from .game_kernel import (
 )
 from .value_solver import (
     BruteForceResult,
-    Cut,
     DppReport,
     EkelandResult,
     MixedStrategyII,
@@ -75,7 +74,6 @@ __all__ = [
     "BruteForceResult",
     "ConfigError",
     "ControlProblem",
-    "Cut",
     "DppReport",
     "EkelandResult",
     "HamiltonianQuery",

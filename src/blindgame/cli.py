@@ -116,9 +116,9 @@ def cmd_solve(scn: Scenario, out_dir: str, repro: bool) -> int:
         seq = seq_from_rank(int(rank), q_star.n_stages, q_star.n_v)
         label = "-".join(str(v) for v in seq)
         cert.append(f"q_star,,{label},{_fmt(q_star.q[rank])}")
-    for cut in res.cuts:
-        for rank, coef in enumerate(cut.coeffs):
-            cert.append(f"cut,{cut.tag},{rank},{_fmt(coef)}")
+    for k, cut in enumerate(res.cuts, start=1):
+        for rank, coef in enumerate(cut):
+            cert.append(f"cut,br{k:03d},{rank},{_fmt(coef)}")
     _write(out_dir, "certificate.csv", "\n".join(cert) + "\n")
 
     print(f"value {_fmt(res.value)} gap {_fmt(res.gap)} iterations {res.iterations}")
@@ -213,7 +213,7 @@ def cmd_transport(scn: Scenario, out_dir: str) -> int:
 
 def cmd_ekeland(scn: Scenario, out_dir: str, seed: int) -> int:
     rng = np.random.default_rng(seed)
-    size = max(scn.ekeland_domain, 1)
+    size = scn.ekeland_domain
     domain = []
     for i in range(size):
         t = scn.problem.T * (i / (size - 1) if size > 1 else 0.0)

@@ -124,23 +124,27 @@ def stage_step(
     """Advance one state (d,) or a batch (N, d) through stage ``stage``
     under one u-grid index ``iu`` and v-grid index ``iv`` per row.  Raises
     ``ValueError`` on an index off its grid and ``NumericFailure`` naming
-    the stage on a non-finite state."""
+    the stage on a non-finite state, which numpy no longer warns about."""
     if np.any((iu < 0) | (iu >= prob.n_u) | (iv < 0) | (iv >= prob.n_v)):
         raise ValueError(f"stage {stage}: control index out of range")
-    x = advance_stage(prob, x, prob.u_grid[iu], prob.v_grid[iv], stage_len)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = advance_stage(prob, x, prob.u_grid[iu], prob.v_grid[iv], stage_len)
     if not np.all(np.isfinite(x)):
         raise NumericFailure("trajectory left the finite range", stage=stage)
     return x
 
 
 def terminal_costs(prob: ControlProblem, x: np.ndarray) -> np.ndarray:
-    """g of each row of the batch ``x``, checked to give one value per row."""
-    out = np.asarray(prob.g(x), dtype=float)
+    """g of each row of ``x``, checked to give one finite value per row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(prob.g(x), dtype=float)
     if out.shape != x.shape[:1]:
         raise ValueError(
             f"g returned shape {out.shape} for a batch of shape {x.shape}; "
             "g must act on the last axis"
         )
+    if not np.all(np.isfinite(out)):
+        raise ValueError("g returned a non-finite value")
     return out
 
 

@@ -15,6 +15,7 @@ between the two Hamiltonians.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -112,6 +113,11 @@ class HamiltonianQuery:
         ):
             raise ValueError("field is not based on the query measure")
 
+    @cached_property
+    def pairing(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``_pairing_tables`` of this query, built on first use."""
+        return _pairing_tables(self)
+
 
 def _pairing_tables(q: HamiltonianQuery) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per positive-weight atom, the (n_u, n_v) table <f(y,u,v), p(y)>.
@@ -144,7 +150,7 @@ def eval_H(q: HamiltonianQuery) -> float:
     the LP maximizes sum_j w_j z_j subject to z_j <= (C_j vmix)_u for every
     pure u, with vmix in the v-simplex.
     """
-    weights, tables = _pairing_tables(q)
+    weights, tables = q.pairing
     if len(tables) == 0:
         return 0.0
     return max_weighted_min(weights, tables).value
@@ -159,7 +165,7 @@ def eval_Hn(q: HamiltonianQuery, coarse_v_indices: Sequence[int]) -> float:
         raise ValueError("coarse v-grid indices must be distinct")
     if any(i < 0 or i >= q.problem.n_v for i in idx):
         raise ValueError("coarse v-grid index out of range")
-    weights, tables = _pairing_tables(q)
+    weights, tables = q.pairing
     if len(tables) == 0:
         return 0.0
     restricted = [c[:, idx] for c in tables]
@@ -215,11 +221,9 @@ def gamma_n(
                 f"f returned shape {diff.shape} for a batch of shape "
                 f"{x.shape}; f must act on the last axis"
             )
-        # Row norms can differ from the 1-d norm in the last bit, so the
-        # 1-d norm decides among the rows near the top; NaN rows never count.
-        norms = np.linalg.norm(diff, axis=1)
-        top = float(np.max(norms, initial=0.0, where=~np.isnan(norms)))
-        if top > 0.0:
-            near = np.flatnonzero(norms >= top * (1.0 - 1e-12))
-            worst = max(worst, *(float(np.linalg.norm(diff[r])) for r in near))
+        # Equal to each row's 1-d norm bit for bit (``norm(axis=1)`` is not);
+        # NaN rows never count.
+        norms = np.sqrt(_rowdot(diff, diff))
+        top = np.max(norms, initial=0.0, where=~np.isnan(norms))
+        worst = max(worst, float(top))
     return worst

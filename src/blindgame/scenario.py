@@ -79,6 +79,13 @@ def _floats(raw: str, key: str) -> list[float]:
         raise ConfigError(f"{key}: not a number list ({exc})") from None
 
 
+def _ints(raw: str, key: str) -> tuple[int, ...]:
+    vals = _floats(raw, key)
+    if not all(v.is_integer() for v in vals):
+        raise ConfigError(f"{key}: expected integers, got {raw!r}")
+    return tuple(int(v) for v in vals)
+
+
 def _points(raw: str, key: str) -> list[list[float]]:
     pts = [p for p in raw.split(";") if p.strip()]
     if not pts:
@@ -209,8 +216,9 @@ def load_scenario(path_or_text: str) -> Scenario:
     u_grid = _grid(fields.require("problem.u_grid"), "problem.u_grid")
     v_grid = _grid(fields.require("problem.v_grid"), "problem.v_grid")
     label = fields.raw("problem.label", default=kind)
-    dim_raw = fields.raw("problem.dim")
-    dim = int(dim_raw) if dim_raw is not None else None
+    dim = fields.get_int("problem.dim") if fields.has("problem.dim") else None
+    if dim is not None and dim < 1:
+        raise ConfigError("problem.dim: must be >= 1")
 
     g_kind = fields.raw("g.kind", default="abs")
     g_coeffs = None
@@ -238,7 +246,9 @@ def load_scenario(path_or_text: str) -> Scenario:
     if kind == "rotation":
         kw["omega"] = fields.get_float("problem.omega", default=1.0)
 
-    lip_g_raw = fields.raw("problem.lip_g")
+    lip_g = None
+    if fields.has("problem.lip_g"):
+        lip_g = fields.get_float("problem.lip_g")
 
     try:
         problem = make_problem(
@@ -252,7 +262,7 @@ def load_scenario(path_or_text: str) -> Scenario:
             g_table=g_table,
             substeps=fields.get_int("integrator.substeps", default=16),
             label=label,
-            lip_g=float(lip_g_raw) if lip_g_raw is not None else None,
+            lip_g=lip_g,
             **kw,
         )
     except ValueError as exc:
@@ -275,19 +285,26 @@ def load_scenario(path_or_text: str) -> Scenario:
 
     sweep: tuple[int, ...] = ()
     if fields.has("sweep.n"):
-        vals = _floats(fields.require("sweep.n"), "sweep.n")
-        sweep = tuple(int(v) for v in vals)
+        sweep = _ints(fields.require("sweep.n"), "sweep.n")
         if any(v < 1 for v in sweep):
             raise ConfigError("sweep.n: stage counts must be >= 1")
 
     coarse = None
     if fields.has("hamiltonian.coarse_indices"):
-        vals = _floats(
+        coarse = _ints(
             fields.require("hamiltonian.coarse_indices"),
             "hamiltonian.coarse_indices",
         )
-        coarse = tuple(int(v) for v in vals)
 
+    queries = fields.get_int("hamiltonian.queries", default=8)
+    if queries < 1:
+        raise ConfigError("hamiltonian.queries: must be >= 1")
+    ekeland_eps = fields.get_float("ekeland.eps", default=0.1)
+    if not ekeland_eps > 0.0:
+        raise ConfigError("ekeland.eps: must be > 0")
+    ekeland_domain = fields.get_int("ekeland.domain", default=40)
+    if ekeland_domain < 1:
+        raise ConfigError("ekeland.domain: must be >= 1")
     ekeland_func = fields.raw("ekeland.func", default="moment")
     if ekeland_func not in ("moment", "payoff"):
         raise ConfigError("ekeland.func: must be 'moment' or 'payoff'")
@@ -302,9 +319,9 @@ def load_scenario(path_or_text: str) -> Scenario:
         seed=fields.get_int("seed", default=0),
         sweep=sweep,
         transport_target=_load_measure(fields, "transport.target", base_dir),
-        hamiltonian_queries=fields.get_int("hamiltonian.queries", default=8),
+        hamiltonian_queries=queries,
         hamiltonian_coarse=coarse,
-        ekeland_eps=fields.get_float("ekeland.eps", default=0.1),
-        ekeland_domain=fields.get_int("ekeland.domain", default=40),
+        ekeland_eps=ekeland_eps,
+        ekeland_domain=ekeland_domain,
         ekeland_func=ekeland_func,
     )

@@ -47,10 +47,11 @@ from .simplex import max_weighted_min
 from .transport import wasserstein2
 
 PROB_TOL = 1e-12
-SEQUENCE_GUARD = 10**6
 LATTICE_GUARD = 2 * 10**6
 BRUTE_ROW_GUARD = 10**5
 BRUTE_COL_GUARD = 10**3
+DPP_RESOLUTION = 64
+DPP_COMBO_GUARD = 20_000
 COLGEN_THRESHOLD = 10**4
 
 
@@ -148,29 +149,6 @@ class StrategyTreeI:
         object.__setattr__(self, "decisions", dec)
 
 
-@dataclass(frozen=True, eq=False)
-class Cut:
-    """A linear functional of Player II's mix over the full sequence set.
-
-    ``coeffs[r]`` is the payoff of the generating best-response tree
-    against the pure sequence of rank r, so the cut value at a mix Q is
-    the exact payoff of that tree against Q.
-    """
-
-    coeffs: np.ndarray
-    tag: str
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("cut coefficients must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def at(self, q: np.ndarray) -> float:
-        return float(np.dot(self.coeffs, q))
-
-
 # ---------------------------------------------------------------------------
 # Payoff and best response
 # ---------------------------------------------------------------------------
@@ -226,16 +204,15 @@ class StateLattice:
 
     Node j of level k is one atom under one (u, v) history of k stages,
     and its children are ``j * n_u * n_v + iu * n_v + iv``; nodes are
-    numbered within their atom.  Only the leaf payoffs are kept:
-    ``payoffs[i, j]`` is g(X_T) of atom i at leaf j.  ``v_ranks[k][j]`` is
-    the rank of the v-history of node j of level k.
+    numbered within their atom, so level k is a C-order array of shape
+    ``(n_u, n_v) * k`` over (u0, v0, u1, v1, ...).  Only the leaf payoffs
+    are kept: ``payoffs[i, j]`` is g(X_T) of atom i at leaf j.
     """
 
     n_stages: int
     n_u: int
     n_v: int
     payoffs: np.ndarray
-    v_ranks: tuple[np.ndarray, ...]
 
 
 def build_lattice(
@@ -249,7 +226,8 @@ def build_lattice(
     Raises ``ValueError`` before any allocation if the lattice has more
     than ``LATTICE_GUARD`` leaf states, and ``NumericFailure`` naming the
     stage if any state, under any control history, leaves the finite range;
-    ``ValueError`` if ``f`` or ``g`` does not act on the last axis.
+    ``ValueError`` if ``f`` or ``g`` does not act on the last axis or a leaf
+    payoff is not finite.
     """
     _check_compat(prob, mu0, n)
     n_u, n_v = prob.n_u, prob.n_v
@@ -264,18 +242,11 @@ def build_lattice(
     branch_u = np.repeat(np.arange(n_u), n_v)
     branch_v = np.tile(np.arange(n_v), n_u)
     x = mu0.points
-    v_ranks = [np.zeros(1, dtype=np.int64)]
     for k in range(n):
         iu, iv = np.tile(branch_u, x.shape[0]), np.tile(branch_v, x.shape[0])
         x = stage_step(prob, np.repeat(x, branch, axis=0), iu, iv, tau, k)
-        ranks = v_ranks[-1][:, None, None] * n_v + np.arange(n_v)
-        v_ranks.append(
-            np.broadcast_to(ranks, (ranks.shape[0], n_u, n_v)).reshape(-1)
-        )
     payoffs = terminal_costs(prob, x)
-    return StateLattice(
-        n, n_u, n_v, payoffs.reshape(mu0.n_atoms, -1), tuple(v_ranks)
-    )
+    return StateLattice(n, n_u, n_v, payoffs.reshape(mu0.n_atoms, -1))
 
 
 def _lattice_for(
@@ -328,10 +299,17 @@ def best_response_I(
     n_u, n_v = prob.n_u, prob.n_v
     q = strat_ii.q
     live_v = [(q.reshape(n_v**k, -1) > 0.0).any(axis=1) for k in range(n + 1)]
-    live = [lv[ranks] for lv, ranks in zip(live_v, lattice.v_ranks)]
 
+    def at_nodes(a: np.ndarray, k: int) -> np.ndarray:
+        """Every node of level k reads its v-prefix's entry of ``a``.  The
+        broadcast assignment costs less per call than ``np.broadcast_to``."""
+        out = np.empty((n_u, n_v) * k, a.dtype)
+        out[...] = a.reshape((1, n_v) * k)
+        return out.reshape(-1)
+
+    live = [at_nodes(lv, k) for k, lv in enumerate(live_v)]
     g = lattice.payoffs
-    values = np.where(live[n], q[lattice.v_ranks[n]] * g, g)
+    values = np.where(live[n], at_nodes(q, n) * g, g)
     choices = [None] * n
     for k in range(n - 1, -1, -1):
         children = values.reshape(mu0.n_atoms, -1, n_u, n_v)
@@ -413,9 +391,12 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class VnSolution:
+    """Row t of the read-only ``cuts`` is iteration t's best-response tree
+    against every pure sequence, by rank."""
+
     value: float
     q_star: MixedStrategyII
-    cuts: tuple[Cut, ...]
+    cuts: np.ndarray
     gap: float
     iterations: int
     converged: bool
@@ -475,7 +456,8 @@ def solve_Vn(
     new cut) until the gap closes below tol.  Termination is finite: there
     are finitely many pure best-response trees.
 
-    The module constants ``SEQUENCE_GUARD`` (on ``|v_grid|^n``) and
+    The module constants ``LATTICE_GUARD`` (which also bounds
+    ``|v_grid|^n``, the number of leaves of one atom with one u-point) and
     ``COLGEN_THRESHOLD`` are read at call time.
     """
     _check_compat(prob, mu0, n)
@@ -483,32 +465,24 @@ def solve_Vn(
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    n_seq = prob.n_v**n
-    if n_seq > SEQUENCE_GUARD:
-        raise ValueError(
-            f"|v_grid|^n = {n_seq} exceeds the enumeration guard "
-            f"{SEQUENCE_GUARD}"
-        )
     lattice = build_lattice(prob, mu0, n)
 
     q_current = MixedStrategyII.pure(n, prob.n_v)
     q_vec = q_current.q
-    cuts: list[Cut] = []
+    cuts: list[np.ndarray] = []
     history: list[IterationRecord] = []
     best_lower = -np.inf
     master_value = np.inf
     gap = np.inf
     converged = False
 
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         tree, br_value = best_response_I(prob, mu0, q_current, lattice)
-        coeffs = cut_coefficients(prob, mu0, tree, lattice)
-        cut = Cut(coeffs, tag=f"br{it:03d}")
-        cuts.append(cut)
+        cuts.append(cut_coefficients(prob, mu0, tree, lattice))
         best_lower = max(best_lower, br_value)
-        cut_at_gen = cut.at(q_vec)
+        cut_at_gen = float(np.dot(cuts[-1], q_vec))
 
-        cut_matrix = np.vstack([c.coeffs for c in cuts])
+        cut_matrix = np.vstack(cuts)
         master_value, q_vec = _solve_master(cut_matrix)
         gap = max(master_value - best_lower, 0.0)
         history.append(
@@ -527,10 +501,11 @@ def solve_Vn(
             converged = True
             break
 
+    cut_matrix.setflags(write=False)
     return VnSolution(
         value=float(master_value),
         q_star=q_current,
-        cuts=tuple(cuts),
+        cuts=cut_matrix,
         gap=float(gap),
         iterations=len(history),
         converged=converged,
@@ -557,15 +532,14 @@ def brute_force_value(
     prob: ControlProblem,
     mu0: ParticleMeasure,
     n: int,
-    row_guard: int = BRUTE_ROW_GUARD,
-    col_guard: int = BRUTE_COL_GUARD,
 ) -> BruteForceResult:
     """Exhaustive oracle for the discretized-game value.
 
     Enumerates every pure product of per-atom delayed trees and every pure
     sequence, builds the full payoff matrix and solves it as one matrix
     game.  Deliberately naive: shares nothing with the cutting-plane path
-    except the trajectory integrator.
+    except the trajectory integrator.  ``BRUTE_ROW_GUARD`` and
+    ``BRUTE_COL_GUARD`` cap the rows and columns at call time.
     """
     _check_compat(prob, mu0, n)
     n_u, n_v = prob.n_u, prob.n_v
@@ -574,13 +548,13 @@ def brute_force_value(
     trees_per_atom = n_u**n_prefix
     n_rows = trees_per_atom**mu0.n_atoms
     n_cols = n_v**n
-    if n_rows > row_guard:
+    if n_rows > BRUTE_ROW_GUARD:
         raise ValueError(
-            f"{n_rows} product trees exceed the row guard {row_guard}"
+            f"{n_rows} product trees exceed the row guard {BRUTE_ROW_GUARD}"
         )
-    if n_cols > col_guard:
+    if n_cols > BRUTE_COL_GUARD:
         raise ValueError(
-            f"{n_cols} sequences exceed the column guard {col_guard}"
+            f"{n_cols} sequences exceed the column guard {BRUTE_COL_GUARD}"
         )
 
     prefix_index = {p: k for k, p in enumerate(prefixes)}
@@ -667,8 +641,6 @@ def dpp_check(
     prob: ControlProblem,
     mu0: ParticleMeasure,
     n: int,
-    resolution: int = 64,
-    combo_guard: int = 20_000,
 ) -> DppReport:
     """Verify the one-step dynamic programming identity at time 0.
 
@@ -677,8 +649,9 @@ def dpp_check(
     pure first-stage v of the (n-1)-stage brute-force value at the split
     and transported measure.  The infimum is exact when the continuation
     is linear in the measure (single-v games) or when Player I has no
-    choice; otherwise it is searched on the dyadic mix grid with the given
-    resolution, so the reported difference carries that grid slack.
+    choice; otherwise it is searched on the dyadic mix grid of resolution
+    ``DPP_RESOLUTION`` under ``DPP_COMBO_GUARD`` combinations (both read at
+    call time), so the reported difference carries that grid slack.
     """
     if n < 2:
         raise ValueError("dpp_check needs n >= 2")
@@ -709,12 +682,12 @@ def dpp_check(
         )
         method, note = "exact-single-u", "no minimizer choice at stage 0"
     else:
-        per_atom = _dyadic_simplex(n_u, resolution)
+        per_atom = _dyadic_simplex(n_u, DPP_RESOLUTION)
         combos = len(per_atom) ** mu0.n_atoms
-        if combos > combo_guard:
+        if combos > DPP_COMBO_GUARD:
             raise ValueError(
                 f"{combos} dyadic mix combinations exceed the guard "
-                f"{combo_guard}"
+                f"{DPP_COMBO_GUARD}"
             )
         rhs = np.inf
         for combo in itertools.product(per_atom, repeat=mu0.n_atoms):
@@ -726,9 +699,9 @@ def dpp_check(
                     worst, brute_force_value(cont_prob, mu1, n - 1).value
                 )
             rhs = min(rhs, worst)
-        method = f"dyadic-grid-1/{resolution}"
+        method = f"dyadic-grid-1/{DPP_RESOLUTION}"
         note = (
-            f"first-stage mixes searched at resolution 1/{resolution}; "
+            f"first-stage mixes searched at resolution 1/{DPP_RESOLUTION}; "
             "the difference carries that grid slack"
         )
     return DppReport(

@@ -8,6 +8,7 @@ from blindgame import (
     load_scenario,
     to_csv,
 )
+from blindgame import game_kernel
 from blindgame.cli import _reachable_samples, covering_indices, main
 
 PENNIES = """
@@ -71,6 +72,27 @@ class TestScenarioParsing:
         scn = load_scenario(text)
         assert scn.problem.u_grid.shape == (2, 2)
         assert scn.problem.v_grid.shape == (1, 2)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "problem.dim = two",
+            "problem.dim = 0",
+            "problem.lip_g = steep",
+            "hamiltonian.queries = -2",
+            "sweep.n = 1.7",
+            "hamiltonian.coarse_indices = 0, 1.5",
+            "ekeland.domain = -5",
+            "ekeland.eps = 0",
+        ],
+    )
+    def test_bad_value_names_its_field(self, line):
+        key = line.split(" =")[0]
+        text = "\n".join(
+            row for row in PENNIES.splitlines() if not row.startswith(key)
+        )
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            load_scenario(text + "\n" + line + "\n")
 
     def test_mu0_csv(self, tmp_path):
         mu = ParticleMeasure(np.array([[0.5], [1.5]]), np.array([0.5, 0.5]))
@@ -143,6 +165,20 @@ class TestCommands:
             _, h, hn, gap, bound = ln.split(",")
             assert float(gap) >= -1e-9
             assert float(gap) <= float(bound) + 1e-9
+
+    def test_hamiltonian_builds_pairing_tables_once_per_query(
+        self, tmp_path, monkeypatch
+    ):
+        builds = []
+        build = game_kernel._pairing_tables
+        monkeypatch.setattr(
+            game_kernel, "_pairing_tables", lambda q: builds.append(q) or build(q)
+        )
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(PENNIES + "hamiltonian.queries = 4\n")
+        out = tmp_path / "out"
+        assert main(["hamiltonian", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(builds) == 4
 
     def test_transport_outputs(self, pennies_cfg, tmp_path):
         out = tmp_path / "out"
@@ -220,8 +256,7 @@ class TestReachableSamples:
             f"mu0.atoms = {atoms}\n"
         )
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["hamiltonian", "--config", str(cfg), "--out", str(out)])
+        code = main(["hamiltonian", "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert "trajectory left the finite range (stage=0)" in capsys.readouterr().err
         assert not (out / "hamiltonian.csv").exists()

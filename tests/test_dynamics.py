@@ -87,9 +87,8 @@ class TestFlow:
             lip_g=0.0,
             bound_f=1.0,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericFailure) as err:
-                flow(blow, [10.0], (0, 0), (0, 0))
+        with pytest.raises(NumericFailure) as err:
+            flow(blow, [10.0], (0, 0), (0, 0))
         assert err.value.stage == 0
 
     def test_gronwall_envelope_on_sampled_pairs(self):
@@ -156,9 +155,8 @@ class TestPayoffOpenLoop:
     def test_blow_up_raises_numeric_failure_naming_the_stage(self):
         prob = _blow_up_problem()
         mu = ParticleMeasure(np.array([[1.0], [0.5]]), np.array([0.5, 0.5]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericFailure, match="stage=1") as exc:
-                payoff_open_loop(prob, mu, (0, 0), (0, 0))
+        with pytest.raises(NumericFailure, match="stage=1") as exc:
+            payoff_open_loop(prob, mu, (0, 0), (0, 0))
         assert exc.value.stage == 1
 
 
@@ -232,9 +230,8 @@ class TestStagePushforward:
     def test_blow_up_raises_numeric_failure_naming_the_stage(self):
         prob = _blow_up_problem(1e200)
         mu = ParticleMeasure(np.array([[1.0], [0.0]]), np.array([0.5, 0.5]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericFailure, match="stage=0") as exc:
-                stage_pushforward(prob, mu, [0, 0], 0, 1.0)
+        with pytest.raises(NumericFailure, match="stage=0") as exc:
+            stage_pushforward(prob, mu, [0, 0], 0, 1.0)
         assert exc.value.stage == 0
 
     def test_assignment_length_checked(self):

@@ -218,6 +218,18 @@ class TestPayoff:
             expected, abs=0
         )
 
+    def test_non_finite_g_is_rejected(self):
+        # g is infinite at x = 2, which u = v = +1 reaches in two stages.
+        prob = replace(
+            pennies(),
+            g=lambda x: np.where(x[..., 0] > 1.5, np.inf, np.abs(x[..., 0])),
+        )
+        tree = StrategyTreeI(2, 2, [[1, 1, 1]])
+        with pytest.raises(ValueError, match="g returned a non-finite value"):
+            payoff(prob, dirac0(), tree, uniform_mix(2, 2))
+        with pytest.raises(ValueError, match="g returned a non-finite value"):
+            solve_Vn(prob, dirac0(), 2)
+
     def test_single_stage_cancellation(self):
         prob = make_problem(
             "u_plus_v",
@@ -418,10 +430,12 @@ class TestSolveVn:
             assert rec.br_value <= rec.master_value + 1e-9
             prev_master = rec.master_value
 
-    def test_sequence_guard_is_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(value_solver, "SEQUENCE_GUARD", 3)
-        with pytest.raises(ValueError, match="= 4 exceeds .* guard 3$"):
-            solve_Vn(pennies(), dirac0(), 2)
+    def test_cuts_are_one_read_only_array(self):
+        res = solve_Vn(pennies(), dirac0(), 2)
+        assert res.cuts.shape == (res.iterations, 2**2)
+        assert not res.cuts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            res.cuts[0, 0] = 0.0
 
     def test_column_generation_matches_direct(self, monkeypatch):
         prob = make_problem(
@@ -564,9 +578,8 @@ class TestStateLattice:
             v_grid=[0.0, 1.0], substeps=1,
         )
         mu = ParticleMeasure(np.array([[1.0]]), np.array([1.0]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericFailure, match="stage=1") as exc:
-                solve_Vn(prob, mu, 2)
+        with pytest.raises(NumericFailure, match="stage=1") as exc:
+            solve_Vn(prob, mu, 2)
         assert exc.value.stage == 1
 
     def test_lattice_guard_names_the_size(self):
@@ -641,17 +654,15 @@ class TestBruteForce:
         assert np.all(bf.matrix == expected)
         assert bf.value == expected
 
-    def test_guards(self):
-        prob = make_problem(
-            "u_plus_v",
-            T=1.0,
-            u_grid=[-1.0, 1.0],
-            v_grid=[-1.0, 1.0],
-        )
-        with pytest.raises(ValueError, match="row guard"):
-            brute_force_value(prob, dirac0(), 2, row_guard=4)
-        with pytest.raises(ValueError, match="column guard"):
-            brute_force_value(prob, dirac0(), 2, col_guard=2)
+    def test_guards(self, monkeypatch):
+        # Pennies at n = 2: 2**3 trees for the one atom, 2**2 sequences.
+        monkeypatch.setattr(value_solver, "BRUTE_ROW_GUARD", 7)
+        with pytest.raises(ValueError, match="8 product trees .* guard 7$"):
+            brute_force_value(pennies(), dirac0(), 2)
+        monkeypatch.setattr(value_solver, "BRUTE_ROW_GUARD", 8)
+        monkeypatch.setattr(value_solver, "BRUTE_COL_GUARD", 3)
+        with pytest.raises(ValueError, match="4 sequences .* guard 3$"):
+            brute_force_value(pennies(), dirac0(), 2)
 
 
 class TestInformationMonotonicity:
@@ -772,6 +783,14 @@ class TestDppCheck:
     def test_needs_two_stages(self):
         with pytest.raises(ValueError, match="n >= 2"):
             dpp_check(pennies(), dirac0(), 1)
+
+    def test_grid_constants_are_read_at_call_time(self, monkeypatch):
+        # Two u-points at resolution 1/4: five mixes for the one atom.
+        monkeypatch.setattr(value_solver, "DPP_RESOLUTION", 4)
+        assert dpp_check(pennies(), dirac0(), 2).method == "dyadic-grid-1/4"
+        monkeypatch.setattr(value_solver, "DPP_COMBO_GUARD", 4)
+        with pytest.raises(ValueError, match="5 dyadic mix .* guard 4$"):
+            dpp_check(pennies(), dirac0(), 2)
 
 
 class TestEkeland:
