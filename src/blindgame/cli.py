@@ -116,9 +116,10 @@ def cmd_solve(scn: Scenario, out_dir: str, repro: bool) -> int:
         seq = seq_from_rank(int(rank), q_star.n_stages, q_star.n_v)
         label = "-".join(str(v) for v in seq)
         cert.append(f"q_star,,{label},{_fmt(q_star.q[rank])}")
-    for k, cut in enumerate(res.cuts, start=1):
-        for rank, coef in enumerate(cut):
-            cert.append(f"cut,br{k:03d},{rank},{_fmt(coef)}")
+    for k, rows in enumerate(res.cuts, start=1):
+        for atom, cut in enumerate(rows):
+            for rank, coef in enumerate(cut):
+                cert.append(f"cut,br{k:03d}-a{atom},{rank},{_fmt(coef)}")
     _write(out_dir, "certificate.csv", "\n".join(cert) + "\n")
 
     print(f"value {_fmt(res.value)} gap {_fmt(res.gap)} iterations {res.iterations}")
@@ -267,6 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed: must be >= 0")
         scn = load_scenario(args.config)
         seed = args.seed if args.seed is not None else scn.seed
         if args.command == "solve":

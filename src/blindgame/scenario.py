@@ -305,6 +305,9 @@ def load_scenario(path_or_text: str) -> Scenario:
     ekeland_domain = fields.get_int("ekeland.domain", default=40)
     if ekeland_domain < 1:
         raise ConfigError("ekeland.domain: must be >= 1")
+    seed = fields.get_int("seed", default=0)
+    if seed < 0:
+        raise ConfigError("seed: must be >= 0")
     ekeland_func = fields.raw("ekeland.func", default="moment")
     if ekeland_func not in ("moment", "payoff"):
         raise ConfigError("ekeland.func: must be 'moment' or 'payoff'")
@@ -316,7 +319,7 @@ def load_scenario(path_or_text: str) -> Scenario:
         n_stages=n_stages,
         tol=tol,
         max_iter=max_iter,
-        seed=fields.get_int("seed", default=0),
+        seed=seed,
         sweep=sweep,
         transport_target=_load_measure(fields, "transport.target", base_dir),
         hamiltonian_queries=queries,

@@ -10,16 +10,21 @@ for positive weights w_j and per-group constraint matrices C_j of shape
 group and one slack per constraint row; the shift makes the all-slack basis
 feasible after pivoting q_0 into the simplex row, so no phase-1 is needed.
 
-Pivoting.  The entering variable is Bland's: the smallest index whose
-reduced cost is below -PIVOT_TOL.  The leaving row comes from the
-lexicographic ratio test of Dantzig, Orden and Wolfe (1955): rows tied at
-the minimum ratio are told apart by their entries in the columns of the
-starting basis, each divided by the pivot element and compared in order
-within PIVOT_TOL.  In exact arithmetic this visits no basis twice.
-Bland's own leaving rule (smallest basic index among ties) has that
-guarantee only in exact arithmetic: in floating point the tableau drifts,
-ties within PIVOT_TOL come and go, and it can return to an earlier basis
-and cycle.  So, in floating point:
+Pivoting.  The entering variable has the most negative reduced cost
+below -PIVOT_TOL (Dantzig's rule; ties go to the smallest index).  The
+leaving row comes from the lexicographic ratio test of Dantzig, Orden and
+Wolfe (1955): rows tied at the minimum ratio are told apart by their
+entries in the columns of the starting basis, each divided by the pivot
+element and compared in order within PIVOT_TOL.  This rule alone
+guarantees termination, whatever column enters: every pivot strictly
+increases the objective row read lexicographically, so no basis is
+visited twice and the simplex stops after finitely many pivots in exact
+arithmetic.  Entering by the steepest reduced cost rather than by the
+smallest index (Bland) takes far fewer pivots on the cutting-plane
+masters.  Bland's own leaving rule (smallest basic index among ties)
+would not do: its guarantee needs Bland's entering rule too, and in
+floating point the tableau drifts, ties within PIVOT_TOL come and go, and
+it can return to an earlier basis and cycle.  So, in floating point:
 
 * a pivot element must exceed PIVOT_TOL times the largest entry of its
   column (and PIVOT_TOL itself); smaller entries are rounding noise, and a
@@ -190,9 +195,9 @@ def _fresh_tableau(
 def _primal_simplex(
     a_mat: np.ndarray, b: np.ndarray, cost: np.ndarray
 ) -> tuple[list[int], int, np.ndarray, np.ndarray]:
-    """Simplex with Bland's entering rule and the lexicographic leaving
-    rule; the starting basis is q_0 (simplex row) plus the slack columns,
-    which is feasible by construction.
+    """Simplex with the most-negative entering rule and the lexicographic
+    leaving rule; the starting basis is q_0 (simplex row) plus the slack
+    columns, which is feasible by construction.
 
     Returns the optimal basis (column index per row), the pivot count, and
     the basic values and row duals solved afresh for that basis.
@@ -215,7 +220,7 @@ def _primal_simplex(
     since_refresh = 0
     pivots = 0
     while True:
-        enter = int((obj < -PIVOT_TOL).argmax())  # Bland: smallest index
+        enter = int(obj.argmin())  # most negative; ties to the first
         if not obj[enter] < -PIVOT_TOL:
             # Basic values and row duals afresh from the original columns;
             # the duals re-price every column before optimality is declared.

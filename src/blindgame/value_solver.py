@@ -11,16 +11,16 @@ The value
     sup over Q   inf over trees   E[ g(X_T) ]
 
 is computed by a cutting-plane loop: each best response of Player I against
-the master's current Q yields a linear functional of Q (its payoff against
-every pure sequence), the master maximizes the running lower envelope of
-those cuts over the sequence simplex, and the loop stops when the gap
-between the master value and the best lower bound closes.  Every state
-reachable from the atoms depends only on the stage-control history, so a
-solve integrates them once, as a lattice, and reads every best response
-and cut off its leaf payoffs.  A brute-force oracle builds the full matrix
-game over product trees and sequences and solves it directly; a one-step
-dynamic-programming check and a finite-space variational point search
-round out the module.
+the master's current Q yields one linear functional of Q per atom (that
+atom's payoff against every pure sequence), the master maximizes the
+weighted sum of the atoms' running lower envelopes over the sequence
+simplex, and the loop stops when the gap between the master value and the
+best lower bound closes.  Every state reachable from the atoms depends
+only on the stage-control history, so a solve integrates them once, as a
+lattice, and reads every best response and cut off its leaf payoffs.  A
+brute-force oracle builds the full matrix game over product trees and
+sequences and solves it directly; a one-step dynamic-programming check and
+a finite-space variational point search round out the module.
 """
 
 from __future__ import annotations
@@ -351,10 +351,9 @@ def cut_coefficients(
     tree: StrategyTreeI,
     lattice: StateLattice | None = None,
 ) -> np.ndarray:
-    """Payoff of the tree against every pure sequence, by sequence rank.
-
-    Follows each atom's decisions down the lattice to the leaf of every
-    sequence and gathers the leaf payoffs, accumulated atom by atom.
+    """Payoff of each atom's tree against every pure sequence: row i, by
+    sequence rank, is atom i's g at the leaf its decisions reach (shape
+    (atoms, n_v**n), unweighted by the atom masses).
     """
     n, n_v = tree.n_stages, tree.n_v
     _check_compat(prob, mu0, n)
@@ -367,10 +366,7 @@ def cut_coefficients(
     levels = np.cumsum([n_v**k for k in range(n - 1)], dtype=np.int64)
     for dec in np.split(tree.decisions, levels, axis=1):
         nodes = _descend(nodes, dec, prob.n_u, n_v)
-    coeffs = np.zeros(n_v**n)
-    for w, g, leaves in zip(mu0.weights, lattice.payoffs, nodes):
-        coeffs += w * g[leaves]
-    return coeffs
+    return np.take_along_axis(lattice.payoffs, nodes, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +387,10 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class VnSolution:
-    """Row t of the read-only ``cuts`` is iteration t's best-response tree
-    against every pure sequence, by rank."""
+    """``cuts[t, i]`` is atom i's row of iteration t's best-response tree
+    against every pure sequence, by rank (read-only, shape
+    (iterations, atoms, n_v**n)).  The value is
+    sum_i w_i min_t cuts[t, i] @ q at the master's mix q."""
 
     value: float
     q_star: MixedStrategyII
@@ -403,18 +401,22 @@ class VnSolution:
     history: tuple[IterationRecord, ...]
 
 
-def _solve_master(cut_matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """max over the sequence simplex of the minimum over cuts.
+def _solve_master(
+    weights: np.ndarray, groups: list[np.ndarray]
+) -> tuple[float, np.ndarray]:
+    """max over the sequence simplex of sum_i w_i min over atom i's cuts.
 
     Direct LP up to ``COLGEN_THRESHOLD`` sequences; otherwise column
-    generation on the restricted simplex, priced with the dual mix over
-    cuts, run until no sequence improves the restricted value.
+    generation on the restricted simplex, priced with the atoms' dual
+    mixes over their cuts, run until no sequence improves the restricted
+    value.
     """
-    n_cuts, n_seq = cut_matrix.shape
+    n_cuts = sum(c.shape[0] for c in groups)
+    n_seq = groups[0].shape[1]
 
-    def lp(sub: np.ndarray):
+    def lp(subs: list[np.ndarray]):
         try:
-            return max_weighted_min([1.0], [sub])
+            return max_weighted_min(weights, subs)
         except SolverFailure as exc:
             raise SolverFailure(
                 f"master LP ({n_cuts} cuts x {n_seq} sequences): "
@@ -423,15 +425,13 @@ def _solve_master(cut_matrix: np.ndarray) -> tuple[float, np.ndarray]:
             ) from exc
 
     if n_seq <= COLGEN_THRESHOLD:
-        sol = lp(cut_matrix)
+        sol = lp(groups)
         return sol.value, sol.q
     cols = [0]
     in_cols = {0}
     for _ in range(n_seq):
-        sub = cut_matrix[:, cols]
-        sol = lp(sub)
-        lam = sol.row_duals[0]
-        scores = lam @ cut_matrix
+        sol = lp([c[:, cols] for c in groups])
+        scores = sum(lam @ c for lam, c in zip(sol.row_duals, groups))
         best = int(np.argmax(scores))
         if scores[best] <= sol.value + 1e-12 or best in in_cols:
             q = np.zeros(n_seq)
@@ -452,9 +452,12 @@ def solve_Vn(
     """Certified value of the n-stage discretized game.
 
     Alternates the master LP over the sequence simplex (upper bound) with
-    Player I's exact best response at the master's mix (lower bound and a
-    new cut) until the gap closes below tol.  Termination is finite: there
-    are finitely many pure best-response trees.
+    Player I's exact best response at the master's mix (lower bound and
+    new cuts) until the gap closes below tol.  Player I knows the atom, so
+    the best response separates by atom and each iteration adds one cut
+    per atom: the master maximizes sum_i w_i min over atom i's distinct
+    cuts, the multicut decomposition of Birge and Louveaux (1988).
+    Termination is finite: there are finitely many pure trees per atom.
 
     The module constants ``LATTICE_GUARD`` (which also bounds
     ``|v_grid|^n``, the number of leaves of one atom with one u-point) and
@@ -470,6 +473,9 @@ def solve_Vn(
     q_current = MixedStrategyII.pure(n, prob.n_v)
     q_vec = q_current.q
     cuts: list[np.ndarray] = []
+    # Atom i's distinct cut rows, and their bytes to drop repeats.
+    groups: list[list[np.ndarray]] = [[] for _ in range(mu0.n_atoms)]
+    seen: list[set[bytes]] = [set() for _ in range(mu0.n_atoms)]
     history: list[IterationRecord] = []
     best_lower = -np.inf
     master_value = np.inf
@@ -478,12 +484,19 @@ def solve_Vn(
 
     for _ in range(max_iter):
         tree, br_value = best_response_I(prob, mu0, q_current, lattice)
-        cuts.append(cut_coefficients(prob, mu0, tree, lattice))
+        rows = cut_coefficients(prob, mu0, tree, lattice)
+        cuts.append(rows)
+        for group, keys, row in zip(groups, seen, rows):
+            key = row.tobytes()
+            if key not in keys:
+                keys.add(key)
+                group.append(row)
         best_lower = max(best_lower, br_value)
-        cut_at_gen = float(np.dot(cuts[-1], q_vec))
+        cut_at_gen = float(np.dot(mu0.weights, rows @ q_vec))
 
-        cut_matrix = np.vstack(cuts)
-        master_value, q_vec = _solve_master(cut_matrix)
+        master_value, q_vec = _solve_master(
+            mu0.weights, [np.vstack(g) for g in groups]
+        )
         gap = max(master_value - best_lower, 0.0)
         history.append(
             IterationRecord(br_value, cut_at_gen, master_value, gap)
@@ -501,11 +514,12 @@ def solve_Vn(
             converged = True
             break
 
-    cut_matrix.setflags(write=False)
+    cut_array = np.stack(cuts)
+    cut_array.setflags(write=False)
     return VnSolution(
         value=float(master_value),
         q_star=q_current,
-        cuts=cut_matrix,
+        cuts=cut_array,
         gap=float(gap),
         iterations=len(history),
         converged=converged,
@@ -516,6 +530,15 @@ def solve_Vn(
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
+
+def _oracle_g(prob: ControlProblem, x: np.ndarray) -> float:
+    """g at one terminal state, checked here rather than through
+    ``terminal_costs`` so that the oracles stay independent."""
+    value = float(prob.g(x))
+    if not np.isfinite(value):
+        raise ValueError("g returned a non-finite value")
+    return value
+
 
 @dataclass(frozen=True, eq=False)
 class BruteForceResult:
@@ -572,7 +595,7 @@ def brute_force_value(
                 u_vals = tuple(
                     decisions[prefix_index[seq[:k]]] for k in range(n)
                 )
-                table[t, s] = float(prob.g(flow(prob, x, u_vals, seq)))
+                table[t, s] = _oracle_g(prob, flow(prob, x, u_vals, seq))
         tables.append(table)
 
     row_trees = list(
@@ -667,7 +690,7 @@ def dpp_check(
         rhs = 0.0
         for w, x in zip(mu0.weights, mu0.points):
             best = min(
-                float(prob.g(flow(prob, x, u_vals, (0,) * n)))
+                _oracle_g(prob, flow(prob, x, u_vals, (0,) * n))
                 for u_vals in itertools.product(range(n_u), repeat=n)
             )
             rhs += w * best

@@ -84,6 +84,7 @@ class TestScenarioParsing:
             "hamiltonian.coarse_indices = 0, 1.5",
             "ekeland.domain = -5",
             "ekeland.eps = 0",
+            "seed = -1",
         ],
     )
     def test_bad_value_names_its_field(self, line):
@@ -211,6 +212,48 @@ class TestCommands:
         assert (out1 / "hamiltonian.csv").read_text() != (
             out2 / "hamiltonian.csv"
         ).read_text()
+
+    def test_certificate_recomputes_the_value(self, tmp_path):
+        # sum_i w_i min over atom i's cut rows of row . q*, from the files.
+        cfg = tmp_path / "upv.cfg"
+        cfg.write_text(
+            "problem.kind = u_plus_v\nproblem.T = 1.0\nproblem.n_stages = 2\n"
+            "problem.u_grid = -1, 0, 1\nproblem.v_grid = -1, -0.5, 0.5, 1\n"
+            "mu0.atoms = 0.25 -0.3; 0.75 0.4\nsolver.tol = 1e-9\n"
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        q = np.zeros(4**2)
+        rows: dict[int, list[np.ndarray]] = {0: [], 1: []}
+        cuts: dict[str, np.ndarray] = {}
+        lines = (out / "certificate.csv").read_text().splitlines()
+        assert lines[0] == "kind,tag,seq,value"
+        for line in lines[1:]:
+            kind, tag, seq, value = line.split(",")
+            if kind == "q_star":
+                v0, v1 = (int(v) for v in seq.split("-"))
+                q[4 * v0 + v1] = float(value)
+            else:
+                cuts.setdefault(tag, np.zeros(4**2))[int(seq)] = float(value)
+        for tag, row in cuts.items():
+            rows[int(tag.split("-a")[1])].append(row)
+        value = 0.25 * min(r @ q for r in rows[0]) + 0.75 * min(
+            r @ q for r in rows[1]
+        )
+        reported = (out / "values.csv").read_text().splitlines()[1]
+        assert abs(value - float(reported.split(",")[2])) <= 1e-12
+
+    def test_negative_seed_override_is_a_config_error(
+        self, pennies_cfg, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = main(
+            ["hamiltonian", "--config", str(pennies_cfg), "--out", str(out),
+             "--seed", "-1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "config error: --seed: must be >= 0\n"
+        assert not out.exists()
 
     def test_byte_determinism_across_runs(self, pennies_cfg, tmp_path):
         outs = []

@@ -11,6 +11,10 @@ also catch drift between versions.
 Regenerate (only after a deliberate output change, noted in CHANGES.md):
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+It prints every file it changed, and refuses to write anything when a
+``values.csv`` value moves by more than its scenario's ``solver.tol +
+1e-9``.
 """
 
 import os
@@ -21,6 +25,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from blindgame.cli import main  # noqa: E402
+from blindgame.scenario import load_scenario  # noqa: E402
 from test_acceptance import FIXTURE_CONFIGS, OUTPUTS  # noqa: E402
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -73,22 +78,63 @@ def test_games_match_golden_bytes(name, tmp_path):
             assert data == fh.read(), f"{name}: {fname} differs from golden"
 
 
-def regenerate(work: str) -> None:
+def _value(data: bytes) -> float:
+    """The ``value`` column of a one-row ``values.csv``."""
+    header, row = data.decode("utf-8").splitlines()[:2]
+    return float(row.split(",")[header.split(",").index("value")])
+
+
+def regenerate(work: str) -> list[str]:
+    """Rerun every golden output and rewrite the files that changed.
+
+    Refuses, writing nothing, when a ``values.csv`` value moves by more
+    than its scenario's ``solver.tol + 1e-9``: a recapture may move q*
+    or a last digit, never the value.  Returns the changed paths.
+    """
+    outputs: dict[str, tuple[bytes, float]] = {}
     for name in sorted(FIXTURE_CONFIGS):
-        os.makedirs(_fixture_dir(name), exist_ok=True)
+        tol = load_scenario(FIXTURE_CONFIGS[name]).tol
         for command in OUTPUTS:
             for fname, data in run_fixture(name, command, work).items():
-                with open(os.path.join(_fixture_dir(name), fname), "wb") as fh:
-                    fh.write(data)
+                outputs[os.path.join(_fixture_dir(name), fname)] = data, tol
     for name in GAME_NAMES:
+        tol = load_scenario(os.path.join(GAMES, name, "scenario.cfg")).tol
         for fname, data in solve_game(name, work).items():
-            with open(os.path.join(GAMES, name, fname), "wb") as fh:
-                fh.write(data)
+            outputs[os.path.join(GAMES, name, fname)] = data, tol
+
+    changed, moved = [], []
+    for path, (data, tol) in outputs.items():
+        old = None
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                old = fh.read()
+        if old == data:
+            continue
+        changed.append(path)
+        if old is not None and os.path.basename(path) == "values.csv":
+            shift = abs(_value(data) - _value(old))
+            if not shift <= tol + 1e-9:
+                moved.append(f"{path}: value moved by {shift:.3e}")
+    if moved:
+        raise SystemExit(
+            "refusing to rewrite golden CSVs, values moved beyond "
+            "solver.tol + 1e-9:\n" + "\n".join(moved)
+        )
+    for path in changed:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(outputs[path][0])
+    return changed
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        regenerate(tmp)
-    print(f"wrote golden CSVs under {GOLDEN}")
+        with contextlib.redirect_stdout(io.StringIO()):
+            changed = regenerate(tmp)
+    for path in changed:
+        print(f"changed {os.path.relpath(path)}")
+    print(f"{len(changed)} golden files changed under {GOLDEN}")

@@ -335,12 +335,17 @@ class TestCutCoefficients:
         mu = ParticleMeasure(np.array([[0.3], [-0.4]]), np.array([0.6, 0.4]))
         mix = uniform_mix(2, 2)
         tree, _ = best_response_I(prob, mu, mix)
-        coeffs = cut_coefficients(prob, mu, tree)
+        rows = cut_coefficients(prob, mu, tree)
+        assert rows.shape == (2, 4)
         for r in range(4):
             pure = MixedStrategyII.pure(2, 2, r)
-            assert coeffs[r] == pytest.approx(
+            assert mu.weights @ rows[:, r] == pytest.approx(
                 payoff(prob, mu, tree, pure), abs=1e-12
             )
+            for i, x in enumerate(mu.points):
+                atom = ParticleMeasure(x[None, :], np.array([1.0]))
+                alone = StrategyTreeI(2, 2, tree.decisions[i:i + 1])
+                assert rows[i, r] == payoff(prob, atom, alone, pure)
 
 
 class TestSolveVn:
@@ -431,11 +436,18 @@ class TestSolveVn:
             prev_master = rec.master_value
 
     def test_cuts_are_one_read_only_array(self):
-        res = solve_Vn(pennies(), dirac0(), 2)
-        assert res.cuts.shape == (res.iterations, 2**2)
+        mu = ParticleMeasure(np.array([[0.3], [-0.4]]), np.array([0.6, 0.4]))
+        res = solve_Vn(pennies(), mu, 2)
+        assert res.cuts.shape == (res.iterations, 2, 2**2)
         assert not res.cuts.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            res.cuts[0, 0] = 0.0
+            res.cuts[0, 0, 0] = 0.0
+        # Each atom's value is its lowest cut at q*.
+        q = res.q_star.q
+        value = sum(
+            w * np.min(res.cuts[:, i] @ q) for i, w in enumerate(mu.weights)
+        )
+        assert value == pytest.approx(res.value, abs=1e-12)
 
     def test_column_generation_matches_direct(self, monkeypatch):
         prob = make_problem(
@@ -448,6 +460,23 @@ class TestSolveVn:
         direct = solve_Vn(prob, mu, 2, tol=1e-9)
         monkeypatch.setattr(value_solver, "COLGEN_THRESHOLD", 2)
         colgen = solve_Vn(prob, mu, 2, tol=1e-9)
+        assert direct.value == pytest.approx(colgen.value, abs=1e-9)
+
+    def test_column_generation_matches_direct_with_two_atoms(
+        self, monkeypatch
+    ):
+        prob = make_problem(
+            "u_plus_v",
+            T=1.0,
+            u_grid=[-1.0, 0.0, 1.0],
+            v_grid=[-1.0, 0.0, 1.0],
+        )
+        mu = ParticleMeasure(np.array([[-0.3], [0.4]]), np.array([0.5, 0.5]))
+        direct = solve_Vn(prob, mu, 2, tol=1e-9)
+        monkeypatch.setattr(value_solver, "COLGEN_THRESHOLD", 2)
+        colgen = solve_Vn(prob, mu, 2, tol=1e-9)
+        assert direct.converged and colgen.converged
+        assert colgen.cuts.shape[1] == 2
         assert direct.value == pytest.approx(colgen.value, abs=1e-9)
 
 
@@ -540,7 +569,14 @@ class TestStateLattice:
                     for row in tree.decisions
                 )
                 row = bf.matrix[bf.row_trees.index(combo)]
-                assert np.array_equal(cut_coefficients(prob, mu, tree), row)
+                rows = cut_coefficients(prob, mu, tree)
+                assert rows.shape == (mu.n_atoms, prob.n_v**n)
+                assert np.max(np.abs(mu.weights @ rows - row)) <= 1e-15
+                # Accumulated in atom order, as the oracle does, bit-exact.
+                acc = np.zeros(prob.n_v**n)
+                for w, atom_row in zip(mu.weights, rows):
+                    acc += w * atom_row
+                assert np.array_equal(acc, row)
 
     def test_flagged_are_dead_children_of_live_prefixes(self):
         prob, _, n = list(self._games())[2]
@@ -653,6 +689,17 @@ class TestBruteForce:
         expected = 0.5 * 1.0 + 0.5 * 4.0
         assert np.all(bf.matrix == expected)
         assert bf.value == expected
+
+    def test_non_finite_g_is_named(self):
+        # g is infinite at x = 2, which u = v = +1 reaches in two stages.
+        prob = replace(
+            pennies(),
+            g=lambda x: np.where(x[..., 0] > 1.5, np.inf, np.abs(x[..., 0])),
+        )
+        with pytest.raises(ValueError, match="g returned a non-finite value"):
+            brute_force_value(prob, dirac0(), 2)
+        with pytest.raises(ValueError, match="g returned a non-finite value"):
+            dpp_check(prob, dirac0(), 2)
 
     def test_guards(self, monkeypatch):
         # Pennies at n = 2: 2**3 trees for the one atom, 2**2 sequences.
