@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NumericFailure
 from .measures import ParticleMeasure
 
-#: State radius used when estimating |f| bounds and quadratic-payoff slopes.
+#: State radius on which the quadratic payoff's slope bound is taken.
 DOMAIN_RADIUS = 10.0
 
 
@@ -45,8 +45,8 @@ def as_grid(values) -> np.ndarray:
 class ControlProblem:
     """Dynamics, terminal cost, control grids and regularity metadata.
 
-    ``lip_f_x``, ``lip_g`` and ``bound_f`` are metadata used by property
-    tests (Gronwall envelopes, value Lipschitz bounds); the library
+    ``lip_f_x`` and ``lip_g`` are metadata used by property tests
+    (Gronwall envelopes, value Lipschitz bounds); the library
     constructors fill them with exact constants where available and with
     documented estimates on the radius-``DOMAIN_RADIUS`` ball otherwise.
     ``f`` and ``g`` must act on the last axis: the solver calls them on
@@ -61,7 +61,6 @@ class ControlProblem:
     v_grid: np.ndarray
     lip_f_x: float
     lip_g: float
-    bound_f: float
     label: str = "problem"
     substeps: int = 16
 
@@ -74,7 +73,7 @@ class ControlProblem:
             raise ValueError("T must be > 0")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        for name in ("lip_f_x", "lip_g", "bound_f"):
+        for name in ("lip_f_x", "lip_g"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -263,10 +262,6 @@ def make_payoff(kind: str, *, coeffs=None, table=None, dim: int = 1):
 # Dynamics library
 # ---------------------------------------------------------------------------
 
-def _grid_norm_max(grid: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(grid, axis=1)))
-
-
 def _spectral(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
@@ -295,7 +290,6 @@ def make_problem(
     g_table=None,
     substeps: int = 16,
     label: str | None = None,
-    lip_g: float | None = None,
 ) -> ControlProblem:
     """Build a library problem.
 
@@ -311,7 +305,7 @@ def make_problem(
     if kind == "frozen":
         d = dim or 1
         f = lambda x, u, v: np.zeros(np.shape(x))
-        lip_f, bound = 0.0, 0.0
+        lip_f = 0.0
     elif kind == "constant":
         if drift is None:
             raise ValueError("constant dynamics need a drift vector")
@@ -320,7 +314,7 @@ def make_problem(
         if dim is not None and dim != d:
             raise ValueError("dim does not match drift length")
         f = lambda x, u, v: np.broadcast_to(c, np.shape(x))
-        lip_f, bound = 0.0, float(np.linalg.norm(c))
+        lip_f = 0.0
     elif kind == "linear":
         if A is None:
             raise ValueError("linear dynamics need a matrix A")
@@ -330,12 +324,10 @@ def make_problem(
             raise ValueError("A must be square")
         f = lambda x, u, v: _matvec(mat, x)
         lip_f = _spectral(mat)
-        bound = lip_f * DOMAIN_RADIUS
     elif kind == "u_plus_v":
         d = 1
         f = lambda x, u, v: u[..., :1] + v[..., :1]
         lip_f = 0.0
-        bound = _grid_norm_max(ug) + _grid_norm_max(vg)
     elif kind == "rotation":
         d = 2
         w = float(omega)
@@ -343,20 +335,12 @@ def make_problem(
             [-w * x[..., 1], w * x[..., 0]], axis=-1
         )
         lip_f = abs(w)
-        bound = abs(w) * DOMAIN_RADIUS
     elif kind == "pursuit":
         d = 2
         if ug.shape[1] != 2 or vg.shape[1] != 2:
             raise ValueError("pursuit needs planar control grids")
         f = lambda x, u, v: u - v
         lip_f = 0.0
-        bound = float(
-            max(
-                np.linalg.norm(uu - vv)
-                for uu in ug
-                for vv in vg
-            )
-        )
     elif kind == "affine":
         if A is None or B is None or C is None:
             raise ValueError("affine dynamics need matrices A, B and C")
@@ -372,17 +356,12 @@ def make_problem(
             _matvec(mata, x) + _matvec(matb, u) + _matvec(matc, v)
         )
         lip_f = _spectral(mata)
-        bound = (
-            lip_f * DOMAIN_RADIUS
-            + _spectral(matb) * _grid_norm_max(ug)
-            + _spectral(matc) * _grid_norm_max(vg)
-        )
     else:
         raise ValueError(f"unknown dynamics kind {kind!r}")
 
     if dim is not None and dim != d:
         raise ValueError(f"kind {kind!r} has dim {d}, config says {dim}")
-    g, lip_g_auto = make_payoff(
+    g, lip_g = make_payoff(
         g_kind, coeffs=g_coeffs, table=g_table, dim=d
     )
     return ControlProblem(
@@ -393,8 +372,7 @@ def make_problem(
         u_grid=ug,
         v_grid=vg,
         lip_f_x=lip_f,
-        lip_g=float(lip_g) if lip_g is not None else lip_g_auto,
-        bound_f=bound,
+        lip_g=lip_g,
         label=label or kind,
         substeps=int(substeps),
     )

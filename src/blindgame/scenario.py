@@ -111,23 +111,36 @@ def _grid(raw: str, key: str) -> list[list[float]]:
 
 
 class _Fields:
-    """Typed access into the parsed key/value table with field-named errors."""
+    """Typed access into the parsed key/value table with field-named errors.
+
+    Every key looked up is recorded in ``read``, so that
+    ``check_all_read`` can name the keys the loader never asked for.
+    """
 
     def __init__(self, table: dict[str, tuple[str, int]]):
         self.table = table
+        self.read: set[str] = set()
 
     def has(self, key: str) -> bool:
         return key in self.table
 
     def raw(self, key: str, default: str | None = None) -> str | None:
+        self.read.add(key)
         if key not in self.table:
             return default
         return self.table[key][0]
 
     def require(self, key: str) -> str:
-        if key not in self.table:
+        raw = self.raw(key)
+        if raw is None:
             raise ConfigError(f"{key}: required field is missing")
-        return self.table[key][0]
+        return raw
+
+    def check_all_read(self) -> None:
+        """Raise on the first key, in file order, that was never read."""
+        for key, (_, lineno) in self.table.items():
+            if key not in self.read:
+                raise ConfigError(f"{key}: unknown key (line {lineno})")
 
     def get_float(self, key: str, default: float | None = None) -> float:
         raw = self.raw(key)
@@ -246,10 +259,6 @@ def load_scenario(path_or_text: str) -> Scenario:
     if kind == "rotation":
         kw["omega"] = fields.get_float("problem.omega", default=1.0)
 
-    lip_g = None
-    if fields.has("problem.lip_g"):
-        lip_g = fields.get_float("problem.lip_g")
-
     try:
         problem = make_problem(
             kind,
@@ -262,7 +271,6 @@ def load_scenario(path_or_text: str) -> Scenario:
             g_table=g_table,
             substeps=fields.get_int("integrator.substeps", default=16),
             label=label,
-            lip_g=lip_g,
             **kw,
         )
     except ValueError as exc:
@@ -291,10 +299,14 @@ def load_scenario(path_or_text: str) -> Scenario:
 
     coarse = None
     if fields.has("hamiltonian.coarse_indices"):
-        coarse = _ints(
-            fields.require("hamiltonian.coarse_indices"),
-            "hamiltonian.coarse_indices",
-        )
+        key = "hamiltonian.coarse_indices"
+        coarse = _ints(fields.require(key), key)
+        if not coarse:
+            raise ConfigError(f"{key}: must list at least one index")
+        if len(set(coarse)) != len(coarse):
+            raise ConfigError(f"{key}: indices must be distinct")
+        if any(i < 0 or i >= problem.n_v for i in coarse):
+            raise ConfigError(f"{key}: index out of range of problem.v_grid")
 
     queries = fields.get_int("hamiltonian.queries", default=8)
     if queries < 1:
@@ -311,6 +323,8 @@ def load_scenario(path_or_text: str) -> Scenario:
     ekeland_func = fields.raw("ekeland.func", default="moment")
     if ekeland_func not in ("moment", "payoff"):
         raise ConfigError("ekeland.func: must be 'moment' or 'payoff'")
+    transport_target = _load_measure(fields, "transport.target", base_dir)
+    fields.check_all_read()
 
     return Scenario(
         label=label,
@@ -321,7 +335,7 @@ def load_scenario(path_or_text: str) -> Scenario:
         max_iter=max_iter,
         seed=seed,
         sweep=sweep,
-        transport_target=_load_measure(fields, "transport.target", base_dir),
+        transport_target=transport_target,
         hamiltonian_queries=queries,
         hamiltonian_coarse=coarse,
         ekeland_eps=ekeland_eps,

@@ -71,7 +71,6 @@ class MinmaxSolution:
     ----------
     value : the recomputed objective sum_j w_j min_r (C_j q)_r.
     q : optimal point of the K-simplex.
-    group_minima : min_r (C_j q)_r per group.
     row_duals : per group, nonnegative multipliers over that group's rows
         summing to w_j (a scaled optimal mix of the inner minimizer).
     iterations : simplex pivots performed.
@@ -81,7 +80,6 @@ class MinmaxSolution:
 
     value: float
     q: np.ndarray
-    group_minima: np.ndarray
     row_duals: tuple[np.ndarray, ...]
     iterations: int
     certified_gap: float
@@ -162,7 +160,7 @@ def max_weighted_min(
             f"on a {m} x {n} LP",
             iters,
         )
-    return MinmaxSolution(value, q, minima, tuple(duals), iters, gap)
+    return MinmaxSolution(value, q, tuple(duals), iters, gap)
 
 
 def _solve_basis(

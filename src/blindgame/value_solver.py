@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# advance_stage stays importable here: the benchmark tracer wraps it by name.
+# No call goes through this name: advance_stage is imported only because
+# perfbench/tracing.py looks it up on this module to install its wrapper.
 from .dynamics import (  # noqa: F401
     ControlProblem,
     advance_stage,
@@ -202,11 +203,13 @@ def payoff(
 class StateLattice:
     """Terminal payoffs of every stage-control history, built once per solve.
 
-    Node j of level k is one atom under one (u, v) history of k stages,
-    and its children are ``j * n_u * n_v + iu * n_v + iv``; nodes are
-    numbered within their atom, so level k is a C-order array of shape
-    ``(n_u, n_v) * k`` over (u0, v0, u1, v1, ...).  Only the leaf payoffs
-    are kept: ``payoffs[i, j]`` is g(X_T) of atom i at leaf j.
+    ``payoffs[i, a, b]`` is g(X_T) of atom i under the u-history of rank
+    ``a`` and the v-history of rank ``b`` (shape (atoms, n_u**n, n_v**n));
+    both ranks are stage-0-major, as in ``seq_from_rank``, so ``b`` is the
+    sequence rank of Player II's mix.  Histories that share their first k
+    stages form one block: in the view of shape
+    ``(atoms, n_u**k, n_u, n_v**k, n_v)`` axes 1 and 3 are the ranks of
+    the u and v prefixes and axes 2 and 4 the stage-k controls.
     """
 
     n_stages: int
@@ -245,8 +248,12 @@ def build_lattice(
     for k in range(n):
         iu, iv = np.tile(branch_u, x.shape[0]), np.tile(branch_v, x.shape[0])
         x = stage_step(prob, np.repeat(x, branch, axis=0), iu, iv, tau, k)
-    payoffs = terminal_costs(prob, x)
-    return StateLattice(n, n_u, n_v, payoffs.reshape(mu0.n_atoms, -1))
+    # The rows run over (atom, u0, v0, u1, v1, ...); gather the u and the
+    # v indices into one axis each.
+    payoffs = terminal_costs(prob, x).reshape((mu0.n_atoms,) + (n_u, n_v) * n)
+    order = (0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
+    payoffs = payoffs.transpose(order).reshape(mu0.n_atoms, n_u**n, n_v**n)
+    return StateLattice(n, n_u, n_v, payoffs)
 
 
 def _lattice_for(
@@ -257,20 +264,10 @@ def _lattice_for(
 ) -> StateLattice:
     if lattice is None:
         return build_lattice(prob, mu0, n)
-    if (lattice.n_stages, lattice.n_u, lattice.n_v) != (n, prob.n_u, prob.n_v):
+    shape = (n, mu0.n_atoms, prob.n_u**n, prob.n_v**n)
+    if (lattice.n_stages, *lattice.payoffs.shape) != shape:
         raise ValueError("lattice shape does not match the game")
-    if lattice.payoffs.shape[0] != mu0.n_atoms:
-        raise ValueError("lattice has one row per atom of a different measure")
     return lattice
-
-
-def _descend(
-    nodes: np.ndarray, dec: np.ndarray, n_u: int, n_v: int
-) -> np.ndarray:
-    """Per atom, the children of ``nodes`` under the u decisions ``dec``,
-    one per v index, in v-prefix rank order."""
-    children = ((nodes * n_u + dec) * n_v)[..., None] + np.arange(n_v)
-    return children.reshape(nodes.shape[0], -1)
 
 
 def best_response_I(
@@ -287,9 +284,10 @@ def best_response_I(
     Zero-probability prefixes are filled by minimizing under uniform
     continuation weights and flagged (their decisions are payoff-free).
 
-    One backward sweep over the lattice levels values every node at once:
-    a live node sums its live children in v order, a dead node takes the
-    uniform mean of its children, and ties go to the first u.
+    One backward sweep over the lattice levels values every (u, v)
+    history at once: a live v-prefix sums its live children in v order, a
+    dead one takes the uniform mean of its children, and ties go to the
+    first u.
     """
     n = strat_ii.n_stages
     _check_compat(prob, mu0, n)
@@ -299,40 +297,34 @@ def best_response_I(
     n_u, n_v = prob.n_u, prob.n_v
     q = strat_ii.q
     live_v = [(q.reshape(n_v**k, -1) > 0.0).any(axis=1) for k in range(n + 1)]
-
-    def at_nodes(a: np.ndarray, k: int) -> np.ndarray:
-        """Every node of level k reads its v-prefix's entry of ``a``.  The
-        broadcast assignment costs less per call than ``np.broadcast_to``."""
-        out = np.empty((n_u, n_v) * k, a.dtype)
-        out[...] = a.reshape((1, n_v) * k)
-        return out.reshape(-1)
-
-    live = [at_nodes(lv, k) for k, lv in enumerate(live_v)]
     g = lattice.payoffs
-    values = np.where(live[n], at_nodes(q, n) * g, g)
+    values = np.where(live_v[n], q * g, g)
     choices = [None] * n
     for k in range(n - 1, -1, -1):
-        children = values.reshape(mu0.n_atoms, -1, n_u, n_v)
-        use = live[k + 1].reshape(-1, n_u, n_v) | ~live[k][:, None, None]
+        children = values.reshape(mu0.n_atoms, n_u**k, n_u, n_v**k, n_v)
+        use = live_v[k + 1].reshape(-1, n_v) | ~live_v[k][:, None]
         tot = np.zeros(children.shape[:-1])
         for iv in range(n_v):
-            tot += np.where(use[..., iv], children[..., iv], 0.0)
-        tot = np.where(live[k][:, None], tot, tot / n_v)
-        choices[k] = np.argmin(tot, axis=-1)
-        values = np.take_along_axis(tot, choices[k][..., None], -1)[..., 0]
+            tot += np.where(use[:, iv], children[..., iv], 0.0)
+        tot = np.where(live_v[k], tot, tot / n_v)
+        choices[k] = np.argmin(tot, axis=2)
+        # tot is a sum started from +0.0, so it holds no -0.0 and its min
+        # is bit for bit the entry argmin picks.
+        values = np.min(tot, axis=2)
 
     value = 0.0
-    for w, atom_value in zip(mu0.weights, values[:, 0]):
+    for w, atom_value in zip(mu0.weights, values[:, 0, 0]):
         value += w * atom_value
 
-    # Read each tree forward along its own decisions.
+    # Read each tree forward along its own decisions: ``hist`` is the
+    # u-history rank each v-prefix of the current level reaches.
     rows = np.arange(mu0.n_atoms)[:, None]
-    nodes = np.zeros((mu0.n_atoms, 1), dtype=np.int64)
+    hist = np.zeros((mu0.n_atoms, 1), dtype=np.int64)
     decisions = []
     for k in range(n):
-        dec = choices[k][rows, nodes]
+        dec = choices[k][rows, hist, np.arange(n_v**k)]
         decisions.append(dec)
-        nodes = _descend(nodes, dec, n_u, n_v)
+        hist = np.repeat(hist * n_u + dec, n_v, axis=1)
     dead_children = [
         seq_from_rank(int(r), k, n_v)
         for k in range(1, n + 1)
@@ -362,11 +354,11 @@ def cut_coefficients(
     lattice = _lattice_for(prob, mu0, n, lattice)
     if np.any(tree.decisions >= prob.n_u):
         raise ValueError("tree decision out of range of the u-grid")
-    nodes = np.zeros((mu0.n_atoms, 1), dtype=np.int64)
+    hist = np.zeros((mu0.n_atoms, 1), dtype=np.int64)
     levels = np.cumsum([n_v**k for k in range(n - 1)], dtype=np.int64)
     for dec in np.split(tree.decisions, levels, axis=1):
-        nodes = _descend(nodes, dec, prob.n_u, n_v)
-    return np.take_along_axis(lattice.payoffs, nodes, axis=1)
+        hist = np.repeat(hist * prob.n_u + dec, n_v, axis=1)
+    return np.take_along_axis(lattice.payoffs, hist[:, None], 1)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +539,6 @@ class BruteForceResult:
     col_mix: np.ndarray
     matrix: np.ndarray
     row_trees: tuple[tuple[int, ...], ...]
-    col_seqs: tuple[tuple[int, ...], ...]
     game: MatrixGameSolution
 
 
@@ -615,7 +606,6 @@ def brute_force_value(
         col_mix=game.col_mix,
         matrix=matrix,
         row_trees=tuple(row_trees),
-        col_seqs=tuple(seqs),
         game=game,
     )
 

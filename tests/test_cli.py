@@ -82,6 +82,11 @@ class TestScenarioParsing:
             "hamiltonian.queries = -2",
             "sweep.n = 1.7",
             "hamiltonian.coarse_indices = 0, 1.5",
+            "hamiltonian.coarse_indices = 0, 0",
+            "hamiltonian.coarse_indices =",
+            "hamiltonian.coarse_indices = 0, 2",
+            "solver.max_iters = 5",
+            "solver.tolerance = 1e-3",
             "ekeland.domain = -5",
             "ekeland.eps = 0",
             "seed = -1",

@@ -85,7 +85,6 @@ class TestFlow:
             v_grid=[0.0],
             lip_f_x=1.0,
             lip_g=0.0,
-            bound_f=1.0,
         )
         with pytest.raises(NumericFailure) as err:
             flow(blow, [10.0], (0, 0), (0, 0))

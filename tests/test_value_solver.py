@@ -552,6 +552,26 @@ class TestStateLattice:
             q = q / q.sum()
             yield q, MixedStrategyII(n, n_v, q)
 
+    def test_payoffs_are_indexed_by_u_and_v_history_ranks(self):
+        prob = make_problem(
+            "affine", A=[[0.0, 1.0], [-1.0, 0.0]], B=[[1.0], [0.0]],
+            C=[[0.0], [1.0]], dim=2, T=1.0, u_grid=[-1.0, 1.0],
+            v_grid=[-1.0, 0.0, 1.0],
+        )
+        mu = ParticleMeasure(
+            np.array([[0.1, -0.2], [-0.3, 0.4]]), np.array([0.5, 0.5])
+        )
+        n = 2
+        lattice = build_lattice(prob, mu, n)
+        assert lattice.payoffs.shape == (2, prob.n_u**n, prob.n_v**n)
+        for i, x in enumerate(mu.points):
+            for a in range(prob.n_u**n):
+                for b in range(prob.n_v**n):
+                    u_seq = seq_from_rank(a, n, prob.n_u)
+                    v_seq = seq_from_rank(b, n, prob.n_v)
+                    g = float(prob.g(flow(prob, x, u_seq, v_seq)))
+                    assert lattice.payoffs[i, a, b] == g
+
     def test_value_and_cut_match_brute_force_matrix(self):
         rng = np.random.default_rng(23)
         for prob, mu, n in self._games():
