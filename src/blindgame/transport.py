@@ -1,12 +1,15 @@
 """Exact quadratic optimal transport between particle measures.
 
-The solver is a transportation simplex with Bland's smallest-index rule,
-in exact integers: the marginals over a common denominator (weights are
-first snapped to rationals with denominator at most 10**12) and the float
-costs times their largest denominator, which is exact as floats are dyadic.
-The basis tree and its node potentials persist across pivots (Bonneel et
-al. 2011), and the final basis is certified optimal from scratch.  The plan
-is an exact optimum of the float costs, canonical by the fixed pivot order.
+The solver is a transportation simplex in exact integers: the marginals
+over a common denominator (weights are first snapped to rationals with
+denominator at most 10**12) and the float costs times their largest
+denominator, which is exact as floats are dyadic.  It enters by the most
+negative reduced cost and leaves by Cunningham's (1976) strongly feasible
+rule, which keeps that pricing finite without Bland's rule.  The basis tree
+and its node potentials persist across pivots (Bonneel et al. 2011), and
+the final basis is certified optimal from scratch.  The distance is the
+exact optimal cost rounded once, so it does not depend on which optimal
+plan the pivots reach; the plan is canonical by the fixed pivot rules.
 
 Also provides the barycentric projection of a plan: the vector field on the
 target measure that averages the displacements ``x - y`` arriving at each
@@ -136,14 +139,15 @@ def _northwest_corner(
     return flows
 
 
-def _integer_costs(cost_f: np.ndarray) -> list[list[int]]:
-    """The float costs times their largest denominator, as exact ints.
+def _integer_costs(cost_f: np.ndarray) -> tuple[list[list[int]], int]:
+    """The float costs times their largest denominator ``scale``, as exact
+    ints, and that ``scale``.
 
     Floats are dyadic, so every product is an integer.  NaN and inf raise.
     """
     ratios = [[c.as_integer_ratio() for c in row] for row in cost_f.tolist()]
     scale = max(d for row in ratios for _, d in row)
-    return [[n * (scale // d) for n, d in row] for row in ratios]
+    return [[n * (scale // d) for n, d in row] for row in ratios], scale
 
 
 def _hang(top, adj, parent, depth, pot, cost, m) -> None:
@@ -198,11 +202,16 @@ def _certify(basis: dict[tuple[int, int], int], cost, a, b) -> None:
 def _solve_transport(cost, a: list[int], b: list[int]) -> dict[tuple[int, int], int]:
     """Exact transportation simplex; returns optimal basic integer flows.
 
-    A pivot enters the first cell in row-major order with a negative
-    reduced cost, walks both its ends up the tree to find the cycle, and
-    drops the minus-cell of least flow, ties to the smallest ``i*k + j``.
-    The subtree cut off is hung again from the entering end inside it, so
-    only its potentials change and row 0 stays the root.
+    Every marginal must be positive, so that the northwest corner is a
+    strongly feasible tree (Cunningham 1976): hung from row 0, every
+    zero-flow cell (i, j) has row i directly below column j.  A pivot enters
+    the cell of most negative reduced cost, ties to the smallest ``i*k + j``,
+    and walks both its ends up the tree to find the cycle.  Walking that
+    cycle from its apex down to the entering row, across the entering cell
+    and up from its column, the minus-cell of least flow met last leaves,
+    which keeps the tree strongly feasible and the pivots finite.  The
+    subtree cut off is hung again from the entering end inside it, so only
+    its potentials change and row 0 stays the root.
     """
     m, k = len(a), len(b)
     flows = _northwest_corner(a, b)
@@ -213,22 +222,25 @@ def _solve_transport(cost, a: list[int], b: list[int]) -> dict[tuple[int, int], 
 
     for pivots in range(MAX_PIVOTS + 1):
         v = pot[m:]
-        i0 = next((i for i in range(m) if min(map(sub, cost[i], v)) < pot[i]), -1)
-        if i0 < 0:
+        reduced = [min(map(sub, row, v)) - u for row, u in zip(cost, pot)]
+        best = min(reduced)
+        if best >= 0:
             break
         if pivots == MAX_PIVOTS:
             msg = f"transport simplex hit the pivot cap on a {m} x {k} problem"
             raise SolverFailure(msg, pivots)
-        j0 = next(j for j in range(k) if cost[i0][j] - v[j] < pot[i0])
+        i0 = reduced.index(best)
+        j0 = list(map(sub, cost[i0], v)).index(best + pot[i0])
         xs, ys = [i0], [m + j0]  # the tree paths up to the common ancestor
         while xs[-1] != ys[-1]:
             path = xs if depth[xs[-1]] >= depth[ys[-1]] else ys
             path.append(parent[path[-1]])
         del xs[-1], ys[-1]
-        # From either end, the cycle's edges alternately lose and gain flow.
-        minus = [cell(z) for z in xs[::2] + ys[::2]]
-        leave = min(minus, key=lambda c: (flows[c], c))
-        theta = flows[leave]
+        # From either end, the cycle's edges alternately lose and gain flow;
+        # the minus-cells in the order the walk from the apex meets them.
+        minus = [cell(z) for z in xs[::2][::-1] + ys[::2]]
+        theta = min(flows[c] for c in minus)
+        leave = next(c for c in reversed(minus) if flows[c] == theta)
         for c in minus:
             flows[c] -= theta
         for z in xs[1::2] + ys[1::2]:
@@ -255,23 +267,27 @@ def wasserstein2(
     """Wasserstein-2 distance and an optimal plan between two measures.
 
     Returns ``(distance, plan)`` with ``distance = sqrt(plan.cost)``.  The
-    plan is the canonical optimum selected by the deterministic pivot order.
+    simplex runs on the atoms of positive snapped mass; the others get zero
+    rows and columns.  The cost is the exact sum of flow times integer cost,
+    rounded once, so every optimal plan gives the same distance.  The plan
+    is the canonical optimum selected by the deterministic pivot order.
     Raises ``SolverFailure`` past ``MAX_PIVOTS`` pivots.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} != {nu.dim}")
-    cost_f = _cost_matrix(mu, nu)
     a, b, denom = _integer_marginals(mu, nu)
-    basis = _solve_transport(_integer_costs(cost_f), a, b)
+    rows = [i for i, w in enumerate(a) if w > 0]
+    cols = [j for j, w in enumerate(b) if w > 0]
+    cost_f = _cost_matrix(mu, nu)[np.ix_(rows, cols)]
+    cost, scale = _integer_costs(cost_f)
+    basis = _solve_transport(cost, [a[i] for i in rows], [b[j] for j in cols])
     coupling = np.zeros((mu.n_atoms, nu.n_atoms))
-    total = 0.0
-    for (i, j) in sorted(basis):
-        mass = float(Fraction(basis[(i, j)], denom))
-        coupling[i, j] = mass
-        total += mass * float(cost_f[i, j])
-    cost = max(total, 0.0)
-    plan = TransportPlan(coupling, mu, nu, cost)
-    return float(np.sqrt(cost)), plan
+    for (i, j), flow in basis.items():
+        coupling[rows[i], cols[j]] = float(Fraction(flow, denom))
+    total = sum(flow * cost[i][j] for (i, j), flow in basis.items())
+    cost_exact = Fraction(total, denom * scale)
+    plan = TransportPlan(coupling, mu, nu, float(cost_exact))
+    return float(np.sqrt(plan.cost)), plan
 
 
 def reverse_plan(plan: TransportPlan) -> TransportPlan:

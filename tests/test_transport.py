@@ -125,19 +125,55 @@ class TestWasserstein:
 
 
 def exact_problem(mu, nu):
-    """Integer costs and marginals of a pair, as the simplex sees them."""
+    """Integer costs and marginals of a pair's positive-mass atoms, as the
+    simplex sees them."""
     a, b, _ = transport._integer_marginals(mu, nu)
-    return transport._integer_costs(transport._cost_matrix(mu, nu)), a, b
+    rows = [i for i, w in enumerate(a) if w > 0]
+    cols = [j for j, w in enumerate(b) if w > 0]
+    cost_f = transport._cost_matrix(mu, nu)[np.ix_(rows, cols)]
+    cost, _ = transport._integer_costs(cost_f)
+    return cost, [a[i] for i in rows], [b[j] for j in cols]
+
+
+def lattice_measure(rng, n, dim):
+    """Integer-lattice atoms, so costs tie, under equal, partly zero or
+    positive unequal weights."""
+    points = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    kind = int(rng.integers(3))  # 0 equal, 1 partly zero, 2 positive
+    w = np.ones(n) if kind == 0 else rng.integers(kind - 1, 4, size=n) * 1.0
+    if w.sum() == 0.0:
+        w[int(rng.integers(n))] = 1.0
+    return ParticleMeasure(points, w / w.sum())
+
+
+def highs_cost(mu, nu):
+    """Optimal cost of the pair as a plain LP over the coupling (HiGHS)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, k = mu.n_atoms, nu.n_atoms
+    a_eq = np.zeros((m + k, m * k))
+    for i in range(m):
+        a_eq[i, i * k:(i + 1) * k] = 1.0
+    for j in range(k):
+        a_eq[m + j, j::k] = 1.0
+    res = linprog(
+        transport._cost_matrix(mu, nu).reshape(-1), A_eq=a_eq,
+        b_eq=np.concatenate([mu.weights, nu.weights]), bounds=(0, None),
+        method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 class TestExactSimplex:
     def test_integer_costs_are_exact_multiples(self):
         cost_f = np.array([[0.5, 3.0], [0.1, 0.0]])
         tenth, scale = (0.1).as_integer_ratio()
-        assert transport._integer_costs(cost_f) == [
-            [scale // 2, 3 * scale],
-            [tenth, 0],
-        ]
+        assert transport._integer_costs(cost_f) == (
+            [[scale // 2, 3 * scale], [tenth, 0]],
+            scale,
+        )
         for bad, exc in [(np.nan, ValueError), (np.inf, OverflowError)]:
             with pytest.raises(exc):
                 transport._integer_costs(np.array([[1.0, bad]]))
@@ -175,6 +211,55 @@ class TestExactSimplex:
         assert err.value.iterations == 1
         monkeypatch.undo()
         wasserstein2(mu, nu)
+
+    def test_degenerate_battery(self):
+        # Strongly feasible: every zero-flow basic cell (i, j) of the final
+        # tree hangs row i directly below column j.
+        rng = np.random.default_rng(1976)
+        zero_cells = 0
+        for idx in range(200):
+            dim = 1 + idx % 2
+            mu = lattice_measure(rng, int(rng.integers(1, 26)), dim)
+            nu = lattice_measure(rng, int(rng.integers(1, 26)), dim)
+            cost, a, b = exact_problem(mu, nu)
+            basis = transport._solve_transport(cost, a, b)
+            transport._certify(basis, cost, a, b)
+            m = len(a)
+            _, parent, _, _ = transport._tree(basis, cost, m, len(b))
+            zero = [c for c, f in basis.items() if f == 0]
+            assert all(parent[i] == m + j for i, j in zero), f"pair {idx}"
+            zero_cells += len(zero)
+            assert wasserstein2(mu, nu)[1].cost == pytest.approx(
+                highs_cost(mu, nu), rel=1e-12, abs=1e-15
+            ), f"pair {idx}"
+        assert zero_cells > 0
+
+    def test_pivot_budget_of_an_equal_weight_pair(self, monkeypatch):
+        rng = np.random.default_rng(1000)
+        w = np.full(20, 1.0 / 20)
+        mu = ParticleMeasure(rng.normal(size=(20, 2)), w)
+        nu = ParticleMeasure(rng.normal(size=(20, 2)) + 0.5, w)
+        monkeypatch.setattr(transport, "MAX_PIVOTS", 200)
+        d, _ = wasserstein2(mu, nu)
+        assert d == pytest.approx(np.sqrt(highs_cost(mu, nu)), rel=1e-12)
+
+    def test_zero_mass_atoms_get_zero_rows_and_columns(self):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-2.0, 2.0, size=(6, 2))
+        y = rng.uniform(-2.0, 2.0, size=(5, 2))
+        wx = np.array([0.0, 0.2, 0.3, 0.0, 0.4, 0.1])
+        wy = np.array([0.25, 0.0, 0.25, 0.5, 0.0])
+        rows, cols = wx > 0, wy > 0
+        d, plan = wasserstein2(ParticleMeasure(x, wx), ParticleMeasure(y, wy))
+        d_kept, plan_kept = wasserstein2(
+            ParticleMeasure(x[rows], wx[rows]),
+            ParticleMeasure(y[cols], wy[cols]),
+        )
+        assert not plan.coupling[~rows].any()
+        assert not plan.coupling[:, ~cols].any()
+        assert d == d_kept and plan.cost == plan_kept.cost
+        kept = plan.coupling[np.ix_(rows, cols)]
+        assert np.array_equal(kept, plan_kept.coupling)
 
 
 class TestPlanType:

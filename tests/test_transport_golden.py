@@ -13,6 +13,11 @@ Regenerate (only after a deliberate change of canonical plans, noted in
 CHANGES.md):
 
     PYTHONPATH=src python3 tests/test_transport_golden.py
+
+It prints every file it changed, and refuses to write anything when a
+distance moves by more than ``DISTANCE_RTOL`` relative: the optimal cost
+is unique, so a recapture may move a plan on tied costs or a last bit of
+the distance, never the distance itself.
 """
 
 import os
@@ -26,6 +31,7 @@ GOLDEN = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "golden", "transport"
 )
 PAIRS = 200
+DISTANCE_RTOL = 1e-12
 POINT_KINDS = ("cloud", "lattice", "duplicates")
 
 
@@ -94,9 +100,45 @@ def test_battery_covers_its_cases():
     assert any(np.any(mu.weights == 0.0) for mu, _ in _BATTERY)
 
 
-if __name__ == "__main__":
-    os.makedirs(GOLDEN, exist_ok=True)
+def _distance(text: str) -> float:
+    """The distance on the first line of a golden file."""
+    return float(text.split("\n", 1)[0].split(",")[1])
+
+
+def regenerate() -> list[str]:
+    """Recompute every pair and rewrite the golden files that changed.
+
+    Refuses, writing nothing, when a distance moves by more than
+    ``DISTANCE_RTOL`` relative.  Returns the changed paths.
+    """
+    changed, moved = {}, []
     for idx, (mu, nu) in enumerate(_BATTERY):
-        with open(_path(idx), "w", encoding="utf-8", newline="") as fh:
-            fh.write(golden_text(mu, nu))
-    print(f"wrote {PAIRS} golden plans under {GOLDEN}")
+        text, path = golden_text(mu, nu), _path(idx)
+        old = None
+        if os.path.exists(path):
+            with open(path, encoding="utf-8", newline="") as fh:
+                old = fh.read()
+        if old == text:
+            continue
+        changed[path] = text
+        if old is not None:
+            new_d, old_d = _distance(text), _distance(old)
+            if not abs(new_d - old_d) <= DISTANCE_RTOL * abs(old_d):
+                moved.append(f"{path}: distance {old_d!r} -> {new_d!r}")
+    if moved:
+        raise SystemExit(
+            "refusing to rewrite golden plans, distances moved beyond "
+            f"{DISTANCE_RTOL:g} relative:\n" + "\n".join(moved)
+        )
+    os.makedirs(GOLDEN, exist_ok=True)
+    for path, text in changed.items():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return list(changed)
+
+
+if __name__ == "__main__":
+    changed = regenerate()
+    for path in changed:
+        print(f"changed {os.path.relpath(path)}")
+    print(f"{len(changed)} golden files changed under {GOLDEN}")
