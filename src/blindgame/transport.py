@@ -6,8 +6,11 @@ denominator at most 10**12) and the float costs times their largest
 denominator, which is exact as floats are dyadic.  It enters by the most
 negative reduced cost and leaves by Cunningham's (1976) strongly feasible
 rule, which keeps that pricing finite without Bland's rule.  The basis tree
-and its node potentials persist across pivots (Bonneel et al. 2011), and
-the final basis is certified optimal from scratch.  The distance is the
+and its node potentials persist across pivots (Bonneel et al. 2011).  A
+pivot shifts the potentials of one re-hung subtree by a constant, so the
+pricing keeps each row's least reduced cost and re-prices, after a pivot,
+only the rows whose minimum that shift can have moved.  The final basis is
+certified optimal from scratch.  The distance is the
 exact optimal cost rounded once, so it does not depend on which optimal
 plan the pivots reach; the plan is canonical by the fixed pivot rules.
 
@@ -18,10 +21,12 @@ target atom.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import lcm
-from operator import sub
+from operator import le, sub
 
 import numpy as np
 
@@ -101,19 +106,31 @@ def _cost_matrix(mu: ParticleMeasure, nu: ParticleMeasure) -> np.ndarray:
 def _integer_marginals(
     mu: ParticleMeasure, nu: ParticleMeasure
 ) -> tuple[list[int], list[int], int]:
-    """Snap both weight vectors to integers over one exact denominator."""
-    fa = [Fraction(float(w)).limit_denominator(_WEIGHT_DENOM) for w in mu.weights]
-    fb = [Fraction(float(w)).limit_denominator(_WEIGHT_DENOM) for w in nu.weights]
-    ta, tb = sum(fa), sum(fb)
-    if ta == 0 or tb == 0:
-        raise ValueError("measure has zero snapped mass")
-    fa = [f / ta for f in fa]
-    fb = [f / tb for f in fb]
-    denom = lcm(*[f.denominator for f in fa + fb])
-    a = [int(f * denom) for f in fa]
-    b = [int(f * denom) for f in fb]
+    """Snap both weight vectors to integers over one exact denominator.
+
+    Each weight is snapped to the nearest rational of denominator at most
+    ``_WEIGHT_DENOM`` and divided by its measure's snapped total; each
+    distinct float is snapped and normalized once.
+    """
+    wa, wb = mu.weights.tolist(), nu.weights.tolist()
+    fa, fb = _normalized_snaps(wa), _normalized_snaps(wb)
+    denom = lcm(*[f.denominator for f in (*fa.values(), *fb.values())])
+    scaled = {w: int(f * denom) for w, f in fa.items()}
+    a = [scaled[w] for w in wa]
+    scaled = {w: int(f * denom) for w, f in fb.items()}
+    b = [scaled[w] for w in wb]
     assert sum(a) == denom and sum(b) == denom
     return a, b, denom
+
+
+def _normalized_snaps(weights: list[float]) -> dict[float, Fraction]:
+    """Each distinct weight's snapped rational over the snapped total."""
+    counts = Counter(weights)
+    snaps = {w: Fraction(w).limit_denominator(_WEIGHT_DENOM) for w in counts}
+    total = sum(f * counts[w] for w, f in snaps.items())
+    if total == 0:
+        raise ValueError("measure has zero snapped mass")
+    return {w: f / total for w, f in snaps.items()}
 
 
 def _northwest_corner(
@@ -150,15 +167,17 @@ def _integer_costs(cost_f: np.ndarray) -> tuple[list[list[int]], int]:
     return [[n * (scale // d) for n, d in row] for row in ratios], scale
 
 
-def _hang(top, adj, parent, depth, pot, cost, m) -> None:
-    """Set parent, depth and potential below ``top``, whose own are set.
+def _hang(top, adj, parent, depth, pot, cost, m) -> list[int]:
+    """Set parent, depth and potential below ``top``, whose own are set, and
+    return the nodes of ``top``'s subtree.
 
     Rows are nodes ``0..m-1`` and columns ``m..m+k-1``; a basic cell (i, j)
     joins i and m+j and fixes ``pot[i] + pot[m+j] = cost[i][j]``.
     """
-    stack = [top]
+    stack, nodes = [top], []
     while stack:
         x = stack.pop()
+        nodes.append(x)
         if depth[x] >= len(parent):
             raise InvalidStateError("transport basis has a cycle")
         for y in adj[x]:
@@ -166,6 +185,7 @@ def _hang(top, adj, parent, depth, pot, cost, m) -> None:
                 c = cost[x][y - m] if x < m else cost[y][x - m]
                 parent[y], depth[y], pot[y] = x, depth[x] + 1, c - pot[x]
                 stack.append(y)
+    return nodes
 
 
 def _tree(basis: dict[tuple[int, int], int], cost, m: int, k: int):
@@ -181,6 +201,13 @@ def _tree(basis: dict[tuple[int, int], int], cost, m: int, k: int):
     return adj, parent, depth, pot
 
 
+def _row_min(row: list[int], v: list[int]) -> tuple[int, int]:
+    """The least ``row[j] - v[j]`` and the smallest ``j`` that reaches it."""
+    vals = list(map(sub, row, v))
+    low = min(vals)
+    return low, vals.index(low)
+
+
 def _certify(basis: dict[tuple[int, int], int], cost, a, b) -> None:
     """Raise ``InvalidStateError`` unless ``basis`` is an optimal tree flow.
 
@@ -191,8 +218,10 @@ def _certify(basis: dict[tuple[int, int], int], cost, a, b) -> None:
     _, parent, _, pot = _tree(basis, cost, m, k)
     if len(basis) != m + k - 1 or -1 in parent[1:]:
         raise InvalidStateError("transport basis is not a spanning tree")
-    rows = [sum(f for (i, _), f in basis.items() if i == r) for r in range(m)]
-    cols = [sum(f for (_, j), f in basis.items() if j == c) for c in range(k)]
+    rows, cols = [0] * m, [0] * k
+    for (i, j), f in basis.items():
+        rows[i] += f
+        cols[j] += f
     if min(basis.values()) < 0 or rows != a or cols != b:
         raise InvalidStateError("transport flows are not feasible")
     if any(min(map(sub, cost[i], pot[m:])) < pot[i] for i in range(m)):
@@ -212,17 +241,28 @@ def _solve_transport(cost, a: list[int], b: list[int]) -> dict[tuple[int, int], 
     which keeps the tree strongly feasible and the pivots finite.  The
     subtree cut off is hung again from the entering end inside it, so only
     its potentials change and row 0 stays the root.
+
+    Pricing is incremental.  ``rmin[i]`` is the least ``cost[i][j] - v_j``
+    over row i and ``rarg[i]`` the smallest j at it, so row i's least
+    reduced cost is ``rmin[i] - u_i`` and the entering cell is
+    ``(i0, rarg[i0])`` for the first row i0 at the global minimum.  A pivot
+    moves the re-hung subtree's row potentials by one delta and its column
+    potentials by -delta, so every row's entries at the subtree's columns
+    move by delta and no other entry moves.  When they fall, they are folded
+    into each row's minimum; when they rise, only the rows whose ``rarg``
+    is among them are rescanned.  ``_certify`` still prices every cell.
     """
     m, k = len(a), len(b)
     flows = _northwest_corner(a, b)
     adj, parent, depth, pot = _tree(flows, cost, m, k)
+    rmin, rarg = map(list, zip(*(_row_min(row, pot[m:]) for row in cost)))
+    cost_t = [list(col) for col in zip(*cost)]
 
     def cell(z: int) -> tuple[int, int]:  # the cell from node z to its parent
         return (z, parent[z] - m) if z < m else (parent[z], z - m)
 
     for pivots in range(MAX_PIVOTS + 1):
-        v = pot[m:]
-        reduced = [min(map(sub, row, v)) - u for row, u in zip(cost, pot)]
+        reduced = list(map(sub, rmin, pot[:m]))
         best = min(reduced)
         if best >= 0:
             break
@@ -230,7 +270,7 @@ def _solve_transport(cost, a: list[int], b: list[int]) -> dict[tuple[int, int], 
             msg = f"transport simplex hit the pivot cap on a {m} x {k} problem"
             raise SolverFailure(msg, pivots)
         i0 = reduced.index(best)
-        j0 = list(map(sub, cost[i0], v)).index(best + pot[i0])
+        j0 = rarg[i0]
         xs, ys = [i0], [m + j0]  # the tree paths up to the common ancestor
         while xs[-1] != ys[-1]:
             path = xs if depth[xs[-1]] >= depth[ys[-1]] else ys
@@ -256,7 +296,29 @@ def _solve_transport(cost, a: list[int], b: list[int]) -> dict[tuple[int, int], 
         adj[b_end].append(a_end)
         parent[a_end], depth[a_end] = b_end, depth[b_end] + 1
         pot[a_end] = cost[i0][j0] - pot[b_end]
-        _hang(a_end, adj, parent, depth, pot, cost, m)
+        subtree = _hang(a_end, adj, parent, depth, pot, cost, m)
+        # The subtree's rows moved by one delta and its columns by -delta:
+        # delta = best < 0 if it hangs from row i0, else -best > 0.  So in
+        # every row, cost[i][j] - v_j moved by delta at the subtree's columns
+        # and stayed put at the others.
+        moved = sorted(y - m for y in subtree if y >= m)
+        if not moved:
+            continue
+        if a_end < m:  # those entries fell: fold them into the row minima
+            cols = [list(map(sub, cost_t[j], repeat(pot[m + j], m))) for j in moved]
+            # Each row's least over the moved columns (cols[0] twice, so that
+            # min always gets at least two arguments).
+            low = list(map(min, cols[0], *cols))
+            for i in compress(range(m), map(le, low, rmin)):
+                j = next(j for j, col in zip(moved, cols) if col[i] == low[i])
+                if (low[i], j) < (rmin[i], rarg[i]):
+                    rmin[i], rarg[i] = low[i], j
+        else:  # they rose: only a row whose minimum sat there can change
+            v, rose = pot[m:], [False] * k
+            for j in moved:
+                rose[j] = True
+            for i in compress(range(m), map(rose.__getitem__, rarg)):
+                rmin[i], rarg[i] = _row_min(cost[i], v)
     _certify(flows, cost, a, b)
     return flows
 
@@ -283,10 +345,9 @@ def wasserstein2(
     basis = _solve_transport(cost, [a[i] for i in rows], [b[j] for j in cols])
     coupling = np.zeros((mu.n_atoms, nu.n_atoms))
     for (i, j), flow in basis.items():
-        coupling[rows[i], cols[j]] = float(Fraction(flow, denom))
+        coupling[rows[i], cols[j]] = flow / denom  # int / int is correctly rounded
     total = sum(flow * cost[i][j] for (i, j), flow in basis.items())
-    cost_exact = Fraction(total, denom * scale)
-    plan = TransportPlan(coupling, mu, nu, float(cost_exact))
+    plan = TransportPlan(coupling, mu, nu, total / (denom * scale))
     return float(np.sqrt(plan.cost)), plan
 
 
@@ -323,10 +384,9 @@ def l2_norm(field: ProjectionField) -> float:
 
 def plan_to_csv(plan: TransportPlan) -> str:
     """Serialize the nonzero coupling entries as (i, j, mass) triples."""
+    rows, cols = np.nonzero(plan.coupling)  # row-major order
+    masses = plan.coupling[rows, cols]
     lines = ["i,j,mass"]
-    for i in range(plan.coupling.shape[0]):
-        for j in range(plan.coupling.shape[1]):
-            mass = plan.coupling[i, j]
-            if mass != 0.0:
-                lines.append(f"{i},{j},{mass:.12g}")
+    lines += [f"{i},{j},{mass:.12g}" for i, j, mass in
+              zip(rows.tolist(), cols.tolist(), masses.tolist())]
     return "\n".join(lines) + "\n"

@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -242,6 +244,51 @@ class TestExactSimplex:
         monkeypatch.setattr(transport, "MAX_PIVOTS", 200)
         d, _ = wasserstein2(mu, nu)
         assert d == pytest.approx(np.sqrt(highs_cost(mu, nu)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "atoms, pivots", [(20, 63), (28, 101), (40, 198), (80, 518)]
+    )
+    def test_pivot_counts_of_the_readme_pairs(self, monkeypatch, atoms, pivots):
+        # Any change to the entering or leaving sequence moves these counts.
+        rng = np.random.default_rng(atoms)
+        w = np.full(atoms, 1.0 / atoms)
+        mu = ParticleMeasure(rng.normal(size=(atoms, 2)), w)
+        nu = ParticleMeasure(rng.normal(size=(atoms, 2)) + 0.5, w)
+        monkeypatch.setattr(transport, "MAX_PIVOTS", pivots - 1)
+        with pytest.raises(SolverFailure, match="pivot cap"):
+            wasserstein2(mu, nu)
+        monkeypatch.setattr(transport, "MAX_PIVOTS", pivots)
+        wasserstein2(mu, nu)
+
+    def test_integer_marginals_match_a_per_atom_reference(self):
+        def reference(mu, nu):
+            fa, fb = ([Fraction(float(w)).limit_denominator(10**12) for w in m.weights]
+                      for m in (mu, nu))
+            fa = [f / sum(fa) for f in fa]
+            fb = [f / sum(fb) for f in fb]
+            denom = lcm(*[f.denominator for f in fa + fb])
+            return [int(f * denom) for f in fa], [int(f * denom) for f in fb], denom
+
+        rng = np.random.default_rng(12)
+        unequal = rng.uniform(0.0, 1.0, size=7)
+        third = 1.0 / 3.0
+        # Three distinct floats that all snap to the rational 1/3.
+        thirds = [third, np.nextafter(third, 1.0), np.nextafter(third, 0.0)]
+        assert len(set(thirds)) == 3
+        assert {Fraction(w).limit_denominator(10**12) for w in thirds} == {
+            Fraction(1, 3)
+        }
+        measures = [
+            ParticleMeasure(np.zeros((len(w), 1)), np.asarray(w))
+            for w in [
+                unequal / unequal.sum(),
+                [0.0, 0.25, 0.0, 0.75],  # zero weights
+                np.full(9, 1.0 / 9.0),  # equal
+                thirds,
+            ]
+        ]
+        for mu, nu in itertools.product(measures, repeat=2):
+            assert transport._integer_marginals(mu, nu) == reference(mu, nu)
 
     def test_zero_mass_atoms_get_zero_rows_and_columns(self):
         rng = np.random.default_rng(11)
