@@ -21,22 +21,20 @@ import numpy as np
 
 # No call goes through this name: advance_stage is imported only because
 # perfbench/tracing.py looks it up on this module to install its wrapper.
-from .dynamics import advance_stage, stage_step, terminal_costs  # noqa: F401
+from .dynamics import advance_stage  # noqa: F401
+from .dynamics import control_pairs, stage_step, terminal_costs
 from .errors import NumericFailure, SolverFailure
 from .game_kernel import HamiltonianQuery, eval_H, eval_Hn, gamma_n
-from .measures import ParticleMeasure, second_moment
+from .measures import ParticleMeasure, _fmt, second_moment
 from .scenario import ConfigError, Scenario, load_scenario
 from .transport import ProjectionField, l2_norm, plan_to_csv, wasserstein2
 from .value_solver import (
+    VnSolution,
     brute_force_value,
     ekeland_point,
     seq_from_rank,
     solve_Vn,
 )
-
-
-def _fmt(v) -> str:
-    return f"{float(v):.12g}"
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -61,15 +59,9 @@ def covering_indices(v_grid: np.ndarray, radius: float) -> tuple[int, ...]:
 
 def _reachable_samples(scn: Scenario, n: int) -> list[np.ndarray]:
     """Atoms of mu0 plus their one-stage images under every control pair,
-    atom by atom, u-major; the images come from one checked batched stage."""
-    prob = scn.problem
-    pts = np.asarray(scn.mu0.points, dtype=float)
-    branch = prob.n_u * prob.n_v
-    iu = np.tile(np.repeat(np.arange(prob.n_u), prob.n_v), len(pts))
-    iv = np.tile(np.arange(prob.n_v), len(pts) * prob.n_u)
-    images = stage_step(
-        prob, np.repeat(pts, branch, axis=0), iu, iv, prob.T / n, 0
-    )
+    atom by atom, u-major: the first level of the solver's state lattice."""
+    prob, pts = scn.problem, scn.mu0.points
+    images = stage_step(prob, *control_pairs(prob, pts), prob.T / n, 0)
     return list(pts) + list(images)
 
 
@@ -94,15 +86,16 @@ def _hamiltonian_row(
     return h_full, h_coarse, gamma * l2_norm(proj)
 
 
+def _solve(scn: Scenario, n: int) -> VnSolution:
+    """``solve_Vn`` at n stages with the scenario's solver settings."""
+    return solve_Vn(
+        scn.problem, scn.mu0, n, tol=scn.tol, max_iter=scn.max_iter
+    )
+
+
 def cmd_solve(scn: Scenario, out_dir: str, repro: bool) -> int:
     start = time.perf_counter()
-    res = solve_Vn(
-        scn.problem,
-        scn.mu0,
-        scn.n_stages,
-        tol=scn.tol,
-        max_iter=scn.max_iter,
-    )
+    res = _solve(scn, scn.n_stages)
     wall_ms = 0 if repro else int((time.perf_counter() - start) * 1000)
     rows = ["scenario,n,value,gap,iterations,wall_time_ms"]
     rows.append(
@@ -134,13 +127,7 @@ def cmd_converge(scn: Scenario, out_dir: str, seed: int) -> int:
     p_vectors = rng.standard_normal((scn.mu0.n_atoms, scn.mu0.dim))
     rows = ["n,value,gap,h_gap,gamma_bound"]
     for n in scn.sweep:
-        res = solve_Vn(
-            scn.problem,
-            scn.mu0,
-            n,
-            tol=scn.tol,
-            max_iter=scn.max_iter,
-        )
+        res = _solve(scn, n)
         coarse = covering_indices(scn.problem.v_grid, 1.0 / n)
         h_full, h_coarse, bound = _hamiltonian_row(
             scn, p_vectors, coarse, _coarsening_bound(scn, coarse, n)
@@ -155,13 +142,7 @@ def cmd_converge(scn: Scenario, out_dir: str, seed: int) -> int:
 
 
 def cmd_oracle(scn: Scenario, out_dir: str) -> int:
-    res = solve_Vn(
-        scn.problem,
-        scn.mu0,
-        scn.n_stages,
-        tol=scn.tol,
-        max_iter=scn.max_iter,
-    )
+    res = _solve(scn, scn.n_stages)
     bf = brute_force_value(scn.problem, scn.mu0, scn.n_stages)
     diff = abs(res.value - bf.value)
     rows = ["scenario,n,solver_value,oracle_value,diff"]

@@ -86,6 +86,32 @@ class ControlProblem:
         return self.v_grid.shape[0]
 
 
+def checked_f(
+    prob: ControlProblem, x: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """``f(x, u, v)`` as a float array.  On a batch ``x`` of shape (N, d)
+    it raises ``ValueError`` if ``f`` returns a different shape, as an
+    ``f`` written for single states only would."""
+    fx = np.asarray(prob.f(x, u, v), dtype=float)
+    if x.ndim == 2 and fx.shape != x.shape:
+        raise ValueError(
+            f"f returned shape {fx.shape} for a batch of shape "
+            f"{x.shape}; f must act on the last axis"
+        )
+    return fx
+
+
+def control_pairs(
+    prob: ControlProblem, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of the batch ``x`` repeated once per (u, v) grid pair,
+    u-major, with the u-grid and the v-grid index of every row."""
+    n_u, n_v = prob.n_u, prob.n_v
+    iu = np.tile(np.repeat(np.arange(n_u), n_v), len(x))
+    iv = np.tile(np.arange(n_v), len(x) * n_u)
+    return np.repeat(x, n_u * n_v, axis=0), iu, iv
+
+
 def advance_stage(
     prob: ControlProblem,
     x: np.ndarray,
@@ -98,18 +124,12 @@ def advance_stage(
     ``x`` is one state of shape (d,) or a batch of shape (N, d) with
     matching rows of ``u`` and ``v``; every library ``f`` acts row by row,
     so each row of a batch equals the single-state result bit for bit.
-    A batch raises ``ValueError`` if ``f`` returns a different shape, as an
-    ``f`` written for single states only would.
+    A batch raises the ``ValueError`` of ``checked_f``.
     """
     h = stage_len / prob.substeps
     f = prob.f
     for _ in range(prob.substeps):
-        k1 = np.asarray(f(x, u, v), dtype=float)
-        if x.ndim == 2 and k1.shape != x.shape:
-            raise ValueError(
-                f"f returned shape {k1.shape} for a batch of shape "
-                f"{x.shape}; f must act on the last axis"
-            )
+        k1 = checked_f(prob, x, u, v)
         k2 = np.asarray(f(x + 0.5 * h * k1, u, v), dtype=float)
         k3 = np.asarray(f(x + 0.5 * h * k2, u, v), dtype=float)
         k4 = np.asarray(f(x + h * k3, u, v), dtype=float)

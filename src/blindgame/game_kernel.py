@@ -20,7 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ControlProblem, _rowdot, as_grid
+from .dynamics import (
+    ControlProblem, _rowdot, as_grid, checked_f, control_pairs
+)
 from .errors import SolverFailure
 from .measures import ParticleMeasure
 from .simplex import DUALITY_TOL, max_weighted_min
@@ -122,42 +124,32 @@ class HamiltonianQuery:
 def _pairing_tables(q: HamiltonianQuery) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per positive-weight atom, the (n_u, n_v) table <f(y,u,v), p(y)>.
 
-    ``f`` is called once on every (atom, u, v) row, u-major as in
-    ``gamma_n``, so it must act on the last axis.
+    ``f`` is called once on every (atom, u, v) row of ``control_pairs``,
+    so it must act on the last axis.  The weights are a probability
+    vector, so at least one atom is kept.
     """
     prob = q.problem
     keep = q.base.weights > 0.0
     weights = q.base.weights[keep]
     pts, vecs = q.base.points[keep], q.field.vectors[keep]
-    branch = prob.n_u * prob.n_v
-    x = np.repeat(pts, branch, axis=0)
-    u = np.tile(np.repeat(prob.u_grid, prob.n_v, axis=0), (len(pts), 1))
-    v = np.tile(prob.v_grid, (len(pts) * prob.n_u, 1))
-    fx = np.asarray(prob.f(x, u, v), dtype=float)
-    if fx.shape != x.shape:
-        raise ValueError(
-            f"f returned shape {fx.shape} for a batch of shape "
-            f"{x.shape}; f must act on the last axis"
-        )
-    c = _rowdot(fx, np.repeat(vecs, branch, axis=0))
+    x, iu, iv = control_pairs(prob, pts)
+    fx = checked_f(prob, x, prob.u_grid[iu], prob.v_grid[iv])
+    c = _rowdot(fx, np.repeat(vecs, prob.n_u * prob.n_v, axis=0))
     return weights, list(c.reshape(len(pts), prob.n_u, prob.n_v))
 
 
 def eval_H(q: HamiltonianQuery) -> float:
-    """Hamiltonian on the full v-grid.
-
-    The inner infimum over u-mixes is attained at pure u by linearity, so
-    the LP maximizes sum_j w_j z_j subject to z_j <= (C_j vmix)_u for every
-    pure u, with vmix in the v-simplex.
-    """
-    weights, tables = q.pairing
-    if len(tables) == 0:
-        return 0.0
-    return max_weighted_min(weights, tables).value
+    """Hamiltonian on the full v-grid: ``eval_Hn`` on every v index."""
+    return eval_Hn(q, range(q.problem.n_v))
 
 
 def eval_Hn(q: HamiltonianQuery, coarse_v_indices: Sequence[int]) -> float:
-    """Hamiltonian restricted to a coarse subset of the v-grid."""
+    """Hamiltonian restricted to a coarse subset of the v-grid.
+
+    The inner infimum over u-mixes is attained at pure u by linearity, so
+    the LP maximizes sum_j w_j z_j subject to z_j <= (C_j vmix)_u for every
+    pure u, with vmix in the simplex over the coarse v points.
+    """
     idx = [int(i) for i in coarse_v_indices]
     if len(idx) == 0:
         raise ValueError("coarse v-grid must be nonempty")
@@ -166,8 +158,6 @@ def eval_Hn(q: HamiltonianQuery, coarse_v_indices: Sequence[int]) -> float:
     if any(i < 0 or i >= q.problem.n_v for i in idx):
         raise ValueError("coarse v-grid index out of range")
     weights, tables = q.pairing
-    if len(tables) == 0:
-        return 0.0
     restricted = [c[:, idx] for c in tables]
     return max_weighted_min(weights, restricted).value
 
@@ -212,15 +202,10 @@ def gamma_n(
         x = np.repeat(chunk, len(u_rows), axis=0)
         u = np.tile(u_rows, (len(chunk), 1))
         f_fine, f_coarse = (
-            np.asarray(problem.f(x, u, np.tile(v, (len(chunk), 1))), dtype=float)
+            checked_f(problem, x, u, np.tile(v, (len(chunk), 1)))
             for v in v_rows
         )
         diff = f_fine - f_coarse
-        if diff.shape != x.shape:
-            raise ValueError(
-                f"f returned shape {diff.shape} for a batch of shape "
-                f"{x.shape}; f must act on the last axis"
-            )
         # Equal to each row's 1-d norm bit for bit (``norm(axis=1)`` is not);
         # NaN rows never count.
         norms = np.sqrt(_rowdot(diff, diff))

@@ -142,27 +142,17 @@ class _Fields:
             if key not in self.read:
                 raise ConfigError(f"{key}: unknown key (line {lineno})")
 
-    def get_float(self, key: str, default: float | None = None) -> float:
-        raw = self.raw(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"{key}: required field is missing")
+    def get(self, key: str, kind: type, default=None):
+        """The field as ``kind`` (``float`` or ``int``), or ``default`` if
+        it is absent and a default is given."""
+        if default is not None and self.raw(key) is None:
             return default
+        raw = self.require(key)
         try:
-            return float(raw)
+            return kind(raw)
         except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-    def get_int(self, key: str, default: int | None = None) -> int:
-        raw = self.raw(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"{key}: required field is missing")
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key}: expected {what}, got {raw!r}") from None
 
 
 def _atoms_to_measure(raw: str, key: str) -> ParticleMeasure:
@@ -220,16 +210,16 @@ def load_scenario(path_or_text: str) -> Scenario:
     fields = _Fields(parse_kv(text))
 
     kind = fields.require("problem.kind")
-    t_horizon = fields.get_float("problem.T")
+    t_horizon = fields.get("problem.T", float)
     if not t_horizon > 0.0:
         raise ConfigError("problem.T: must be > 0")
-    n_stages = fields.get_int("problem.n_stages")
+    n_stages = fields.get("problem.n_stages", int)
     if n_stages < 1:
         raise ConfigError("problem.n_stages: must be >= 1")
     u_grid = _grid(fields.require("problem.u_grid"), "problem.u_grid")
     v_grid = _grid(fields.require("problem.v_grid"), "problem.v_grid")
     label = fields.raw("problem.label", default=kind)
-    dim = fields.get_int("problem.dim") if fields.has("problem.dim") else None
+    dim = fields.get("problem.dim", int) if fields.has("problem.dim") else None
     if dim is not None and dim < 1:
         raise ConfigError("problem.dim: must be >= 1")
 
@@ -257,7 +247,7 @@ def load_scenario(path_or_text: str) -> Scenario:
     if kind == "constant":
         kw["drift"] = _floats(fields.require("problem.drift"), "problem.drift")
     if kind == "rotation":
-        kw["omega"] = fields.get_float("problem.omega", default=1.0)
+        kw["omega"] = fields.get("problem.omega", float, default=1.0)
 
     try:
         problem = make_problem(
@@ -269,7 +259,7 @@ def load_scenario(path_or_text: str) -> Scenario:
             g_kind=g_kind,
             g_coeffs=g_coeffs,
             g_table=g_table,
-            substeps=fields.get_int("integrator.substeps", default=16),
+            substeps=fields.get("integrator.substeps", int, default=16),
             label=label,
             **kw,
         )
@@ -284,10 +274,10 @@ def load_scenario(path_or_text: str) -> Scenario:
             f"mu0: dimension {mu0.dim} does not match problem dim {problem.dim}"
         )
 
-    tol = fields.get_float("solver.tol", default=1e-7)
+    tol = fields.get("solver.tol", float, default=1e-7)
     if not tol > 0.0:
         raise ConfigError("solver.tol: must be > 0")
-    max_iter = fields.get_int("solver.max_iter", default=200)
+    max_iter = fields.get("solver.max_iter", int, default=200)
     if max_iter < 1:
         raise ConfigError("solver.max_iter: must be >= 1")
 
@@ -308,16 +298,16 @@ def load_scenario(path_or_text: str) -> Scenario:
         if any(i < 0 or i >= problem.n_v for i in coarse):
             raise ConfigError(f"{key}: index out of range of problem.v_grid")
 
-    queries = fields.get_int("hamiltonian.queries", default=8)
+    queries = fields.get("hamiltonian.queries", int, default=8)
     if queries < 1:
         raise ConfigError("hamiltonian.queries: must be >= 1")
-    ekeland_eps = fields.get_float("ekeland.eps", default=0.1)
+    ekeland_eps = fields.get("ekeland.eps", float, default=0.1)
     if not ekeland_eps > 0.0:
         raise ConfigError("ekeland.eps: must be > 0")
-    ekeland_domain = fields.get_int("ekeland.domain", default=40)
+    ekeland_domain = fields.get("ekeland.domain", int, default=40)
     if ekeland_domain < 1:
         raise ConfigError("ekeland.domain: must be >= 1")
-    seed = fields.get_int("seed", default=0)
+    seed = fields.get("seed", int, default=0)
     if seed < 0:
         raise ConfigError("seed: must be >= 0")
     ekeland_func = fields.raw("ekeland.func", default="moment")

@@ -31,7 +31,7 @@ from operator import le, sub
 import numpy as np
 
 from .errors import InvalidStateError, SolverFailure
-from .measures import ParticleMeasure
+from .measures import ParticleMeasure, _fmt
 
 MARGINAL_TOL = 1e-9
 _WEIGHT_DENOM = 10**12
@@ -387,6 +387,6 @@ def plan_to_csv(plan: TransportPlan) -> str:
     rows, cols = np.nonzero(plan.coupling)  # row-major order
     masses = plan.coupling[rows, cols]
     lines = ["i,j,mass"]
-    lines += [f"{i},{j},{mass:.12g}" for i, j, mass in
+    lines += [f"{i},{j},{_fmt(mass)}" for i, j, mass in
               zip(rows.tolist(), cols.tolist(), masses.tolist())]
     return "\n".join(lines) + "\n"

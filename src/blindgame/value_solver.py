@@ -36,6 +36,7 @@ import numpy as np
 from .dynamics import (  # noqa: F401
     ControlProblem,
     advance_stage,
+    control_pairs,
     flow,
     stage_pushforward,
     stage_step,
@@ -43,7 +44,7 @@ from .dynamics import (  # noqa: F401
 )
 from .errors import SolverFailure
 from .measures import ParticleMeasure, split
-from .game_kernel import MatrixGame, MatrixGameSolution, solve_matrix_game
+from .game_kernel import MatrixGame, solve_matrix_game
 from .simplex import max_weighted_min
 from .transport import wasserstein2
 
@@ -122,16 +123,11 @@ class StrategyTreeI:
     the v-history prefix ``tree_prefixes(n_stages, n_v)[c]``: one row per
     atom, one column per prefix of length 0 .. n_stages-1, ordered by
     length then lexicographically (read-only int64).
-    ``flagged`` lists, once each, the (atom, prefix) pairs whose prefix has
-    zero probability under the generating mixed strategy while its parent
-    prefix has positive probability; decisions in those subtrees were
-    filled with uniform tie-break weights and cannot affect any payoff.
     """
 
     n_stages: int
     n_v: int
     decisions: np.ndarray
-    flagged: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
         if self.n_stages < 1 or self.n_v < 1:
@@ -234,20 +230,15 @@ def build_lattice(
     """
     _check_compat(prob, mu0, n)
     n_u, n_v = prob.n_u, prob.n_v
-    branch = n_u * n_v
-    size = mu0.n_atoms * branch**n
+    size = mu0.n_atoms * (n_u * n_v) ** n
     if size > LATTICE_GUARD:
         raise ValueError(
             f"state lattice of atoms * (|u_grid| * |v_grid|)^n = {size} "
             f"leaf states exceeds the lattice guard {LATTICE_GUARD}"
         )
-    tau = prob.T / n
-    branch_u = np.repeat(np.arange(n_u), n_v)
-    branch_v = np.tile(np.arange(n_v), n_u)
     x = mu0.points
     for k in range(n):
-        iu, iv = np.tile(branch_u, x.shape[0]), np.tile(branch_v, x.shape[0])
-        x = stage_step(prob, np.repeat(x, branch, axis=0), iu, iv, tau, k)
+        x = stage_step(prob, *control_pairs(prob, x), prob.T / n, k)
     # The rows run over (atom, u0, v0, u1, v1, ...); gather the u and the
     # v indices into one axis each.
     payoffs = terminal_costs(prob, x).reshape((mu0.n_atoms,) + (n_u, n_v) * n)
@@ -282,7 +273,8 @@ def best_response_I(
     expected terminal cost under the mix; the same u applies to every
     continuation, which is exactly the one-stage information delay.
     Zero-probability prefixes are filled by minimizing under uniform
-    continuation weights and flagged (their decisions are payoff-free).
+    continuation weights; no support sequence reaches them, so their
+    decisions cannot change ``payoff`` against the mix.
 
     One backward sweep over the lattice levels values every (u, v)
     history at once: a live v-prefix sums its live children in v order, a
@@ -325,15 +317,7 @@ def best_response_I(
         dec = choices[k][rows, hist, np.arange(n_v**k)]
         decisions.append(dec)
         hist = np.repeat(hist * n_u + dec, n_v, axis=1)
-    dead_children = [
-        seq_from_rank(int(r), k, n_v)
-        for k in range(1, n + 1)
-        for r in np.nonzero(~live_v[k] & np.repeat(live_v[k - 1], n_v))[0]
-    ]
-    flagged = tuple(
-        (i, child) for i in range(mu0.n_atoms) for child in dead_children
-    )
-    tree = StrategyTreeI(n, n_v, np.concatenate(decisions, axis=1), flagged)
+    tree = StrategyTreeI(n, n_v, np.concatenate(decisions, axis=1))
     return tree, float(value)
 
 
@@ -534,12 +518,12 @@ def _oracle_g(prob: ControlProblem, x: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BruteForceResult:
+    """The oracle's value and the payoff matrix it was solved from; row r
+    is the product of per-atom tree indices ``row_trees[r]``."""
+
     value: float
-    row_mix: np.ndarray
-    col_mix: np.ndarray
     matrix: np.ndarray
     row_trees: tuple[tuple[int, ...], ...]
-    game: MatrixGameSolution
 
 
 def brute_force_value(
@@ -599,15 +583,8 @@ def brute_force_value(
             acc += mu0.weights[i] * tables[i][t]
         matrix[r] = acc
 
-    game = solve_matrix_game(MatrixGame(matrix))
-    return BruteForceResult(
-        value=game.value,
-        row_mix=game.row_mix,
-        col_mix=game.col_mix,
-        matrix=matrix,
-        row_trees=tuple(row_trees),
-        game=game,
-    )
+    value = solve_matrix_game(MatrixGame(matrix)).value
+    return BruteForceResult(value, matrix, tuple(row_trees))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +597,6 @@ class DppReport:
     rhs: float
     difference: float
     method: str
-    note: str
 
 
 def _one_stage_measure(
@@ -661,10 +637,11 @@ def dpp_check(
     over per-atom randomized first-stage controls of the supremum over
     pure first-stage v of the (n-1)-stage brute-force value at the split
     and transported measure.  The infimum is exact when the continuation
-    is linear in the measure (single-v games) or when Player I has no
-    choice; otherwise it is searched on the dyadic mix grid of resolution
+    is linear in the measure (single-v games, pure per-atom controls);
+    otherwise it is searched on the dyadic mix grid of resolution
     ``DPP_RESOLUTION`` under ``DPP_COMBO_GUARD`` combinations (both read at
-    call time), so the reported difference carries that grid slack.
+    call time), so the reported difference carries that grid slack.  With
+    one u-point that grid is the single mix and the search is exact.
     """
     if n < 2:
         raise ValueError("dpp_check needs n >= 2")
@@ -684,16 +661,7 @@ def dpp_check(
                 for u_vals in itertools.product(range(n_u), repeat=n)
             )
             rhs += w * best
-        method, note = "exact-linear", "single-v continuation, pure controls exact"
-    elif n_u == 1:
-        rho = np.ones((mu0.n_atoms, 1))
-        rhs = max(
-            brute_force_value(
-                cont_prob, _one_stage_measure(prob, mu0, rho, iv, tau), n - 1
-            ).value
-            for iv in range(n_v)
-        )
-        method, note = "exact-single-u", "no minimizer choice at stage 0"
+        method = "exact-linear"
     else:
         per_atom = _dyadic_simplex(n_u, DPP_RESOLUTION)
         combos = len(per_atom) ** mu0.n_atoms
@@ -712,18 +680,10 @@ def dpp_check(
                     worst, brute_force_value(cont_prob, mu1, n - 1).value
                 )
             rhs = min(rhs, worst)
-        method = f"dyadic-grid-1/{DPP_RESOLUTION}"
-        note = (
-            f"first-stage mixes searched at resolution 1/{DPP_RESOLUTION}; "
-            "the difference carries that grid slack"
+        method = (
+            "exact-single-u" if n_u == 1 else f"dyadic-grid-1/{DPP_RESOLUTION}"
         )
-    return DppReport(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        difference=float(rhs - lhs),
-        method=method,
-        note=note,
-    )
+    return DppReport(float(lhs), float(rhs), float(rhs - lhs), method)
 
 
 # ---------------------------------------------------------------------------

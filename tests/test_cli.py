@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from blindgame import (
     load_scenario,
     to_csv,
 )
-from blindgame import game_kernel
+from blindgame import cli, game_kernel
 from blindgame.cli import _reachable_samples, covering_indices, main
 
 PENNIES = """
@@ -185,6 +187,26 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["hamiltonian", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(builds) == 4
+
+    def test_hamiltonian_rejects_a_single_state_f(
+        self, pennies_cfg, tmp_path, monkeypatch, capsys
+    ):
+        # Written for one state: on a batch it returns row 0's derivative.
+        scn = load_scenario(str(pennies_cfg))
+        prob = dataclasses.replace(
+            scn.problem, f=lambda x, u, v: np.array(u[0] + v[0])
+        )
+        monkeypatch.setattr(
+            cli, "load_scenario",
+            lambda path: dataclasses.replace(scn, problem=prob),
+        )
+        out = tmp_path / "out"
+        code = main(["hamiltonian", "--config", str(pennies_cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: f returned shape (1,) for a batch of shape (4, 1); " in err
+        assert "f must act on the last axis" in err
+        assert not (out / "hamiltonian.csv").exists()
 
     def test_transport_outputs(self, pennies_cfg, tmp_path):
         out = tmp_path / "out"

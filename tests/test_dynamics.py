@@ -366,3 +366,19 @@ class TestBatchedDynamics:
             for i in range(x.shape[0]):
                 single = advance_stage(prob, x[i], u[i], v[i], 0.3)
                 assert np.array_equal(batch[i], single), prob.label
+
+    def test_single_states_are_not_shape_checked(self):
+        # Only a batch can be mis-broadcast, so a single state may get a
+        # scalar derivative back: the oracle integrates states one by one.
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, 1.0], v_grid=[0.5]
+        )
+        scalar = ControlProblem(
+            dim=1, f=lambda x, u, v: u[0] + v[0], g=prob.g, T=1.0,
+            u_grid=prob.u_grid, v_grid=prob.v_grid, lip_f_x=0.0, lip_g=1.0,
+        )
+        x, u, v = np.array([0.2]), prob.u_grid[1], prob.v_grid[0]
+        assert np.array_equal(
+            advance_stage(scalar, x, u, v, 0.5),
+            advance_stage(prob, x, u, v, 0.5),
+        )

@@ -9,6 +9,7 @@ from blindgame import (
     ParticleMeasure,
     ProjectionField,
     barycentric_projection,
+    build_lattice,
     eval_H,
     eval_Hn,
     gamma_n,
@@ -292,6 +293,46 @@ class TestGammaN:
         fine = np.array([[0.0]])
         coarse = np.array([[-1.0], [1.0]])  # tie: first index wins
         assert nearest_coarse(fine, coarse)[0] == 0
+
+
+SHAPE_ERROR = (
+    r"^f returned shape \(1,\) for a batch of shape \(\d+, 1\); "
+    r"f must act on the last axis$"
+)
+
+
+@pytest.mark.parametrize("entry", ["build_lattice", "eval_H", "eval_Hn", "gamma_n"])
+def test_single_state_f_raises_the_one_shape_error(entry):
+    # Written for one state: on a batch it returns row 0's derivative only.
+    prob = dataclasses.replace(
+        pennies_problem(), f=lambda x, u, v: np.array(u[0] + v[0])
+    )
+    mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+    q = HamiltonianQuery(mu, ProjectionField(mu, np.ones((2, 1))), prob)
+    calls = {
+        "build_lattice": lambda: build_lattice(prob, mu, 1),
+        "eval_H": lambda: eval_H(q),
+        "eval_Hn": lambda: eval_Hn(q, [0]),
+        "gamma_n": lambda: gamma_n(
+            prob, prob.v_grid, prob.v_grid[[0]], list(mu.points)
+        ),
+    }
+    with pytest.raises(ValueError, match=SHAPE_ERROR):
+        calls[entry]()
+
+
+def test_eval_H_is_eval_Hn_on_every_v_index():
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        prob = _random_affine(rng)
+        mu = _random_cloud(rng, prob.dim)
+        if mu.n_atoms > 1:
+            w = np.where(rng.uniform(size=mu.n_atoms) < 0.3, 0.0, mu.weights)
+            w[0] += 1e-3
+            mu = ParticleMeasure(mu.points, w / w.sum())
+        field = ProjectionField(mu, rng.uniform(-2, 2, size=mu.points.shape))
+        q = HamiltonianQuery(mu, field, prob)
+        assert eval_H(q) == eval_Hn(q, range(prob.n_v))
 
 
 def gamma_n_loop(problem, fine_v, coarse_v, sample_points):

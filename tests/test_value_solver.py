@@ -245,6 +245,24 @@ class TestPayoff:
         )
 
 
+def assert_dead_prefix_decisions_inert(prob, mu, mix):
+    """Rewrite every decision of the best response at a zero-mass prefix
+    (one no support sequence of ``mix`` reaches), check the payoff does not
+    move by one bit, and return those prefixes."""
+    n, n_v = mix.n_stages, prob.n_v
+    tree, _ = best_response_I(prob, mu, mix)
+    live = {
+        seq_from_rank(int(r), n, n_v)[:k] for r in mix.support for k in range(n)
+    }
+    prefixes = tree_prefixes(n, n_v)
+    cols = [c for c, p in enumerate(prefixes) if p not in live]
+    dec = tree.decisions.copy()
+    dec[:, cols] = (dec[:, cols] + 1) % prob.n_u
+    rewritten = StrategyTreeI(n, n_v, dec)
+    assert payoff(prob, mu, rewritten, mix) == payoff(prob, mu, tree, mix)
+    return [prefixes[c] for c in cols]
+
+
 class TestBestResponse:
     def test_single_v_reduces_to_open_loop(self):
         prob = make_problem(
@@ -296,10 +314,12 @@ class TestBestResponse:
 
     def test_zero_mass_prefixes_are_flagged_and_complete(self):
         prob = pennies()
-        mix = MixedStrategyII.pure(2, 2)
+        mix = MixedStrategyII.pure(2, 2)  # sequence (0, 0)
         tree, _ = best_response_I(prob, dirac0(), mix)
         assert tree.decisions.shape == (1, 3)  # (), (0,), (1,)
-        assert (0, (1,)) in tree.flagged
+        assert assert_dead_prefix_decisions_inert(prob, dirac0(), mix) == [
+            (1,)
+        ]
 
     def test_never_beaten_by_exhaustive_enumeration(self):
         rng = np.random.default_rng(6)
@@ -526,7 +546,7 @@ class TestMasterLPRegressions:
 
 class TestStateLattice:
     """Best responses and cuts read off the lattice, checked against the
-    brute-force matrix, the zero-mass flags and the guards."""
+    brute-force matrix, the zero-mass prefixes and the guards."""
 
     @staticmethod
     def _games():
@@ -599,6 +619,9 @@ class TestStateLattice:
                 assert np.array_equal(acc, row)
 
     def test_flagged_are_dead_children_of_live_prefixes(self):
+        # The zero-mass prefixes are exactly those below a dead child of a
+        # live prefix, and rewriting any decision there leaves the payoff
+        # unchanged bit for bit.
         prob, _, n = list(self._games())[2]
         mu = ParticleMeasure(
             np.array([[0.2, 0.1], [-0.3, 0.0]]), np.array([0.5, 0.5])
@@ -606,7 +629,6 @@ class TestStateLattice:
         # Sequences (0, 1, 0) and (1, 0, 0) live; (0, 1, 1) dead.
         q = np.array([0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0])
         mix = MixedStrategyII(n, prob.n_v, q)
-        tree, _ = best_response_I(prob, mu, mix)
 
         def mass(prefix):
             return sum(
@@ -616,15 +638,26 @@ class TestStateLattice:
             )
 
         expected = {
-            (i, child)
-            for i in range(mu.n_atoms)
-            for k in range(1, n + 1)
+            child
+            for k in range(1, n)
             for child in itertools.product(range(prob.n_v), repeat=k)
             if mass(child) <= 0.0 and mass(child[:-1]) > 0.0
         }
-        assert (0, (0, 1, 1)) in expected and (1, (0, 0)) in expected
-        assert len(tree.flagged) == len(set(tree.flagged))
-        assert set(tree.flagged) == expected
+        assert expected == {(0, 0), (1, 1)}
+        dead = assert_dead_prefix_decisions_inert(prob, mu, mix)
+        assert {p for p in dead if p[:-1] not in dead} == expected
+        assert all(any(p[:k] in expected for k in range(len(p) + 1))
+                   for p in dead)
+
+        rng = np.random.default_rng(17)
+        rewritten_any = 0
+        for prob, mu, n in self._games():
+            for _, mix in self._mixes(rng, n, prob.n_v):
+                rewritten_any += bool(
+                    assert_dead_prefix_decisions_inert(prob, mu, mix)
+                )
+        # The pure mixes at least have dead prefixes.
+        assert rewritten_any >= 3
 
     def test_blow_up_raises_numeric_failure_naming_the_stage(self):
         # One RK4 step per stage multiplies x by about 4e306: stage 0 stays
