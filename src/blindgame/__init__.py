@@ -13,8 +13,6 @@ from .errors import InvalidStateError, NumericFailure, SolverFailure
 from .measures import (
     ParticleMeasure,
     from_csv,
-    prune,
-    pushforward,
     second_moment,
     split,
     to_csv,
@@ -35,7 +33,6 @@ from .dynamics import (
     flow,
     make_payoff,
     make_problem,
-    payoff_open_loop,
     stage_pushforward,
 )
 from .simplex import MinmaxSolution, max_weighted_min
@@ -112,10 +109,7 @@ __all__ = [
     "max_weighted_min",
     "nearest_coarse",
     "payoff",
-    "payoff_open_loop",
     "plan_to_csv",
-    "prune",
-    "pushforward",
     "reverse_plan",
     "second_moment",
     "seq_from_rank",

@@ -67,20 +67,14 @@ def _reachable_samples(scn: Scenario, n: int) -> list[np.ndarray]:
 
 def _coarsening_bound(scn: Scenario, coarse: tuple[int, ...], n: int) -> float:
     """gamma_n of the coarse v-grid, sampled on the reachable states."""
-    prob = scn.problem
-    return gamma_n(
-        prob,
-        prob.v_grid,
-        prob.v_grid[list(coarse)],
-        _reachable_samples(scn, n),
-    )
+    return gamma_n(scn.problem, coarse, _reachable_samples(scn, n))
 
 
 def _hamiltonian_row(
     scn: Scenario, p_vectors: np.ndarray, coarse: tuple[int, ...], gamma: float
 ) -> tuple[float, float, float]:
     proj = ProjectionField(scn.mu0, p_vectors)
-    query = HamiltonianQuery(scn.mu0, proj, scn.problem)
+    query = HamiltonianQuery(proj, scn.problem)
     h_full = eval_H(query)
     h_coarse = eval_Hn(query, coarse)
     return h_full, h_coarse, gamma * l2_norm(proj)

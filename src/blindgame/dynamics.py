@@ -61,7 +61,6 @@ class ControlProblem:
     v_grid: np.ndarray
     lip_f_x: float
     lip_g: float
-    label: str = "problem"
     substeps: int = 16
 
     def __post_init__(self):
@@ -190,20 +189,6 @@ def flow(
     return x
 
 
-def payoff_open_loop(
-    prob: ControlProblem,
-    mu0: ParticleMeasure,
-    u_seq: Sequence[int],
-    v_seq: Sequence[int],
-) -> float:
-    """Expected terminal cost when both controls ignore the initial state."""
-    total = 0.0
-    ends = flow(prob, mu0.points, u_seq, v_seq)
-    for term in mu0.weights * terminal_costs(prob, ends):
-        total += term
-    return total
-
-
 def stage_pushforward(
     prob: ControlProblem,
     mu: ParticleMeasure,
@@ -213,8 +198,8 @@ def stage_pushforward(
 ) -> ParticleMeasure:
     """Advance every atom one stage; atom i uses its own control index.
 
-    Weights are unchanged.  Matches ``measures.pushforward`` of the
-    per-atom stage map exactly (same float operations).
+    Weights are unchanged, and each atom's image equals ``advance_stage``
+    of that atom alone bit for bit.
     """
     if len(u_assignment) != mu.n_atoms:
         raise ValueError(
@@ -250,6 +235,11 @@ def payoff_table(xs, vals) -> tuple[Callable, float]:
     return (lambda x: np.interp(x[..., 0], xs, vals), lip)
 
 
+def payoff_kind(kind: str) -> str:
+    """``kind`` as ``make_payoff`` matches it: any case, ``-`` for ``_``."""
+    return kind.strip().lower().replace("_", "-")
+
+
 def make_payoff(kind: str, *, coeffs=None, table=None, dim: int = 1):
     """Library terminal payoff g and its Lipschitz constant.
 
@@ -259,7 +249,7 @@ def make_payoff(kind: str, *, coeffs=None, table=None, dim: int = 1):
     the last axis: it takes one state (d,) or a batch (N, d) and returns
     one payoff per row.
     """
-    kind = kind.strip().lower().replace("_", "-")
+    kind = payoff_kind(kind)
     if kind == "abs":
         return (lambda x: np.sqrt(_rowdot(x, x)), 1.0)
     if kind == "quadratic":
@@ -293,6 +283,11 @@ def _matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (mat @ x[..., None])[..., 0]
 
 
+def dynamics_kind(kind: str) -> str:
+    """``kind`` as ``make_problem`` matches it: any case, ``_`` for ``-``."""
+    return kind.strip().lower().replace("-", "_")
+
+
 def make_problem(
     kind: str,
     *,
@@ -309,7 +304,6 @@ def make_problem(
     g_coeffs=None,
     g_table=None,
     substeps: int = 16,
-    label: str | None = None,
 ) -> ControlProblem:
     """Build a library problem.
 
@@ -319,7 +313,7 @@ def make_problem(
     ``affine`` (f = A x + B u + C v).  Each ``f`` acts on the last axis,
     so it takes one state (d,) or a batch (N, d) with matching control rows.
     """
-    kind = kind.strip().lower().replace("-", "_")
+    kind = dynamics_kind(kind)
     ug, vg = as_grid(u_grid), as_grid(v_grid)
 
     if kind == "frozen":
@@ -393,6 +387,5 @@ def make_problem(
         v_grid=vg,
         lip_f_x=lip_f,
         lip_g=lip_g,
-        label=label or kind,
         substeps=int(substeps),
     )

@@ -24,7 +24,6 @@ from .dynamics import (
     ControlProblem, _rowdot, as_grid, checked_f, control_pairs
 )
 from .errors import SolverFailure
-from .measures import ParticleMeasure
 from .simplex import DUALITY_TOL, max_weighted_min
 from .transport import ProjectionField
 
@@ -54,7 +53,6 @@ class MatrixGameSolution:
     value: float
     row_mix: np.ndarray
     col_mix: np.ndarray
-    iterations: int
     certified_gap: float
 
 
@@ -87,7 +85,7 @@ def solve_matrix_game(game: MatrixGame) -> MatrixGameSolution:
             f"matrix-game certificate gap {gap:.3e} exceeds {DUALITY_TOL}",
             sol.iterations,
         )
-    return MatrixGameSolution(value, row_mix, col_mix, sol.iterations, gap)
+    return MatrixGameSolution(value, row_mix, col_mix, gap)
 
 
 def _clean_mix(p: np.ndarray) -> np.ndarray:
@@ -100,20 +98,14 @@ def _clean_mix(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianQuery:
-    """A base measure, a displacement field on it, and the game data."""
+    """A displacement field on its base measure, and the game data."""
 
-    base: ParticleMeasure
     field: ProjectionField
     problem: ControlProblem
 
     def __post_init__(self):
-        if self.base.dim != self.problem.dim:
+        if self.field.base.dim != self.problem.dim:
             raise ValueError("measure and problem dimensions differ")
-        if not (
-            np.array_equal(self.field.base.points, self.base.points)
-            and np.array_equal(self.field.base.weights, self.base.weights)
-        ):
-            raise ValueError("field is not based on the query measure")
 
     @cached_property
     def pairing(self) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -128,14 +120,28 @@ def _pairing_tables(q: HamiltonianQuery) -> tuple[np.ndarray, list[np.ndarray]]:
     so it must act on the last axis.  The weights are a probability
     vector, so at least one atom is kept.
     """
-    prob = q.problem
-    keep = q.base.weights > 0.0
-    weights = q.base.weights[keep]
-    pts, vecs = q.base.points[keep], q.field.vectors[keep]
+    prob, base = q.problem, q.field.base
+    keep = base.weights > 0.0
+    weights = base.weights[keep]
+    pts, vecs = base.points[keep], q.field.vectors[keep]
     x, iu, iv = control_pairs(prob, pts)
     fx = checked_f(prob, x, prob.u_grid[iu], prob.v_grid[iv])
     c = _rowdot(fx, np.repeat(vecs, prob.n_u * prob.n_v, axis=0))
     return weights, list(c.reshape(len(pts), prob.n_u, prob.n_v))
+
+
+def _coarse_indices(
+    problem: ControlProblem, coarse_v_indices: Sequence[int]
+) -> list[int]:
+    """The coarse v-grid as a list of distinct indices into ``v_grid``."""
+    idx = [int(i) for i in coarse_v_indices]
+    if len(idx) == 0:
+        raise ValueError("coarse v-grid must be nonempty")
+    if len(set(idx)) != len(idx):
+        raise ValueError("coarse v-grid indices must be distinct")
+    if any(i < 0 or i >= problem.n_v for i in idx):
+        raise ValueError("coarse v-grid index out of range")
+    return idx
 
 
 def eval_H(q: HamiltonianQuery) -> float:
@@ -150,13 +156,7 @@ def eval_Hn(q: HamiltonianQuery, coarse_v_indices: Sequence[int]) -> float:
     the LP maximizes sum_j w_j z_j subject to z_j <= (C_j vmix)_u for every
     pure u, with vmix in the simplex over the coarse v points.
     """
-    idx = [int(i) for i in coarse_v_indices]
-    if len(idx) == 0:
-        raise ValueError("coarse v-grid must be nonempty")
-    if len(set(idx)) != len(idx):
-        raise ValueError("coarse v-grid indices must be distinct")
-    if any(i < 0 or i >= q.problem.n_v for i in idx):
-        raise ValueError("coarse v-grid index out of range")
+    idx = _coarse_indices(q.problem, coarse_v_indices)
     weights, tables = q.pairing
     restricted = [c[:, idx] for c in tables]
     return max_weighted_min(weights, restricted).value
@@ -174,23 +174,23 @@ def nearest_coarse(fine_v: np.ndarray, coarse_v: np.ndarray) -> np.ndarray:
 
 def gamma_n(
     problem: ControlProblem,
-    fine_v,
-    coarse_v,
+    coarse_v_indices: Sequence[int],
     sample_points: Sequence,
 ) -> float:
-    """Sampled sup of |f(x,u,v) - f(x,u,v')| with v' the nearest coarse v.
+    """Sampled sup of |f(x,u,v) - f(x,u,v')| with v' the nearest point of
+    the coarse v-grid, given as indices into ``v_grid`` as to ``eval_Hn``.
 
     An empirical stand-in for the coarsening modulus of the dynamics: the
     sup over all states is not computable, so it is taken over the supplied
     sample points (callers should include at least the atoms the
     Hamiltonians are evaluated on).  ``f`` is called on batches of
-    (sample, u, fine v) rows, so it must act on the last axis.
+    (sample, u, v) rows, so it must act on the last axis.
     """
     pts = [np.asarray(x, dtype=float).reshape(-1) for x in sample_points]
     if len(pts) == 0:
         raise ValueError("sample_points must be nonempty")
-    fine = as_grid(fine_v)
-    coarse = as_grid(coarse_v)
+    fine = problem.v_grid
+    coarse = fine[_coarse_indices(problem, coarse_v_indices)]
     pairing = nearest_coarse(fine, coarse)
     # The (u, fine v) rows of one sample, u-major, and their paired v rows.
     u_rows = np.repeat(problem.u_grid, len(fine), axis=0)

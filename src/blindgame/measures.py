@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,28 +74,6 @@ class ParticleMeasure:
         return f"ParticleMeasure(n_atoms={self.n_atoms}, dim={self.dim})"
 
 
-def pushforward(
-    mu: ParticleMeasure, map: Callable[[np.ndarray], np.ndarray]
-) -> ParticleMeasure:
-    """Image measure of ``mu`` under a point map; weights are untouched.
-
-    The map may change the ambient dimension but every image point must
-    share one dimension.
-    """
-    images = []
-    out_dim = None
-    for x in mu.points:
-        y = np.atleast_1d(np.asarray(map(x), dtype=float)).reshape(-1)
-        if out_dim is None:
-            out_dim = y.shape[0]
-        elif y.shape[0] != out_dim:
-            raise ValueError(
-                f"map output dimension {y.shape[0]} != {out_dim}"
-            )
-        images.append(y)
-    return ParticleMeasure(np.array(images), mu.weights.copy())
-
-
 def split(
     mu: ParticleMeasure,
     fanout: Sequence[Sequence[tuple[float, np.ndarray]]],
@@ -126,40 +104,6 @@ def split(
             )
             new_weights.append(mu.weights[i] * float(w_b))
     return ParticleMeasure(np.array(new_points), np.array(new_weights))
-
-
-def prune(mu: ParticleMeasure, tol: float) -> ParticleMeasure:
-    """Merge atoms closer than ``tol`` at their weighted barycenter.
-
-    Greedy: repeatedly merges the globally closest pair (distance <= tol),
-    breaking ties by lowest atom index, until all pairwise distances exceed
-    tol.  Total mass is conserved and the result is a fixed point of prune
-    at the same tol.
-    """
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
-    pts = [p.copy() for p in mu.points]
-    wts = list(mu.weights)
-    while len(pts) > 1:
-        best = None  # (dist, i, j)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                d = float(np.linalg.norm(pts[i] - pts[j]))
-                if d <= tol and (best is None or d < best[0]):
-                    best = (d, i, j)
-        if best is None:
-            break
-        _, i, j = best
-        w = wts[i] + wts[j]
-        if w > 0.0:
-            bary = (wts[i] * pts[i] + wts[j] * pts[j]) / w
-        else:
-            bary = 0.5 * (pts[i] + pts[j])
-        pts[i] = bary
-        wts[i] = w
-        del pts[j]
-        del wts[j]
-    return ParticleMeasure(np.array(pts), np.array(wts))
 
 
 def second_moment(mu: ParticleMeasure) -> float:

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlProblem, make_problem
+from .dynamics import (
+    ControlProblem, dynamics_kind, make_problem, payoff_kind
+)
 from .measures import ParticleMeasure, from_csv
 
 
@@ -42,13 +44,13 @@ class Scenario:
     tol: float
     max_iter: int
     seed: int
-    sweep: tuple[int, ...] = ()
-    transport_target: ParticleMeasure | None = None
-    hamiltonian_queries: int = 8
-    hamiltonian_coarse: tuple[int, ...] | None = None
-    ekeland_eps: float = 0.1
-    ekeland_domain: int = 40
-    ekeland_func: str = "moment"
+    sweep: tuple[int, ...]
+    transport_target: ParticleMeasure | None
+    hamiltonian_queries: int
+    hamiltonian_coarse: tuple[int, ...] | None
+    ekeland_eps: float
+    ekeland_domain: int
+    ekeland_func: str
 
 
 def parse_kv(text: str) -> dict[str, tuple[str, int]]:
@@ -120,9 +122,6 @@ class _Fields:
     def __init__(self, table: dict[str, tuple[str, int]]):
         self.table = table
         self.read: set[str] = set()
-
-    def has(self, key: str) -> bool:
-        return key in self.table
 
     def raw(self, key: str, default: str | None = None) -> str | None:
         self.read.add(key)
@@ -219,34 +218,41 @@ def load_scenario(path_or_text: str) -> Scenario:
     u_grid = _grid(fields.require("problem.u_grid"), "problem.u_grid")
     v_grid = _grid(fields.require("problem.v_grid"), "problem.v_grid")
     label = fields.raw("problem.label", default=kind)
-    dim = fields.get("problem.dim", int) if fields.has("problem.dim") else None
-    if dim is not None and dim < 1:
-        raise ConfigError("problem.dim: must be >= 1")
+    dim = None
+    if fields.raw("problem.dim") is not None:
+        dim = fields.get("problem.dim", int)
+        if dim < 1:
+            raise ConfigError("problem.dim: must be >= 1")
 
-    g_kind = fields.raw("g.kind", default="abs")
-    g_coeffs = None
-    if fields.has("g.coeffs"):
-        g_coeffs = _floats(fields.require("g.coeffs"), "g.coeffs")
-    g_table = None
-    if fields.has("g.table"):
-        rows = _points(fields.require("g.table"), "g.table")
-        if any(len(r) != 2 for r in rows):
-            raise ConfigError("g.table: each entry must be 'x v'")
-        g_table = [(r[0], r[1]) for r in rows]
+    # Each kind-specific key is read only for its kind, so that
+    # ``check_all_read`` names one given for another kind.
+    g_kind = payoff_kind(fields.raw("g.kind", default="abs"))
+    g_coeffs = g_table = None
+    if g_kind == "linear":
+        coeffs = fields.raw("g.coeffs")
+        if coeffs is not None:
+            g_coeffs = _floats(coeffs, "g.coeffs")
+    elif g_kind == "custom-table":
+        table = fields.raw("g.table")
+        if table is not None:
+            rows = _points(table, "g.table")
+            if any(len(r) != 2 for r in rows):
+                raise ConfigError("g.table: each entry must be 'x v'")
+            g_table = [(r[0], r[1]) for r in rows]
 
     kw: dict = {}
-    d_for_mats = dim
-    if kind in ("linear", "affine"):
-        if d_for_mats is None:
+    problem_kind = dynamics_kind(kind)
+    if problem_kind in ("linear", "affine"):
+        if dim is None:
             raise ConfigError("problem.dim: required for linear/affine dynamics")
-        kw["A"] = _matrix(fields.require("problem.A"), d_for_mats, d_for_mats, "problem.A")
-    if kind == "affine":
+        kw["A"] = _matrix(fields.require("problem.A"), dim, dim, "problem.A")
+    if problem_kind == "affine":
         cu, cv = len(u_grid[0]), len(v_grid[0])
-        kw["B"] = _matrix(fields.require("problem.B"), d_for_mats, cu, "problem.B")
-        kw["C"] = _matrix(fields.require("problem.C"), d_for_mats, cv, "problem.C")
-    if kind == "constant":
+        kw["B"] = _matrix(fields.require("problem.B"), dim, cu, "problem.B")
+        kw["C"] = _matrix(fields.require("problem.C"), dim, cv, "problem.C")
+    if problem_kind == "constant":
         kw["drift"] = _floats(fields.require("problem.drift"), "problem.drift")
-    if kind == "rotation":
+    if problem_kind == "rotation":
         kw["omega"] = fields.get("problem.omega", float, default=1.0)
 
     try:
@@ -260,7 +266,6 @@ def load_scenario(path_or_text: str) -> Scenario:
             g_coeffs=g_coeffs,
             g_table=g_table,
             substeps=fields.get("integrator.substeps", int, default=16),
-            label=label,
             **kw,
         )
     except ValueError as exc:
@@ -282,13 +287,13 @@ def load_scenario(path_or_text: str) -> Scenario:
         raise ConfigError("solver.max_iter: must be >= 1")
 
     sweep: tuple[int, ...] = ()
-    if fields.has("sweep.n"):
+    if fields.raw("sweep.n") is not None:
         sweep = _ints(fields.require("sweep.n"), "sweep.n")
         if any(v < 1 for v in sweep):
             raise ConfigError("sweep.n: stage counts must be >= 1")
 
     coarse = None
-    if fields.has("hamiltonian.coarse_indices"):
+    if fields.raw("hamiltonian.coarse_indices") is not None:
         key = "hamiltonian.coarse_indices"
         coarse = _ints(fields.require(key), key)
         if not coarse:

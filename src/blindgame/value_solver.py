@@ -205,12 +205,11 @@ class StateLattice:
     sequence rank of Player II's mix.  Histories that share their first k
     stages form one block: in the view of shape
     ``(atoms, n_u**k, n_u, n_v**k, n_v)`` axes 1 and 3 are the ranks of
-    the u and v prefixes and axes 2 and 4 the stage-k controls.
+    the u and v prefixes and axes 2 and 4 the stage-k controls.  The grid
+    sizes n_u and n_v are read off that shape.
     """
 
     n_stages: int
-    n_u: int
-    n_v: int
     payoffs: np.ndarray
 
 
@@ -244,7 +243,7 @@ def build_lattice(
     payoffs = terminal_costs(prob, x).reshape((mu0.n_atoms,) + (n_u, n_v) * n)
     order = (0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
     payoffs = payoffs.transpose(order).reshape(mu0.n_atoms, n_u**n, n_v**n)
-    return StateLattice(n, n_u, n_v, payoffs)
+    return StateLattice(n, payoffs)
 
 
 def _lattice_for(

@@ -29,6 +29,19 @@ transport.target.atoms = 0.5 1.0; 0.5 -1.0
 """
 
 
+AFFINE_KEYS = [
+    "problem.dim = 1", "problem.A = 0.5", "problem.B = 2", "problem.C = 3",
+    "mu0.atoms = 1.0 0.0",
+]
+
+
+def _kind_scenario(kind, extra):
+    return "\n".join([
+        f"problem.kind = {kind}", "problem.T = 1.0", "problem.n_stages = 1",
+        "problem.u_grid = -1, 1", "problem.v_grid = -1, 1", *extra,
+    ]) + "\n"
+
+
 @pytest.fixture
 def pennies_cfg(tmp_path):
     cfg = tmp_path / "pennies.cfg"
@@ -101,6 +114,38 @@ class TestScenarioParsing:
         )
         with pytest.raises(ConfigError, match=f"^{key}: "):
             load_scenario(text + "\n" + line + "\n")
+
+    @pytest.mark.parametrize(
+        "spelling, kind, extra",
+        [
+            ("Affine", "affine", AFFINE_KEYS),
+            (" AFFINE ", "affine", AFFINE_KEYS),
+            ("Rotation", "rotation",
+             ["problem.omega = 2.5", "mu0.atoms = 1.0 0.5 -0.5"]),
+            ("u-plus-v", "u_plus_v", ["mu0.atoms = 1.0 0.0"]),
+        ],
+    )
+    def test_kind_ignores_case_and_dashes(self, spelling, kind, extra):
+        scn = load_scenario(_kind_scenario(spelling, extra))
+        ref = load_scenario(_kind_scenario(kind, extra)).problem
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-2.0, 2.0, size=(6, ref.dim))
+        u, v = ref.u_grid[[0, 1] * 3], ref.v_grid[[1, 1, 0] * 2]
+        assert scn.problem.dim == ref.dim
+        assert np.array_equal(scn.problem.f(x, u, v), ref.f(x, u, v))
+
+    @pytest.mark.parametrize(
+        "line, kind, g_at_1",
+        [("g.coeffs = 3", "linear", 3.0),
+         ("g.table = 0 1; 1 2", "custom_table", 2.0)],
+    )
+    def test_payoff_keys_are_read_only_for_their_kind(self, line, kind, g_at_1):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"^{key}: unknown key"):
+            load_scenario(PENNIES + line + "\n")
+        text = PENNIES.replace("g.kind           = abs", f"g.kind = {kind}")
+        scn = load_scenario(text + line + "\n")
+        assert scn.problem.g(np.array([[1.0]]))[0] == g_at_1
 
     def test_mu0_csv(self, tmp_path):
         mu = ParticleMeasure(np.array([[0.5], [1.5]]), np.array([0.5, 0.5]))

@@ -87,7 +87,7 @@ class TestHamiltonians:
     def test_zero_field_annihilates(self):
         prob = pennies_problem()
         mu = dirac(0.0)
-        q = HamiltonianQuery(mu, ProjectionField(mu, np.zeros((1, 1))), prob)
+        q = HamiltonianQuery(ProjectionField(mu, np.zeros((1, 1))), prob)
         assert eval_H(q) == 0.0
         assert eval_Hn(q, [0]) == 0.0
 
@@ -99,20 +99,20 @@ class TestHamiltonians:
             np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5])
         )
         p = np.array([[1.0, 0.0], [0.0, 3.0]])
-        q = HamiltonianQuery(mu, ProjectionField(mu, p), prob)
+        q = HamiltonianQuery(ProjectionField(mu, p), prob)
         expected = 0.5 * 2.0 + 0.5 * (-3.0)
         assert eval_H(q) == pytest.approx(expected, abs=1e-12)
 
     def test_single_atom_u_plus_v(self):
         prob = pennies_problem()
         mu = dirac(0.0)
-        q = HamiltonianQuery(mu, ProjectionField(mu, np.array([[1.0]])), prob)
+        q = HamiltonianQuery(ProjectionField(mu, np.array([[1.0]])), prob)
         assert eval_H(q) == pytest.approx(0.0, abs=1e-12)
 
     def test_coarse_single_column(self):
         prob = pennies_problem()
         mu = dirac(0.0)
-        q = HamiltonianQuery(mu, ProjectionField(mu, np.array([[1.0]])), prob)
+        q = HamiltonianQuery(ProjectionField(mu, np.array([[1.0]])), prob)
         assert eval_Hn(q, [0]) == pytest.approx(-2.0, abs=1e-12)
 
     def test_single_state_f_rejected(self):
@@ -120,7 +120,7 @@ class TestHamiltonians:
             pennies_problem(), f=lambda x, u, v: np.array([u[0] + v[0]])
         )
         mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        q = HamiltonianQuery(mu, ProjectionField(mu, np.ones((2, 1))), prob)
+        q = HamiltonianQuery(ProjectionField(mu, np.ones((2, 1))), prob)
         with pytest.raises(ValueError, match="last axis"):
             eval_H(q)
 
@@ -136,7 +136,7 @@ class TestHamiltonians:
             field = ProjectionField(mu, field.vectors)
             keep = mu.weights > 0.0
             weights, tables = game_kernel._pairing_tables(
-                HamiltonianQuery(mu, field, prob)
+                HamiltonianQuery(field, prob)
             )
             assert np.array_equal(weights, mu.weights[keep])
             expected = [
@@ -152,7 +152,7 @@ class TestHamiltonians:
         rng = np.random.default_rng(0)
         prob = _random_affine(rng)
         mu, field = _random_query(rng, prob)
-        q = HamiltonianQuery(mu, field, prob)
+        q = HamiltonianQuery(field, prob)
         assert eval_Hn(q, range(prob.n_v)) == pytest.approx(
             eval_H(q), abs=1e-12
         )
@@ -160,7 +160,7 @@ class TestHamiltonians:
     def test_coarse_validation(self):
         prob = pennies_problem()
         mu = dirac(0.0)
-        q = HamiltonianQuery(mu, ProjectionField(mu, np.array([[1.0]])), prob)
+        q = HamiltonianQuery(ProjectionField(mu, np.array([[1.0]])), prob)
         with pytest.raises(ValueError, match="nonempty"):
             eval_Hn(q, [])
         with pytest.raises(ValueError, match="distinct"):
@@ -168,22 +168,21 @@ class TestHamiltonians:
         with pytest.raises(ValueError, match="range"):
             eval_Hn(q, [5])
 
-    def test_field_must_match_measure(self):
-        prob = pennies_problem()
-        mu, nu = dirac(0.0), dirac(1.0)
-        field = ProjectionField(nu, np.array([[1.0]]))
-        with pytest.raises(ValueError, match="based"):
-            HamiltonianQuery(mu, field, prob)
+    def test_field_dimension_must_match_problem(self):
+        mu = dirac([0.0, 1.0])
+        field = ProjectionField(mu, np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            HamiltonianQuery(field, pennies_problem())
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             prob = _random_affine(rng)
             mu, field = _random_query(rng, prob)
-            q1 = HamiltonianQuery(mu, field, prob)
+            q1 = HamiltonianQuery(field, prob)
             c = float(rng.uniform(0.0, 4.0))
             scaled = ProjectionField(mu, c * field.vectors)
-            q2 = HamiltonianQuery(mu, scaled, prob)
+            q2 = HamiltonianQuery(scaled, prob)
             assert eval_H(q2) == pytest.approx(c * eval_H(q1), abs=1e-9)
 
     def test_dominance_and_gap_bound(self):
@@ -191,7 +190,7 @@ class TestHamiltonians:
         for _ in range(30):
             prob = _random_affine(rng)
             mu, field = _random_query(rng, prob)
-            q = HamiltonianQuery(mu, field, prob)
+            q = HamiltonianQuery(field, prob)
             n_coarse = int(rng.integers(1, prob.n_v + 1))
             coarse = sorted(
                 rng.choice(prob.n_v, size=n_coarse, replace=False).tolist()
@@ -199,12 +198,7 @@ class TestHamiltonians:
             h = eval_H(q)
             hn = eval_Hn(q, coarse)
             assert h >= hn - 1e-9
-            bound = gamma_n(
-                prob,
-                prob.v_grid,
-                prob.v_grid[coarse],
-                list(mu.points),
-            ) * l2_norm(field)
+            bound = gamma_n(prob, coarse, list(mu.points)) * l2_norm(field)
             assert h - hn <= bound + 1e-9
 
     def test_continuity_against_transported_fields(self):
@@ -224,38 +218,34 @@ class TestHamiltonians:
             dist, plan = wasserstein2(nu_bar, mu_bar)
             p_field = barycentric_projection(plan)
             q_field = barycentric_projection(reverse_plan(plan))
-            h_mu = eval_H(HamiltonianQuery(mu_bar, p_field, prob))
+            h_mu = eval_H(HamiltonianQuery(p_field, prob))
             neg_q = ProjectionField(nu_bar, -q_field.vectors)
-            h_nu = eval_H(HamiltonianQuery(nu_bar, neg_q, prob))
+            h_nu = eval_H(HamiltonianQuery(neg_q, prob))
             assert abs(h_mu - h_nu) <= prob.lip_f_x * dist**2 + 1e-6
 
 
 class TestGammaN:
     def test_identical_grids_give_zero(self):
         prob = pennies_problem()
-        assert gamma_n(prob, prob.v_grid, prob.v_grid, [np.zeros(1)]) == 0.0
+        assert gamma_n(prob, range(prob.n_v), [np.zeros(1)]) == 0.0
 
     def test_v_independent_dynamics_give_zero(self):
         prob = make_problem(
             "constant", drift=[1.0], T=1.0, u_grid=[0.0], v_grid=[-1.0, 1.0]
         )
-        assert (
-            gamma_n(prob, prob.v_grid, prob.v_grid[[0]], [np.zeros(1)]) == 0.0
-        )
+        assert gamma_n(prob, [0], [np.zeros(1)]) == 0.0
 
     def test_u_plus_v_enumeration(self):
         prob = make_problem(
             "u_plus_v", T=1.0, u_grid=[-1.0, 1.0], v_grid=[-1.0, 0.0, 1.0]
         )
-        val = gamma_n(
-            prob, prob.v_grid, np.array([[-1.0], [1.0]]), [np.zeros(1)]
-        )
+        val = gamma_n(prob, [0, 2], [np.zeros(1)])
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_samples_rejected(self):
         prob = pennies_problem()
         with pytest.raises(ValueError, match="sample"):
-            gamma_n(prob, prob.v_grid, prob.v_grid, [])
+            gamma_n(prob, range(prob.n_v), [])
 
     @pytest.mark.parametrize("rows", [game_kernel.GAMMA_BATCH_ROWS, 5])
     @pytest.mark.parametrize("kind", ["affine", "pursuit", "u_plus_v", "rotation"])
@@ -264,10 +254,13 @@ class TestGammaN:
         rng = np.random.default_rng(61)
         for _ in range(10):
             prob = _library_problem(rng, kind)
-            coarse = prob.v_grid[: int(rng.integers(1, prob.n_v + 1))]
+            coarse = range(int(rng.integers(1, prob.n_v + 1)))
             samples = list(rng.uniform(-3, 3, size=(40, prob.dim)))
-            got = gamma_n(prob, prob.v_grid, coarse, samples)
-            assert got == gamma_n_loop(prob, prob.v_grid, coarse, samples)
+            got = gamma_n(prob, coarse, samples)
+            expected = gamma_n_loop(
+                prob, prob.v_grid, prob.v_grid[list(coarse)], samples
+            )
+            assert got == expected
 
     def test_nan_rows_are_skipped(self):
         prob = dataclasses.replace(
@@ -277,9 +270,8 @@ class TestGammaN:
             ),
         )
         samples = [np.array([1.0]), np.array([-2.0]), np.array([-0.5])]
-        coarse = prob.v_grid[[0]]
-        assert gamma_n(prob, prob.v_grid, coarse, samples) == 4.0
-        assert gamma_n(prob, prob.v_grid, coarse, samples[:1]) == 0.0
+        assert gamma_n(prob, [0], samples) == 4.0
+        assert gamma_n(prob, [0], samples[:1]) == 0.0
 
     def test_single_state_f_rejected(self):
         prob = dataclasses.replace(
@@ -287,7 +279,19 @@ class TestGammaN:
         )
         samples = [np.zeros(1), np.ones(1)]
         with pytest.raises(ValueError, match="last axis"):
-            gamma_n(prob, prob.v_grid, prob.v_grid[[0]], samples)
+            gamma_n(prob, [0], samples)
+
+    def test_coarse_validation(self):
+        # The same three index errors as eval_Hn.
+        prob = pennies_problem()
+        for coarse, message in [
+            ([], "must be nonempty"),
+            ([0, 0], "indices must be distinct"),
+            ([2], "index out of range"),
+            ([-1], "index out of range"),
+        ]:
+            with pytest.raises(ValueError, match=f"^coarse v-grid {message}$"):
+                gamma_n(prob, coarse, [np.zeros(1)])
 
     def test_nearest_pairing_is_deterministic(self):
         fine = np.array([[0.0]])
@@ -308,14 +312,12 @@ def test_single_state_f_raises_the_one_shape_error(entry):
         pennies_problem(), f=lambda x, u, v: np.array(u[0] + v[0])
     )
     mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-    q = HamiltonianQuery(mu, ProjectionField(mu, np.ones((2, 1))), prob)
+    q = HamiltonianQuery(ProjectionField(mu, np.ones((2, 1))), prob)
     calls = {
         "build_lattice": lambda: build_lattice(prob, mu, 1),
         "eval_H": lambda: eval_H(q),
         "eval_Hn": lambda: eval_Hn(q, [0]),
-        "gamma_n": lambda: gamma_n(
-            prob, prob.v_grid, prob.v_grid[[0]], list(mu.points)
-        ),
+        "gamma_n": lambda: gamma_n(prob, [0], list(mu.points)),
     }
     with pytest.raises(ValueError, match=SHAPE_ERROR):
         calls[entry]()
@@ -331,7 +333,7 @@ def test_eval_H_is_eval_Hn_on_every_v_index():
             w[0] += 1e-3
             mu = ParticleMeasure(mu.points, w / w.sum())
         field = ProjectionField(mu, rng.uniform(-2, 2, size=mu.points.shape))
-        q = HamiltonianQuery(mu, field, prob)
+        q = HamiltonianQuery(field, prob)
         assert eval_H(q) == eval_Hn(q, range(prob.n_v))
 
 

@@ -2,18 +2,13 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from blindgame import (
     ParticleMeasure,
     from_csv,
-    prune,
-    pushforward,
     second_moment,
     split,
     to_csv,
-    wasserstein2,
 )
 
 
@@ -21,35 +16,6 @@ def atoms(mu):
     """Canonical multiset view of a measure for equality checks."""
     rows = [(tuple(p), w) for p, w in zip(mu.points, mu.weights)]
     return sorted(rows)
-
-
-def assert_same_measure(a, b, w_tol=1e-14):
-    """Exact point equality; weights up to renormalization float dust."""
-    ra, rb = atoms(a), atoms(b)
-    assert len(ra) == len(rb)
-    for (pa, wa), (pb, wb) in zip(ra, rb):
-        assert pa == pb
-        assert abs(wa - wb) <= w_tol
-
-
-@st.composite
-def clouds(draw, max_atoms=5, max_dim=3):
-    d = draw(st.integers(1, max_dim))
-    n = draw(st.integers(1, max_atoms))
-    pts = draw(
-        st.lists(
-            st.lists(
-                st.floats(-5, 5, allow_nan=False, allow_infinity=False),
-                min_size=d,
-                max_size=d,
-            ),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    masses = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
-    w = np.array(masses, dtype=float)
-    return ParticleMeasure(np.array(pts), w / w.sum())
 
 
 class TestConstruction:
@@ -79,39 +45,6 @@ class TestConstruction:
         assert mu.dim == 1 and mu.points.shape == (2, 1)
 
 
-class TestPushforward:
-    def test_identity(self):
-        mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.3, 0.7]))
-        assert atoms(pushforward(mu, lambda x: x)) == atoms(mu)
-
-    def test_doubling_two_atoms(self):
-        mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        out = pushforward(mu, lambda x: 2 * x)
-        assert atoms(out) == [((0.0,), 0.5), ((2.0,), 0.5)]
-
-    def test_dimension_collapse(self):
-        # uniform on {(0,0),(1,1)}, x -> x1+x2: uniform on {0,2} in R^1
-        mu = ParticleMeasure(
-            np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5])
-        )
-        out = pushforward(mu, lambda x: np.array([x[0] + x[1]]))
-        assert out.dim == 1
-        assert atoms(out) == [((0.0,), 0.5), ((2.0,), 0.5)]
-
-    def test_inconsistent_output_dims_rejected(self):
-        mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        bad = lambda x: np.zeros(1) if x[0] == 0.0 else np.zeros(2)
-        with pytest.raises(ValueError, match="dimension"):
-            pushforward(mu, bad)
-
-    @given(clouds())
-    @settings(max_examples=50, deadline=None)
-    def test_mass_preserved(self, mu):
-        out = pushforward(mu, lambda x: x + 1.0)
-        assert np.max(np.abs(out.weights - mu.weights)) <= 1e-14
-        assert np.sum(out.weights) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestSplit:
     def test_two_way_split_of_dirac(self):
         mu = ParticleMeasure(np.array([[0.0]]), np.array([1.0]))
@@ -137,56 +70,6 @@ class TestSplit:
         mu = ParticleMeasure(np.array([[0.0]]), np.array([1.0]))
         with pytest.raises(ValueError, match="probability"):
             split(mu, [[(0.6, [0.0]), (0.5, [1.0])]])
-
-    def test_split_then_merge_reproduces_measure(self):
-        # All branches stay at the parent point; pruning duplicates undoes it.
-        mu = ParticleMeasure(np.array([[1.0], [4.0]]), np.array([0.5, 0.5]))
-        fan = [[(0.25, p), (0.75, p)] for p in mu.points]
-        back = prune(split(mu, fan), 0.0)
-        assert atoms(back) == atoms(mu)
-
-
-class TestPrune:
-    def test_zero_tol_keeps_distinct_points(self):
-        mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        assert atoms(prune(mu, 0.0)) == atoms(mu)
-
-    def test_exact_duplicates_merge_at_any_tol(self):
-        mu = ParticleMeasure(np.array([[0.0], [0.0]]), np.array([0.5, 0.5]))
-        for tol in (0.0, 0.1, 2.0):
-            out = prune(mu, tol)
-            assert atoms(out) == [((0.0,), 1.0)]
-
-    def test_barycenter_formula(self):
-        mu = ParticleMeasure(np.array([[0.0], [0.001]]), np.array([0.5, 0.5]))
-        out = prune(mu, 0.01)
-        assert out.n_atoms == 1
-        assert out.points[0, 0] == pytest.approx(0.0005, abs=1e-15)
-
-    def test_negative_tol_rejected(self):
-        mu = ParticleMeasure(np.array([[0.0]]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            prune(mu, -1e-3)
-
-    @given(clouds(), st.floats(0.0, 2.0))
-    @settings(max_examples=40, deadline=None)
-    def test_idempotent(self, mu, tol):
-        once = prune(mu, tol)
-        twice = prune(once, tol)
-        assert_same_measure(twice, once)
-
-    @given(clouds(max_atoms=4), st.floats(0.0, 2.0))
-    @settings(max_examples=25, deadline=None)
-    def test_w2_within_tol(self, mu, tol):
-        out = prune(mu, tol)
-        dist, _ = wasserstein2(mu, out)
-        assert dist <= tol + 1e-9
-
-    @given(clouds(), st.floats(0.0, 2.0))
-    @settings(max_examples=40, deadline=None)
-    def test_mass_conserved(self, mu, tol):
-        out = prune(mu, tol)
-        assert np.sum(out.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSecondMoment:
