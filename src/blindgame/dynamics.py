@@ -244,10 +244,10 @@ def make_payoff(kind: str, *, coeffs=None, table=None, dim: int = 1):
     """Library terminal payoff g and its Lipschitz constant.
 
     Kinds: ``abs`` (|x|), ``quadratic`` (|x|^2, slope bound taken on the
-    radius-``DOMAIN_RADIUS`` ball), ``linear`` (c . x, ``coeffs`` default
-    all ones) and ``custom-table`` (see ``payoff_table``).  Each g acts on
-    the last axis: it takes one state (d,) or a batch (N, d) and returns
-    one payoff per row.
+    radius-``DOMAIN_RADIUS`` ball), ``linear`` (c . x, ``coeffs`` one per
+    state dimension, default all ones) and ``custom-table`` (see
+    ``payoff_table``).  Each g acts on the last axis: it takes one state
+    (d,) or a batch (N, d) and returns one payoff per row.
     """
     kind = payoff_kind(kind)
     if kind == "abs":
@@ -257,6 +257,11 @@ def make_payoff(kind: str, *, coeffs=None, table=None, dim: int = 1):
     if kind == "linear":
         c = np.ones(dim) if coeffs is None else coeffs
         c = np.asarray(c, dtype=float).reshape(-1)
+        if len(c) != dim:
+            raise ValueError(
+                f"linear payoff has {len(c)} coefficients for state "
+                f"dimension {dim}"
+            )
         return (lambda x: _rowdot(c, x), float(np.linalg.norm(c)))
     if kind == "custom-table":
         if dim != 1:

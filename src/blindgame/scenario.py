@@ -21,12 +21,12 @@ Validation errors name the offending field and line.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import (
-    ControlProblem, dynamics_kind, make_problem, payoff_kind
+    ControlProblem, dynamics_kind, make_payoff, make_problem, payoff_kind
 )
 from .measures import ParticleMeasure, from_csv
 
@@ -263,13 +263,20 @@ def load_scenario(path_or_text: str) -> Scenario:
             v_grid=v_grid,
             dim=dim,
             g_kind=g_kind,
-            g_coeffs=g_coeffs,
             g_table=g_table,
             substeps=fields.get("integrator.substeps", int, default=16),
             **kw,
         )
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from None
+    # The coefficient count is checked against the dimension make_problem
+    # settled on, so that the error names its key.
+    if g_coeffs is not None:
+        try:
+            g, lip_g = make_payoff("linear", coeffs=g_coeffs, dim=problem.dim)
+        except ValueError as exc:
+            raise ConfigError(f"g.coeffs: {exc}") from None
+        problem = replace(problem, g=g, lip_g=lip_g)
 
     mu0 = _load_measure(fields, "mu0", base_dir)
     if mu0 is None:

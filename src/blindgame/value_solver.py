@@ -515,6 +515,29 @@ def _oracle_g(prob: ControlProblem, x: np.ndarray) -> float:
     return value
 
 
+def _oracle_payoffs(
+    prob: ControlProblem, x: np.ndarray, n: int
+) -> np.ndarray:
+    """g at the end of every open-loop control history from the state x:
+    entry [a, b] is g(X_T) under the u-sequence of rank a and the
+    v-sequence of rank b, both stage-0-major as in ``seq_from_rank``
+    (shape (n_u**n, n_v**n)).
+
+    One ``flow`` call per u-sequence integrates x repeated once per
+    v-sequence, one v-index array per stage.  Every library ``f`` acts
+    row by row, so each endpoint equals the single-state trajectory bit
+    for bit; g is taken one endpoint at a time.
+    """
+    n_cols = prob.n_v**n
+    v_cols = np.unravel_index(np.arange(n_cols), (prob.n_v,) * n)
+    xs = np.repeat(x[None, :], n_cols, axis=0)
+    table = np.empty((prob.n_u**n, n_cols))
+    for a, u_vals in enumerate(itertools.product(range(prob.n_u), repeat=n)):
+        ends = flow(prob, xs, u_vals, v_cols)
+        table[a] = [_oracle_g(prob, end) for end in ends]
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class BruteForceResult:
     """The oracle's value and the payoff matrix it was solved from; row r
@@ -537,6 +560,16 @@ def brute_force_value(
     game.  Deliberately naive: shares nothing with the cutting-plane path
     except the trajectory integrator.  ``BRUTE_ROW_GUARD`` and
     ``BRUTE_COL_GUARD`` cap the rows and columns at call time.
+
+    A tree fixes the u-sequence given the v-sequence, so an atom has only
+    n_u**n * n_v**n distinct trajectories.  They are integrated first, by
+    ``_oracle_payoffs``: one ``flow`` call per atom and open-loop
+    u-sequence, batched over all v-sequences, so no call integrates more
+    than ``BRUTE_COL_GUARD`` rows.  Each batch row equals the
+    single-state trajectory bit for bit, and the tree loop then reads
+    every (tree, sequence) cell at the u-history the tree's decisions
+    give along that sequence.  Like the solver, the oracle therefore
+    needs an ``f`` that acts on the last axis.
     """
     _check_compat(prob, mu0, n)
     n_u, n_v = prob.n_u, prob.n_v
@@ -560,16 +593,17 @@ def brute_force_value(
     # Per-atom payoff tables, then product rows weighted by the atom masses.
     tables = []
     for x in mu0.points:
+        payoffs = _oracle_payoffs(prob, x, n)
         table = np.empty((trees_per_atom, n_cols))
         for t in range(trees_per_atom):
             decisions = [
                 (t // n_u ** (n_prefix - 1 - k)) % n_u for k in range(n_prefix)
             ]
             for s, seq in enumerate(seqs):
-                u_vals = tuple(
-                    decisions[prefix_index[seq[:k]]] for k in range(n)
-                )
-                table[t, s] = _oracle_g(prob, flow(prob, x, u_vals, seq))
+                u_rank = 0
+                for k in range(n):
+                    u_rank = u_rank * n_u + decisions[prefix_index[seq[:k]]]
+                table[t, s] = payoffs[u_rank, s]
         tables.append(table)
 
     row_trees = list(
@@ -655,11 +689,7 @@ def dpp_check(
         # are exact and the whole check collapses to per-atom minimization.
         rhs = 0.0
         for w, x in zip(mu0.weights, mu0.points):
-            best = min(
-                _oracle_g(prob, flow(prob, x, u_vals, (0,) * n))
-                for u_vals in itertools.product(range(n_u), repeat=n)
-            )
-            rhs += w * best
+            rhs += w * min(_oracle_payoffs(prob, x, n)[:, 0])
         method = "exact-linear"
     else:
         per_atom = _dyadic_simplex(n_u, DPP_RESOLUTION)

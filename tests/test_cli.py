@@ -147,6 +147,17 @@ class TestScenarioParsing:
         scn = load_scenario(text + line + "\n")
         assert scn.problem.g(np.array([[1.0]]))[0] == g_at_1
 
+    @pytest.mark.parametrize(
+        "line, count", [("g.coeffs = 1, 2", 2), ("g.coeffs =", 0)]
+    )
+    def test_linear_coeffs_must_match_the_state_dimension(self, line, count):
+        text = PENNIES.replace("g.kind           = abs", "g.kind = linear")
+        with pytest.raises(
+            ConfigError, match=f"^g.coeffs: linear payoff has {count} "
+            "coefficients for state dimension 1$"
+        ):
+            load_scenario(text + line + "\n")
+
     def test_mu0_csv(self, tmp_path):
         mu = ParticleMeasure(np.array([[0.5], [1.5]]), np.array([0.5, 0.5]))
         (tmp_path / "mu.csv").write_text(to_csv(mu))

@@ -275,6 +275,17 @@ class TestProblemLibrary:
         assert g(np.array([5.0])) == 1.0  # constant extrapolation
         assert lip == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("coeffs", [[1.0, 2.0], []])
+    def test_linear_payoff_needs_one_coeff_per_dimension(self, coeffs):
+        with pytest.raises(
+            ValueError, match=f"has {len(coeffs)} coefficients for state "
+            "dimension 1$"
+        ):
+            make_problem(
+                "u_plus_v", T=1.0, u_grid=[0.0], v_grid=[0.0],
+                g_kind="linear", g_coeffs=coeffs,
+            )
+
     def test_payoff_table_needs_dim_one(self):
         with pytest.raises(ValueError, match="dim"):
             make_payoff("custom-table", table=[(0.0, 0.0), (1.0, 1.0)], dim=2)
@@ -372,7 +383,8 @@ class TestBatchedDynamics:
 
     def test_single_states_are_not_shape_checked(self):
         # Only a batch can be mis-broadcast, so a single state may get a
-        # scalar derivative back: the oracle integrates states one by one.
+        # scalar derivative back; the solver and the oracle both integrate
+        # batches, so such an f serves only single-state calls.
         prob = make_problem(
             "u_plus_v", T=1.0, u_grid=[-1.0, 1.0], v_grid=[0.5]
         )

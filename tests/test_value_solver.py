@@ -686,13 +686,14 @@ class TestStateLattice:
 
     def test_single_state_only_f_is_rejected(self):
         # Written for one state: on a batch it returns row 0's derivative,
-        # shape (1, 1), which RK4 would broadcast over every row.
+        # shape (1, 1), which RK4 would broadcast over every row.  It is
+        # right on one state, but the oracle integrates batches too.
         prob = replace(
             pennies(), f=lambda x, u, v: np.array([u[0] + v[0]])
         )
-        assert brute_force_value(prob, dirac0(), 1).value == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert flow(prob, [0.0], (1, 0), (1, 1)) == pytest.approx([1.0])
+        with pytest.raises(ValueError, match="f must act on the last axis"):
+            brute_force_value(prob, dirac0(), 1)
         with pytest.raises(ValueError, match="f must act on the last axis"):
             solve_Vn(prob, dirac0(), 1)
 
@@ -725,7 +726,96 @@ class TestStateLattice:
             best_response_I(pennies(), dirac0(), mix, lattice)
 
 
+def scalar_oracle_matrix(prob, mu0, n):
+    """The oracle's matrix with every (tree, sequence) cell integrated
+    one state at a time through ``flow``."""
+    n_u, n_v = prob.n_u, prob.n_v
+    prefixes = tree_prefixes(n, n_v)
+    index = {p: k for k, p in enumerate(prefixes)}
+    seqs = [seq_from_rank(r, n, n_v) for r in range(n_v**n)]
+    tables = []
+    for x in mu0.points:
+        table = []
+        for decisions in itertools.product(range(n_u), repeat=len(prefixes)):
+            row = []
+            for seq in seqs:
+                u_vals = tuple(decisions[index[seq[:k]]] for k in range(n))
+                row.append(float(prob.g(flow(prob, x, u_vals, seq))))
+            table.append(row)
+        tables.append(np.array(table))
+    rows = []
+    for combo in itertools.product(range(len(tables[0])), repeat=mu0.n_atoms):
+        acc = np.zeros(len(seqs))
+        for w, table, t in zip(mu0.weights, tables, combo):
+            acc += w * table[t]
+        rows.append(acc)
+    return np.array(rows)
+
+
+def oracle_battery(rng):
+    """Seeded u_plus_v, planar affine and pursuit games, 1-3 atoms,
+    n = 1..3, small enough for the scalar reference."""
+    for n in (1, 2, 3):
+        for atoms in (1, 2, 3):
+            if n * atoms > 4 or (n == 3 and atoms > 1):
+                continue
+            w = rng.dirichlet(np.ones(atoms))
+            yield make_problem(
+                "u_plus_v", T=1.0, u_grid=[-1.0, 1.0],
+                v_grid=[-1.0, 0.5, 1.0] if n < 3 else [-1.0, 1.0],
+            ), ParticleMeasure(rng.uniform(-1, 1, (atoms, 1)), w), n
+            pts = rng.uniform(-1, 1, (atoms, 2))
+            yield make_problem(
+                "affine", A=rng.uniform(-0.5, 0.5, (2, 2)).tolist(),
+                B=[[1.0], [0.0]], C=[[0.0], [1.0]], dim=2, T=1.0,
+                u_grid=[-1.0, 1.0],
+                v_grid=[-1.0, 0.0, 1.0] if n < 3 else [-1.0, 1.0],
+                g_kind="quadratic",
+            ), ParticleMeasure(pts, w), n
+            yield make_problem(
+                "pursuit", T=1.0, u_grid=[[1.0, 0.0], [0.0, 1.0]],
+                v_grid=[[1.0, 0.0], [0.0, -1.0]],
+            ), ParticleMeasure(pts, w), n
+
+
 class TestBruteForce:
+    def test_matrix_equals_scalar_reference_bit_for_bit(self):
+        games = list(oracle_battery(np.random.default_rng(31)))
+        assert len(games) == 18
+        for prob, mu, n in games:
+            bf = brute_force_value(prob, mu, n)
+            assert np.array_equal(bf.matrix, scalar_oracle_matrix(prob, mu, n))
+
+    def test_one_flow_call_per_atom_and_open_loop_u_sequence(
+        self, monkeypatch
+    ):
+        calls = []
+        real_flow = value_solver.flow
+
+        def counting_flow(*args):
+            calls.append(args)
+            return real_flow(*args)
+
+        monkeypatch.setattr(value_solver, "flow", counting_flow)
+        for prob, mu, n in oracle_battery(np.random.default_rng(37)):
+            calls.clear()
+            brute_force_value(prob, mu, n)
+            assert len(calls) == mu.n_atoms * prob.n_u**n
+            # Each call carries one row per v-sequence.
+            assert all(len(c[1]) == prob.n_v**n for c in calls)
+
+    def test_blow_up_raises_numeric_failure_naming_the_stage(self):
+        # One RK4 step per stage multiplies x by about 4e306: stage 0 stays
+        # finite, stage 1 overflows.
+        prob = make_problem(
+            "linear", A=[[1e77]], T=2.0, u_grid=[0.0, 1.0],
+            v_grid=[0.0, 1.0], substeps=1,
+        )
+        mu = ParticleMeasure(np.array([[1.0]]), np.array([1.0]))
+        with pytest.raises(NumericFailure, match="stage=1") as exc:
+            brute_force_value(prob, mu, 2)
+        assert exc.value.stage == 1
+
     def test_two_by_two_structure(self):
         bf = brute_force_value(pennies(), dirac0(), 1)
         assert bf.matrix.shape == (2, 2)
