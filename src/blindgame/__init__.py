@@ -14,7 +14,6 @@ from .measures import (
     ParticleMeasure,
     from_csv,
     second_moment,
-    split,
     to_csv,
 )
 from .transport import (
@@ -33,7 +32,6 @@ from .dynamics import (
     flow,
     make_payoff,
     make_problem,
-    stage_pushforward,
 )
 from .simplex import MinmaxSolution, max_weighted_min
 from .game_kernel import (
@@ -115,8 +113,6 @@ __all__ = [
     "seq_from_rank",
     "solve_Vn",
     "solve_matrix_game",
-    "split",
-    "stage_pushforward",
     "to_csv",
     "tree_prefixes",
     "wasserstein2",

@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericFailure
-from .measures import ParticleMeasure
 
 #: State radius on which the quadratic payoff's slope bound is taken.
 DOMAIN_RADIUS = 10.0
@@ -187,28 +186,6 @@ def flow(
     for k in range(n):
         x = stage_step(prob, x, rows + u_seq[k], rows + v_seq[k], tau, k)
     return x
-
-
-def stage_pushforward(
-    prob: ControlProblem,
-    mu: ParticleMeasure,
-    u_assignment: Sequence[int],
-    v_index: int,
-    stage_len: float,
-) -> ParticleMeasure:
-    """Advance every atom one stage; atom i uses its own control index.
-
-    Weights are unchanged, and each atom's image equals ``advance_stage``
-    of that atom alone bit for bit.
-    """
-    if len(u_assignment) != mu.n_atoms:
-        raise ValueError(
-            f"u_assignment has {len(u_assignment)} entries "
-            f"for {mu.n_atoms} atoms"
-        )
-    iu, iv = np.asarray(u_assignment), np.full(mu.n_atoms, v_index)
-    y = stage_step(prob, mu.points, iu, iv, stage_len, 0)
-    return ParticleMeasure(y, mu.weights.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -72,38 +71,6 @@ class ParticleMeasure:
 
     def __repr__(self) -> str:
         return f"ParticleMeasure(n_atoms={self.n_atoms}, dim={self.dim})"
-
-
-def split(
-    mu: ParticleMeasure,
-    fanout: Sequence[Sequence[tuple[float, np.ndarray]]],
-) -> ParticleMeasure:
-    """Distribute each atom's mass over branches.
-
-    ``fanout[i]`` lists ``(branch_weight, branch_point)`` pairs for atom i;
-    the branch weights of each atom must form a probability vector.  Used to
-    realize randomized per-particle controls as mass splitting.
-    """
-    if len(fanout) != mu.n_atoms:
-        raise ValueError(
-            f"fanout has {len(fanout)} entries for {mu.n_atoms} atoms"
-        )
-    new_points = []
-    new_weights = []
-    for i, branches in enumerate(fanout):
-        if len(branches) == 0:
-            raise ValueError(f"atom {i}: empty branch list")
-        bw = np.array([float(b[0]) for b in branches])
-        if np.any(bw < 0.0) or abs(float(np.sum(bw)) - 1.0) > WEIGHT_TOL:
-            raise ValueError(
-                f"atom {i}: branch weights are not a probability vector"
-            )
-        for w_b, x_b in branches:
-            new_points.append(
-                np.atleast_1d(np.asarray(x_b, dtype=float)).reshape(-1)
-            )
-            new_weights.append(mu.weights[i] * float(w_b))
-    return ParticleMeasure(np.array(new_points), np.array(new_weights))
 
 
 def second_moment(mu: ParticleMeasure) -> float:

@@ -38,12 +38,11 @@ from .dynamics import (  # noqa: F401
     advance_stage,
     control_pairs,
     flow,
-    stage_pushforward,
     stage_step,
     terminal_costs,
 )
 from .errors import SolverFailure
-from .measures import ParticleMeasure, split
+from .measures import ParticleMeasure
 from .game_kernel import MatrixGame, solve_matrix_game
 from .simplex import max_weighted_min
 from .transport import wasserstein2
@@ -439,7 +438,7 @@ def solve_Vn(
     ``COLGEN_THRESHOLD`` are read at call time.
     """
     _check_compat(prob, mu0, n)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -632,22 +631,6 @@ class DppReport:
     method: str
 
 
-def _one_stage_measure(
-    prob: ControlProblem,
-    mu0: ParticleMeasure,
-    rho: np.ndarray,
-    v_index: int,
-    stage_len: float,
-) -> ParticleMeasure:
-    """Split each atom over its u-mix and advance one stage under v."""
-    fanout = [
-        [(r, x) for r in row if r > 0.0] for row, x in zip(rho, mu0.points)
-    ]
-    branch_u = np.nonzero(rho > 0.0)[1]
-    mu_split = split(mu0, fanout)
-    return stage_pushforward(prob, mu_split, branch_u, v_index, stage_len)
-
-
 def _dyadic_simplex(n_parts: int, resolution: int) -> list[np.ndarray]:
     """All probability vectors with denominator ``resolution``."""
     out = []
@@ -668,13 +651,16 @@ def dpp_check(
 
     Left side: the n-stage brute-force value.  Right side: the infimum
     over per-atom randomized first-stage controls of the supremum over
-    pure first-stage v of the (n-1)-stage brute-force value at the split
-    and transported measure.  The infimum is exact when the continuation
-    is linear in the measure (single-v games, pure per-atom controls);
-    otherwise it is searched on the dyadic mix grid of resolution
-    ``DPP_RESOLUTION`` under ``DPP_COMBO_GUARD`` combinations (both read at
-    call time), so the reported difference carries that grid slack.  With
-    one u-point that grid is the single mix and the search is exact.
+    pure first-stage v of the (n-1)-stage brute-force value at mu1, each
+    atom's mass spread over its u-mix and moved one stage.  Every atom's
+    one-stage image under every control pair is integrated once, and each
+    mu1 is read off those images.  The infimum is exact when the
+    continuation is linear in the measure (single-v games, pure per-atom
+    controls, each atom's image valued on its own); otherwise it is
+    searched on the dyadic mix grid of resolution ``DPP_RESOLUTION`` under
+    ``DPP_COMBO_GUARD`` combinations (both read at call time), so the
+    reported difference carries that grid slack.  With one u-point that
+    grid is the single mix and the search is exact.
     """
     if n < 2:
         raise ValueError("dpp_check needs n >= 2")
@@ -683,13 +669,21 @@ def dpp_check(
     tau = prob.T / n
     cont_prob = replace(prob, T=prob.T - tau)
     n_u, n_v = prob.n_u, prob.n_v
+    images = stage_step(
+        prob, *control_pairs(prob, mu0.points), tau, 0
+    ).reshape(mu0.n_atoms, n_u, n_v, prob.dim)
 
     if n_v == 1:
         # Continuation is linear in the measure: pure per-atom controls
         # are exact and the whole check collapses to per-atom minimization.
         rhs = 0.0
-        for w, x in zip(mu0.weights, mu0.points):
-            rhs += w * min(_oracle_payoffs(prob, x, n)[:, 0])
+        for w, atom_images in zip(mu0.weights, images[:, :, 0]):
+            rhs += w * min(
+                brute_force_value(
+                    cont_prob, ParticleMeasure(y[None], [1.0]), n - 1
+                ).value
+                for y in atom_images
+            )
         method = "exact-linear"
     else:
         per_atom = _dyadic_simplex(n_u, DPP_RESOLUTION)
@@ -702,12 +696,16 @@ def dpp_check(
         rhs = np.inf
         for combo in itertools.product(per_atom, repeat=mu0.n_atoms):
             rho = np.vstack(combo)
-            worst = -np.inf
-            for iv in range(n_v):
-                mu1 = _one_stage_measure(prob, mu0, rho, iv, tau)
-                worst = max(
-                    worst, brute_force_value(cont_prob, mu1, n - 1).value
-                )
+            atoms, us = np.nonzero(rho > 0.0)
+            weights = mu0.weights[atoms] * rho[atoms, us]
+            worst = max(
+                brute_force_value(
+                    cont_prob,
+                    ParticleMeasure(images[atoms, us, iv], weights),
+                    n - 1,
+                ).value
+                for iv in range(n_v)
+            )
             rhs = min(rhs, worst)
         method = (
             "exact-single-u" if n_u == 1 else f"dyadic-grid-1/{DPP_RESOLUTION}"
@@ -743,7 +741,7 @@ def ekeland_point(
     """
     if len(domain) == 0:
         raise ValueError("domain must be nonempty")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be > 0")
     values = [float(func(t, mu)) for t, mu in domain]
     if not all(np.isfinite(v) for v in values):

@@ -9,7 +9,6 @@ from blindgame import (
     flow,
     make_payoff,
     make_problem,
-    stage_pushforward,
 )
 from blindgame.dynamics import terminal_costs
 
@@ -157,90 +156,15 @@ class TestPayoffOpenLoop:
         assert val == pytest.approx(0.0, abs=1e-24)
 
     def test_blow_up_raises_numeric_failure_naming_the_stage(self):
-        prob = _blow_up_problem()
+        # x' = 1e77 x with one RK4 step per stage: one stage multiplies x by
+        # about 4e306, so stage 0 stays finite and stage 1 overflows.
+        prob = make_problem(
+            "linear", A=[[1e77]], T=2.0, u_grid=[0.0], v_grid=[0.0], substeps=1
+        )
         mu = ParticleMeasure(np.array([[1.0], [0.5]]), np.array([0.5, 0.5]))
         with pytest.raises(NumericFailure, match="stage=1") as exc:
             open_loop_payoff(prob, mu, (0, 0), (0, 0))
         assert exc.value.stage == 1
-
-
-def _blow_up_problem(rate=1e77):
-    """x' = rate * x with one RK4 step per stage: at rate 1e77 one stage
-    multiplies x by about 4e306, so stage 0 stays finite and stage 1
-    overflows; at 1e200 stage 0 overflows."""
-    return make_problem(
-        "linear", A=[[rate]], T=2.0, u_grid=[0.0], v_grid=[0.0], substeps=1
-    )
-
-
-class TestStagePushforward:
-    def test_frozen_dynamics_keep_measure(self):
-        prob = make_problem(
-            "frozen", dim=1, T=1.0, u_grid=[0.0], v_grid=[0.0]
-        )
-        mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        out = stage_pushforward(prob, mu, [0, 0], 0, 0.5)
-        assert np.array_equal(out.points, mu.points)
-
-    def test_single_atom_matches_flow(self):
-        prob = make_problem(
-            "u_plus_v", T=1.0, u_grid=[-1.0, 1.0], v_grid=[-1.0, 1.0]
-        )
-        mu = ParticleMeasure(np.array([[0.3]]), np.array([1.0]))
-        out = stage_pushforward(prob, mu, [1], 0, prob.T)
-        end = flow(prob, [0.3], (1,), (0,))
-        assert np.array_equal(out.points[0], end)
-
-    def test_per_atom_translation(self):
-        # f = u: each atom moves by its own u * stage_len
-        prob = make_problem(
-            "affine",
-            A=[[0.0]],
-            B=[[1.0]],
-            C=[[0.0]],
-            dim=1,
-            T=1.0,
-            u_grid=[-1.0, 2.0],
-            v_grid=[0.0],
-        )
-        mu = ParticleMeasure(np.array([[0.0], [10.0]]), np.array([0.5, 0.5]))
-        out = stage_pushforward(prob, mu, [0, 1], 0, 0.5)
-        assert np.allclose(out.points, [[-0.5], [11.0]], atol=1e-12)
-
-    def test_commutes_with_pushforward(self):
-        prob = make_problem(
-            "affine",
-            A=[[0.2]],
-            B=[[1.0]],
-            C=[[1.0]],
-            dim=1,
-            T=1.0,
-            u_grid=[-1.0, 1.0],
-            v_grid=[-1.0, 1.0],
-        )
-        mu = ParticleMeasure(
-            np.array([[0.1], [0.7], [-2.0]]), np.array([0.2, 0.3, 0.5])
-        )
-        stage_len = 0.25
-        out = stage_pushforward(prob, mu, [1, 1, 1], 0, stage_len)
-        mapped = [
-            advance_stage(prob, x, prob.u_grid[1], prob.v_grid[0], stage_len)
-            for x in mu.points
-        ]
-        assert np.array_equal(out.points, mapped)
-
-    def test_blow_up_raises_numeric_failure_naming_the_stage(self):
-        prob = _blow_up_problem(1e200)
-        mu = ParticleMeasure(np.array([[1.0], [0.0]]), np.array([0.5, 0.5]))
-        with pytest.raises(NumericFailure, match="stage=0") as exc:
-            stage_pushforward(prob, mu, [0, 0], 0, 1.0)
-        assert exc.value.stage == 0
-
-    def test_assignment_length_checked(self):
-        prob = make_problem("frozen", dim=1, T=1.0, u_grid=[0.0], v_grid=[0.0])
-        mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="u_assignment"):
-            stage_pushforward(prob, mu, [0], 0, 0.5)
 
 
 class TestProblemLibrary:

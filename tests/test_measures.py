@@ -3,11 +3,11 @@ import io
 import numpy as np
 import pytest
 
+import blindgame
 from blindgame import (
     ParticleMeasure,
     from_csv,
     second_moment,
-    split,
     to_csv,
 )
 
@@ -45,31 +45,10 @@ class TestConstruction:
         assert mu.dim == 1 and mu.points.shape == (2, 1)
 
 
-class TestSplit:
-    def test_two_way_split_of_dirac(self):
-        mu = ParticleMeasure(np.array([[0.0]]), np.array([1.0]))
-        out = split(mu, [[(0.5, [-1.0]), (0.5, [1.0])]])
-        assert atoms(out) == [((-1.0,), 0.5), ((1.0,), 0.5)]
-
-    def test_identity_split(self):
-        mu = ParticleMeasure(np.array([[2.0], [3.0]]), np.array([0.25, 0.75]))
-        out = split(mu, [[(1.0, p)] for p in mu.points])
-        assert atoms(out) == atoms(mu)
-
-    def test_weight_product_rule(self):
-        mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        fan = [
-            [(0.5, [10.0]), (0.5, [11.0])],
-            [(0.5, [20.0]), (0.5, [21.0])],
-        ]
-        out = split(mu, fan)
-        assert out.n_atoms == 4
-        assert np.allclose(out.weights, 0.25)
-
-    def test_bad_branch_weights_rejected(self):
-        mu = ParticleMeasure(np.array([[0.0]]), np.array([1.0]))
-        with pytest.raises(ValueError, match="probability"):
-            split(mu, [[(0.6, [0.0]), (0.5, [1.0])]])
+def test_every_package_export_resolves_once():
+    names = blindgame.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(blindgame, name)] == []
 
 
 class TestSecondMoment:

@@ -10,6 +10,7 @@ from blindgame import (
     ParticleMeasure,
     SolverFailure,
     StrategyTreeI,
+    advance_stage,
     best_response_I,
     brute_force_value,
     build_lattice,
@@ -413,6 +414,8 @@ class TestSolveVn:
         prob = pennies()
         with pytest.raises(ValueError, match="tol"):
             solve_Vn(prob, dirac0(), 1, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            solve_Vn(prob, dirac0(), 1, tol=float("nan"))
         with pytest.raises(ValueError, match="guard"):
             solve_Vn(prob, dirac0(), 25)
 
@@ -897,6 +900,39 @@ class TestLipschitzInMeasure:
             assert abs(v_mu - v_nu) <= bound_factor * dist + 1e-6
 
 
+def per_atom_dpp_reference(prob, mu0, n, resolution):
+    """(lhs, rhs, method) of the one-step DPP check for a game with two or
+    more v-points, every continuation measure built atom by atom: each
+    atom's branches in u order, each moved by a single-state
+    ``advance_stage`` and weighted by its mass times its mix weight."""
+    tau = prob.T / n
+    cont_prob = replace(prob, T=prob.T - tau)
+    mixes = [
+        np.array(counts, dtype=float) / resolution
+        for counts in itertools.product(range(resolution + 1), repeat=prob.n_u)
+        if sum(counts) == resolution
+    ]
+    rhs = np.inf
+    for rho in itertools.product(mixes, repeat=mu0.n_atoms):
+        worst = -np.inf
+        for iv in range(prob.n_v):
+            points, weights = [], []
+            for w, x, row in zip(mu0.weights, mu0.points, rho):
+                for iu, r in enumerate(row):
+                    if r > 0.0:
+                        points.append(advance_stage(
+                            prob, x, prob.u_grid[iu], prob.v_grid[iv], tau
+                        ))
+                        weights.append(w * r)
+            mu1 = ParticleMeasure(np.array(points), np.array(weights))
+            worst = max(worst, brute_force_value(cont_prob, mu1, n - 1).value)
+        rhs = min(rhs, worst)
+    method = (
+        "exact-single-u" if prob.n_u == 1 else f"dyadic-grid-1/{resolution}"
+    )
+    return float(brute_force_value(prob, mu0, n).value), float(rhs), method
+
+
 class TestDppCheck:
     def test_frozen_is_exact(self):
         prob = make_problem(
@@ -974,6 +1010,64 @@ class TestDppCheck:
         with pytest.raises(ValueError, match="n >= 2"):
             dpp_check(pennies(), dirac0(), 1)
 
+    def test_exact_linear_continues_from_the_one_stage_images(
+        self, monkeypatch
+    ):
+        # The left side integrates every open-loop trajectory over all n
+        # stages; the right side starts each atom's continuation at its
+        # one-stage images, so its calls carry n - 1 stages.
+        prob = make_problem(
+            "affine", A=[[0.3]], B=[[1.0]], C=[[1.0]], dim=1, T=1.0,
+            u_grid=[-1.0, 0.2, 1.0], v_grid=[0.4],
+        )
+        mu = ParticleMeasure(np.array([[0.3], [-0.8]]), np.array([0.4, 0.6]))
+        real_flow = value_solver.flow
+        stages = []
+
+        def counting_flow(*args):
+            stages.append(len(args[2]))
+            return real_flow(*args)
+
+        monkeypatch.setattr(value_solver, "flow", counting_flow)
+        rep = dpp_check(prob, mu, 3)
+        assert rep.method == "exact-linear"
+        assert abs(rep.difference) <= 1e-12
+        per_side = mu.n_atoms * prob.n_u**3
+        assert stages == [3] * per_side + [2] * per_side
+
+    def test_matches_per_atom_reference(self, monkeypatch):
+        resolution = 8
+        monkeypatch.setattr(value_solver, "DPP_RESOLUTION", resolution)
+        rng = np.random.default_rng(15)
+        for k in range(9):
+            atoms = 1 + k % 2
+            if k % 3 == 0:
+                prob = make_problem(
+                    "u_plus_v", T=1.0,
+                    u_grid=np.sort(rng.uniform(-1, 1, 2)),
+                    v_grid=np.sort(rng.uniform(-1, 1, 2)),
+                )
+            elif k % 3 == 1:
+                prob = make_problem(
+                    "affine", A=[[rng.uniform(-0.5, 0.5)]], B=[[1.0]],
+                    C=[[1.0]], dim=1, T=1.0, u_grid=[rng.uniform(-1, 1)],
+                    v_grid=np.sort(rng.uniform(-1, 1, 3)), g_kind="quadratic",
+                )
+            else:
+                prob = make_problem(
+                    "affine", A=[[0.0, 1.0], [-1.0, 0.0]], B=[[1.0], [0.0]],
+                    C=[[0.0], [1.0]], dim=2, T=1.0,
+                    u_grid=np.sort(rng.uniform(-1, 1, 2)),
+                    v_grid=np.sort(rng.uniform(-1, 1, 2)),
+                )
+            w = rng.uniform(0.2, 1.0, atoms)
+            mu = ParticleMeasure(
+                rng.uniform(-1, 1, (atoms, prob.dim)), w / w.sum()
+            )
+            rep = dpp_check(prob, mu, 2)
+            expected = per_atom_dpp_reference(prob, mu, 2, resolution)
+            assert repr((rep.lhs, rep.rhs, rep.method)) == repr(expected), k
+
     def test_grid_constants_are_read_at_call_time(self, monkeypatch):
         # Two u-points at resolution 1/4: five mixes for the one atom.
         monkeypatch.setattr(value_solver, "DPP_RESOLUTION", 4)
@@ -1032,6 +1126,8 @@ class TestEkeland:
         domain = self._domain(rng, 3)
         with pytest.raises(ValueError, match="eps"):
             ekeland_point(domain, lambda t, mu: 0.0, eps=0.0)
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            ekeland_point(domain, lambda t, mu: 0.0, eps=float("nan"))
 
 
 class _TableFunc:
