@@ -725,6 +725,56 @@ class EkelandResult:
     value: float
 
 
+def _mean_lower_bounds(
+    measures: Sequence[ParticleMeasure],
+) -> Callable[[int], list[float]]:
+    """Lower bounds on ``wasserstein2`` from the measures' means.
+
+    Returns ``row(i)``: for every j a float ``lb`` no larger than the float
+    ``wasserstein2(measures[i], measures[j])[0]``.  For quadratic cost
+    W2^2(mu, nu) = |m_mu - m_nu|^2 + W2^2 of the centred measures, so
+    W2 >= |m_mu - m_nu| (Jensen), and ``lb = max(0, |dm| - delta) *
+    (1 - 1e-9)``, where ``dm`` is the difference of the computed means and
+    ``delta`` the sum of the two measures' ``slop``.  The error budget:
+
+    * Weight snapping.  ``wasserstein2`` transports the weights of
+      ``_integer_marginals``: each is snapped to the nearest fraction of
+      denominator at most 10**12 (off by at most 5e-13) and divided by the
+      snapped total (off from one by at most atoms * 5e-13), so the
+      weights move by at most atoms * 1e-12 in all.  Both weight vectors
+      sum to one, so the mean moves by at most that times the largest
+      distance of an atom from the mean: the ``2e-12`` term, with a factor
+      2 of margin.
+    * Float means.  The computed mean, and the float weights' sum, whose
+      distance from one shifts the mean by as much times its norm, are
+      each off by at most about atoms * 2**-53 times the largest |atom|:
+      the ``1e-15`` term is about 3 times their sum.
+    * Relative rounding.  The float costs, the final division and the
+      ``sqrt`` of ``wasserstein2``, and the norm and subtraction here,
+      round by a relative (d + 4) * 2**-53 at most, which the factor
+      ``1 - 1e-9`` covers for any dimension d below 10**6.
+
+    Each measure's mean and slop are computed once, for all measures in
+    one pass over their stacked atoms.
+    """
+    atoms = np.array([mu.n_atoms for mu in measures])
+    starts = np.cumsum(atoms) - atoms
+    points = np.concatenate([mu.points for mu in measures])
+    weights = np.concatenate([mu.weights for mu in measures])
+    means = np.add.reduceat(weights[:, None] * points, starts)
+    spread = np.linalg.norm(points - np.repeat(means, atoms, axis=0), axis=1)
+    slop = atoms * (
+        2e-12 * np.maximum.reduceat(spread, starts)
+        + 1e-15 * np.maximum.reduceat(np.linalg.norm(points, axis=1), starts)
+    )
+
+    def row(i: int) -> list[float]:
+        gaps = np.linalg.norm(means - means[i], axis=1) - (slop + slop[i])
+        return (np.maximum(gaps, 0.0) * (1.0 - 1e-9)).tolist()
+
+    return row
+
+
 def ekeland_point(
     domain: Sequence[tuple[float, ParticleMeasure]],
     func: Callable[[float, ParticleMeasure], float],
@@ -738,6 +788,15 @@ def ekeland_point(
     to one whose value is at most halfway between the current value and
     the infimum over the improving set.  The certificate re-checks both
     inequalities against every domain point and must come back empty.
+
+    Every test is ``values[j] < values[i] - eps * W2(i, j) - slack``, with
+    slack 0 in the descent and 1e-12 in the certificate.  It fails without
+    a transport solve when ``values[j] >= values[i] - slack`` (as eps * W2
+    >= 0) or when ``values[j] >= values[i] - eps * lb - slack`` for the
+    mean bound ``lb <= W2`` of :func:`_mean_lower_bounds`: float products
+    and differences are monotone, so the same expression with ``lb`` is
+    never below the one with W2.  Only the pairs neither decides call
+    ``wasserstein2``, so the result is the one every pair's exact W2 gives.
     """
     if len(domain) == 0:
         raise ValueError("domain must be nonempty")
@@ -746,17 +805,34 @@ def ekeland_point(
     values = [float(func(t, mu)) for t, mu in domain]
     if not all(np.isfinite(v) for v in values):
         raise ValueError("func must be finite on the domain")
+    dim = domain[0][1].dim
+    for i, (_, mu) in enumerate(domain):
+        if mu.dim != dim:
+            raise ValueError(
+                f"dimension mismatch: domain[{i}] has dimension {mu.dim}, "
+                f"domain[0] has {dim}"
+            )
 
     dist_cache: dict[tuple[int, int], float] = {}
 
-    def dist(i: int, j: int) -> float:
-        if i == j:
-            return 0.0
+    def dist(i: int, j: int) -> float:  # i != j: beaten skips j == i first
         key = (min(i, j), max(i, j))
         if key not in dist_cache:
             d, _ = wasserstein2(domain[key[0]][1], domain[key[1]][1])
             dist_cache[key] = d
         return dist_cache[key]
+
+    lower = _mean_lower_bounds([mu for _, mu in domain])
+
+    def beaten(i: int, slack: float) -> list[int]:
+        """Every j with values[j] < values[i] - eps * W2(i, j) - slack."""
+        return [
+            j
+            for j, lb in enumerate(lower(i))
+            if values[j] < values[i] - slack
+            and values[j] < values[i] - eps * lb - slack
+            and values[j] < values[i] - eps * dist(i, j) - slack
+        ]
 
     min_value = min(values)
     current = next(
@@ -764,22 +840,14 @@ def ekeland_point(
     )
     iterations = 0
     while True:
-        improving = [
-            j
-            for j in range(len(domain))
-            if values[j] < values[current] - eps * dist(current, j)
-        ]
+        improving = beaten(current, 0.0)
         if not improving:
             break
         target = (values[current] + min(values[j] for j in improving)) / 2.0
         current = next(j for j in improving if values[j] <= target)
         iterations += 1
 
-    violations = tuple(
-        j
-        for j in range(len(domain))
-        if values[j] < values[current] - eps * dist(current, j) - 1e-12
-    )
+    violations = tuple(beaten(current, 1e-12))
     if values[current] > min_value + eps + 1e-12:
         violations = violations + (current,)
     return EkelandResult(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blindgame import (
+    EkelandResult,
     MatrixGame,
     MixedStrategyII,
     NumericFailure,
@@ -20,6 +21,7 @@ from blindgame import (
     flow,
     make_problem,
     payoff,
+    second_moment,
     seq_from_rank,
     solve_Vn,
     solve_matrix_game,
@@ -1128,6 +1130,175 @@ class TestEkeland:
             ekeland_point(domain, lambda t, mu: 0.0, eps=0.0)
         with pytest.raises(ValueError, match="eps must be > 0"):
             ekeland_point(domain, lambda t, mu: 0.0, eps=float("nan"))
+
+    def test_mixed_dimensions_raise_naming_the_index(self):
+        domain = [
+            (0.0, ParticleMeasure([[0.0, 0.0]], [1.0])),
+            (0.5, ParticleMeasure([[1.0, 0.0]], [1.0])),
+            (1.0, ParticleMeasure([[3.0]], [1.0])),
+        ]
+        for values in ([0.0, 1.0, 2.0], [2.0, 1.0, 0.0]):
+            with pytest.raises(ValueError, match=r"domain\[2\] has dimension 1"):
+                ekeland_point(domain, _TableFunc(domain, values), eps=0.5)
+        dirac = [domain[0], domain[2]]
+        for values in ([0.0, 1.0], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                ekeland_point(dirac, _TableFunc(dirac, values), eps=0.5)
+
+    def test_mean_bound_never_exceeds_w2(self):
+        # Weights 2e-13 off 1/2 snap to 1/2, so wasserstein2 sees an exact
+        # translate 1e-6 away while the float means are 1.0000004e-6 apart.
+        mu = ParticleMeasure([[-1.0], [1.0]], [0.5, 0.5])
+        nu = ParticleMeasure(mu.points + 1e-6, [0.5 - 2e-13, 0.5 + 2e-13])
+        lb = value_solver._mean_lower_bounds([mu, nu])(0)[1]
+        assert 0.0 < lb <= wasserstein2(mu, nu)[0]
+        rng = np.random.default_rng(16)
+        decided = 0
+        for k in range(240):
+            dim = 1 + k % 3
+            mu = _battery_measure(rng, k, dim)
+            # The same offset, moved by 1e-7 to 10 so the means part.
+            shift = 10.0 ** rng.uniform(-7, 1) * rng.normal(size=dim)
+            nu = _battery_measure(rng, k, dim, mu.points[0] + shift)
+            for a, b in [(mu, nu), (nu, mu), (mu, mu)]:
+                lb = value_solver._mean_lower_bounds([a, b])(0)[1]
+                assert lb <= wasserstein2(a, b)[0], (k, lb)
+                decided += lb > 0.0
+        assert decided > 100  # the bound is not vacuous
+
+    def test_matches_unscreened_reference(self):
+        rng = np.random.default_rng(17)
+        for k in range(60):
+            domain, values, eps = _battery_domain(rng, k)
+            res = ekeland_point(domain, _TableFunc(domain, values), eps)
+            assert res == unscreened_ekeland(domain, values, eps), k
+
+    def test_margin_ties_match_unscreened_reference(self):
+        # Values exactly at, and one ulp either side of, the descent's and
+        # the certificate's thresholds against point 0.  Only points within
+        # W2 <= 1 of it get one, so point 0 stays eps-optimal and the
+        # search starts there.
+        rng = np.random.default_rng(18)
+        for k in range(30):
+            domain, values, eps = _battery_domain(rng, k)
+            values[0] = min(values)
+            for j in range(1, len(domain)):
+                w = wasserstein2(domain[0][1], domain[j][1])[0]
+                edge = values[0] - eps * w - (1e-12 if j % 2 else 0.0)
+                values[j] = values[0] + 1.0 if w > 1.0 else [
+                    np.nextafter(edge, -np.inf), edge,
+                    np.nextafter(edge, np.inf),
+                ][j % 3]
+            res = ekeland_point(domain, _TableFunc(domain, values), eps)
+            assert res == unscreened_ekeland(domain, values, eps), k
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mean_bound_skips_most_transport_solves(self, seed, monkeypatch):
+        # Shaped like the kernels benchmark's ekeland domain: 150 jittered
+        # copies of an 8-atom planar cloud in a seeded pose, valued by
+        # t + second moment, at eps = 5.
+        shape = np.random.default_rng(2024).normal(0.0, 0.5, size=(8, 2))
+        base = shape + np.random.default_rng(seed).normal(0.0, 0.5, size=2)
+        jitter = np.random.default_rng(2024)
+        domain = [
+            (i / 149, ParticleMeasure(
+                base + jitter.normal(0.0, 0.5, size=base.shape),
+                np.full(8, 1.0 / 8),
+            ))
+            for i in range(150)
+        ]
+        func = lambda t, mu: t + second_moment(mu)
+        calls = []
+
+        def counting(mu, nu):
+            calls.append(1)
+            return wasserstein2(mu, nu)
+
+        monkeypatch.setattr(value_solver, "wasserstein2", counting)
+        res = ekeland_point(domain, func, 5.0)
+        assert res.violations == ()
+        # Without the screen this domain takes 149 transport solves.
+        assert 0 < len(calls) <= 20
+        monkeypatch.undo()
+        values = [func(t, mu) for t, mu in domain]
+        assert res == unscreened_ekeland(domain, values, 5.0)
+
+
+def unscreened_ekeland(domain, values, eps):
+    """The variational point search with an exact W2 on every comparison."""
+    dist_cache = {}
+
+    def dist(i, j):
+        if i == j:
+            return 0.0
+        key = (min(i, j), max(i, j))
+        if key not in dist_cache:
+            dist_cache[key] = wasserstein2(domain[key[0]][1], domain[key[1]][1])[0]
+        return dist_cache[key]
+
+    values = [float(v) for v in values]
+    min_value = min(values)
+    current = next(i for i, v in enumerate(values) if v <= min_value + eps)
+    iterations = 0
+    while True:
+        improving = [
+            j for j in range(len(domain))
+            if values[j] < values[current] - eps * dist(current, j)
+        ]
+        if not improving:
+            break
+        target = (values[current] + min(values[j] for j in improving)) / 2.0
+        current = next(j for j in improving if values[j] <= target)
+        iterations += 1
+    violations = tuple(
+        j for j in range(len(domain))
+        if values[j] < values[current] - eps * dist(current, j) - 1e-12
+    )
+    if values[current] > min_value + eps + 1e-12:
+        violations = violations + (current,)
+    return EkelandResult(current, violations, iterations, values[current])
+
+
+def _battery_measure(rng, k, dim, offset=None):
+    """A seeded measure for screen tests: uniform, Dirichlet, 1/3 or
+    zero-weight atoms by ``k % 4``; near the origin or far out (up to 1e8)
+    with jitter down to 1e-7 by ``k // 4 % 2``; centred when ``k % 5 == 0``.
+    """
+    kind = k % 4
+    atoms = 3 if kind == 2 else int(rng.integers(1, 6))
+    if kind == 0:
+        w = np.full(atoms, 1.0 / atoms)
+    elif kind == 1:
+        w = rng.dirichlet(np.ones(atoms))
+    elif kind == 2:
+        w = np.full(3, 1.0 / 3.0)
+    else:
+        w = rng.dirichlet(np.ones(atoms + 1))
+        w = np.append(w[:-1], 0.0)
+        w[0] += 1.0 - w.sum()
+    if offset is None:
+        offset = rng.uniform(-1e8, 1e8, dim) if k // 4 % 2 else 0.0
+    scale = 10.0 ** rng.uniform(-7, 0) if k // 4 % 2 else 1.0
+    pts = offset + scale * rng.normal(size=(len(w), dim))
+    if k % 5 == 0:
+        pts = pts - w @ pts
+    return ParticleMeasure(pts, w)
+
+
+def _battery_domain(rng, k):
+    """A seeded domain, its values (on a 1/4 lattice for even k) and eps."""
+    dim = 1 + k % 3
+    size = int(rng.integers(2, 16))
+    offset = rng.uniform(-1e8, 1e8, dim) if k // 4 % 2 else None
+    domain = [
+        (i / size, _battery_measure(rng, k, dim, offset)) for i in range(size)
+    ]
+    if k % 2 == 0:
+        values = rng.integers(-8, 9, size) / 4.0
+    else:
+        values = rng.uniform(-1, 1, size)
+    eps = float(rng.choice([0.05, 0.5, 5.0]))
+    return domain, values, eps
 
 
 class _TableFunc:
