@@ -191,21 +191,14 @@ def gamma_n(
         raise ValueError("sample_points must be nonempty")
     fine = problem.v_grid
     coarse = fine[_coarse_indices(problem, coarse_v_indices)]
-    pairing = nearest_coarse(fine, coarse)
-    # The (u, fine v) rows of one sample, u-major, and their paired v rows.
-    u_rows = np.repeat(problem.u_grid, len(fine), axis=0)
-    v_rows = [np.tile(v, (problem.n_u, 1)) for v in (fine, coarse[pairing])]
-    step = max(1, GAMMA_BATCH_ROWS // len(u_rows))
+    paired = coarse[nearest_coarse(fine, coarse)]
+    step = max(1, GAMMA_BATCH_ROWS // (problem.n_u * problem.n_v))
     worst = 0.0
     for start in range(0, len(pts), step):
-        chunk = np.array(pts[start : start + step])
-        x = np.repeat(chunk, len(u_rows), axis=0)
-        u = np.tile(u_rows, (len(chunk), 1))
-        f_fine, f_coarse = (
-            checked_f(problem, x, u, np.tile(v, (len(chunk), 1)))
-            for v in v_rows
-        )
-        diff = f_fine - f_coarse
+        x, iu, iv = control_pairs(problem, np.array(pts[start : start + step]))
+        u = problem.u_grid[iu]
+        f_fine = checked_f(problem, x, u, fine[iv])
+        diff = f_fine - checked_f(problem, x, u, paired[iv])
         # Equal to each row's 1-d norm bit for bit (``norm(axis=1)`` is not);
         # NaN rows never count.
         norms = np.sqrt(_rowdot(diff, diff))

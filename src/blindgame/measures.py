@@ -88,18 +88,13 @@ def to_csv(mu: ParticleMeasure) -> str:
 
 
 def from_csv(text_or_path) -> ParticleMeasure:
-    """Parse the CSV produced by :func:`to_csv` (header required)."""
+    """Parse the CSV produced by :func:`to_csv` (header required) from a
+    file-like object, from text (a ``str`` holding a newline), or from the
+    path of a file that must exist."""
     if hasattr(text_or_path, "read"):
         text = text_or_path.read()
-    elif isinstance(text_or_path, os.PathLike) or (
-        isinstance(text_or_path, str)
-        and "\n" not in text_or_path
-        and os.path.exists(text_or_path)
-    ):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
     else:
-        text = str(text_or_path)
+        text, _ = _read_text(text_or_path)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty particle-measure CSV")
@@ -115,6 +110,17 @@ def from_csv(text_or_path) -> ParticleMeasure:
         weights.append(vals[0])
         points.append(vals[1:])
     return ParticleMeasure(np.array(points), np.array(weights))
+
+
+def _read_text(text_or_path: str | os.PathLike) -> tuple[str, str | None]:
+    """``(text, path)`` of a text-or-file argument: a ``str`` holding a
+    newline is the text itself (``path`` None), and anything else is a path
+    to a file that must exist (``OSError`` otherwise)."""
+    if isinstance(text_or_path, str) and "\n" in text_or_path:
+        return text_or_path, None
+    path = os.fspath(text_or_path)
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read(), path
 
 
 def _fmt(v: float) -> str:

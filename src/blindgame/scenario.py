@@ -20,6 +20,7 @@ Validation errors name the offending field and line.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -28,7 +29,8 @@ import numpy as np
 from .dynamics import (
     ControlProblem, dynamics_kind, make_payoff, make_problem, payoff_kind
 )
-from .measures import ParticleMeasure, from_csv
+from .game_kernel import _coarse_indices
+from .measures import ParticleMeasure, _read_text, from_csv
 
 
 class ConfigError(ValueError):
@@ -141,17 +143,29 @@ class _Fields:
             if key not in self.read:
                 raise ConfigError(f"{key}: unknown key (line {lineno})")
 
-    def get(self, key: str, kind: type, default=None):
+    def get(self, key: str, kind: type, default=None, *, above=None,
+            at_least=None):
         """The field as ``kind`` (``float`` or ``int``), or ``default`` if
-        it is absent and a default is given."""
+        it is absent and a default is given.
+
+        The value must be finite, and ``> above`` and ``>= at_least`` where
+        those bounds are given; the error names the key and the bound.
+        """
         if default is not None and self.raw(key) is None:
             return default
         raw = self.require(key)
         try:
-            return kind(raw)
+            value = kind(raw)
         except ValueError:
             what = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key}: expected {what}, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {raw!r}")
+        if above is not None and not value > above:
+            raise ConfigError(f"{key}: must be > {above}")
+        if at_least is not None and not value >= at_least:
+            raise ConfigError(f"{key}: must be >= {at_least}")
+        return value
 
 
 def _atoms_to_measure(raw: str, key: str) -> ParticleMeasure:
@@ -167,25 +181,28 @@ def _atoms_to_measure(raw: str, key: str) -> ParticleMeasure:
 
 
 def _load_measure(
-    fields: _Fields, prefix: str, base_dir: str
+    fields: _Fields, prefix: str, base_dir: str, dim: int
 ) -> ParticleMeasure | None:
+    """The measure given by ``prefix.atoms`` or ``prefix.csv``, checked to
+    live in dimension ``dim``, or None if neither key is given."""
     atoms = fields.raw(f"{prefix}.atoms")
     csv_path = fields.raw(f"{prefix}.csv")
     if atoms is not None and csv_path is not None:
         raise ConfigError(f"{prefix}: give either .atoms or .csv, not both")
     if atoms is not None:
-        return _atoms_to_measure(atoms, f"{prefix}.atoms")
-    if csv_path is not None:
-        path = csv_path
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        if not os.path.exists(path):
-            raise ConfigError(f"{prefix}.csv: file not found: {path}")
+        mu = _atoms_to_measure(atoms, f"{prefix}.atoms")
+    elif csv_path is not None:
         try:
-            return from_csv(path)
-        except ValueError as exc:
+            mu = from_csv(os.path.join(base_dir, csv_path))
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"{prefix}.csv: {exc}") from None
-    return None
+    else:
+        return None
+    if mu.dim != dim:
+        raise ConfigError(
+            f"{prefix}: dimension {mu.dim} does not match problem dim {dim}"
+        )
+    return mu
 
 
 def _matrix(raw: str, rows: int, cols: int, key: str) -> np.ndarray:
@@ -197,32 +214,27 @@ def _matrix(raw: str, rows: int, cols: int, key: str) -> np.ndarray:
     return np.array(vals).reshape(rows, cols)
 
 
-def load_scenario(path_or_text: str) -> Scenario:
-    """Load and validate a scenario file (or literal config text)."""
-    if "\n" not in path_or_text and os.path.exists(path_or_text):
-        base_dir = os.path.dirname(os.path.abspath(path_or_text))
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        base_dir = os.getcwd()
-        text = path_or_text
+def load_scenario(path_or_text: str | os.PathLike) -> Scenario:
+    """Load and validate a scenario file, or literal config text: a ``str``
+    holding a newline is the text itself, and anything else is the path of
+    a scenario file, which must exist.  Relative ``.csv`` paths resolve
+    against the file's directory, or the working directory for text."""
+    try:
+        text, path = _read_text(path_or_text)
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario file: {exc}") from None
+    base_dir = os.path.dirname(os.path.abspath(path)) if path else os.getcwd()
     fields = _Fields(parse_kv(text))
 
     kind = fields.require("problem.kind")
-    t_horizon = fields.get("problem.T", float)
-    if not t_horizon > 0.0:
-        raise ConfigError("problem.T: must be > 0")
-    n_stages = fields.get("problem.n_stages", int)
-    if n_stages < 1:
-        raise ConfigError("problem.n_stages: must be >= 1")
+    t_horizon = fields.get("problem.T", float, above=0)
+    n_stages = fields.get("problem.n_stages", int, at_least=1)
     u_grid = _grid(fields.require("problem.u_grid"), "problem.u_grid")
     v_grid = _grid(fields.require("problem.v_grid"), "problem.v_grid")
     label = fields.raw("problem.label", default=kind)
     dim = None
     if fields.raw("problem.dim") is not None:
-        dim = fields.get("problem.dim", int)
-        if dim < 1:
-            raise ConfigError("problem.dim: must be >= 1")
+        dim = fields.get("problem.dim", int, at_least=1)
 
     # Each kind-specific key is read only for its kind, so that
     # ``check_all_read`` names one given for another kind.
@@ -254,6 +266,7 @@ def load_scenario(path_or_text: str) -> Scenario:
         kw["drift"] = _floats(fields.require("problem.drift"), "problem.drift")
     if problem_kind == "rotation":
         kw["omega"] = fields.get("problem.omega", float, default=1.0)
+    substeps = fields.get("integrator.substeps", int, default=16, at_least=1)
 
     try:
         problem = make_problem(
@@ -264,7 +277,7 @@ def load_scenario(path_or_text: str) -> Scenario:
             dim=dim,
             g_kind=g_kind,
             g_table=g_table,
-            substeps=fields.get("integrator.substeps", int, default=16),
+            substeps=substeps,
             **kw,
         )
     except ValueError as exc:
@@ -278,20 +291,12 @@ def load_scenario(path_or_text: str) -> Scenario:
             raise ConfigError(f"g.coeffs: {exc}") from None
         problem = replace(problem, g=g, lip_g=lip_g)
 
-    mu0 = _load_measure(fields, "mu0", base_dir)
+    mu0 = _load_measure(fields, "mu0", base_dir, problem.dim)
     if mu0 is None:
         raise ConfigError("mu0.atoms: required field is missing (or mu0.csv)")
-    if mu0.dim != problem.dim:
-        raise ConfigError(
-            f"mu0: dimension {mu0.dim} does not match problem dim {problem.dim}"
-        )
 
-    tol = fields.get("solver.tol", float, default=1e-7)
-    if not tol > 0.0:
-        raise ConfigError("solver.tol: must be > 0")
-    max_iter = fields.get("solver.max_iter", int, default=200)
-    if max_iter < 1:
-        raise ConfigError("solver.max_iter: must be >= 1")
+    tol = fields.get("solver.tol", float, default=1e-7, above=0)
+    max_iter = fields.get("solver.max_iter", int, default=200, at_least=1)
 
     sweep: tuple[int, ...] = ()
     if fields.raw("sweep.n") is not None:
@@ -302,30 +307,22 @@ def load_scenario(path_or_text: str) -> Scenario:
     coarse = None
     if fields.raw("hamiltonian.coarse_indices") is not None:
         key = "hamiltonian.coarse_indices"
-        coarse = _ints(fields.require(key), key)
-        if not coarse:
-            raise ConfigError(f"{key}: must list at least one index")
-        if len(set(coarse)) != len(coarse):
-            raise ConfigError(f"{key}: indices must be distinct")
-        if any(i < 0 or i >= problem.n_v for i in coarse):
-            raise ConfigError(f"{key}: index out of range of problem.v_grid")
+        indices = _ints(fields.require(key), key)
+        try:
+            coarse = tuple(_coarse_indices(problem, indices))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
 
-    queries = fields.get("hamiltonian.queries", int, default=8)
-    if queries < 1:
-        raise ConfigError("hamiltonian.queries: must be >= 1")
-    ekeland_eps = fields.get("ekeland.eps", float, default=0.1)
-    if not ekeland_eps > 0.0:
-        raise ConfigError("ekeland.eps: must be > 0")
-    ekeland_domain = fields.get("ekeland.domain", int, default=40)
-    if ekeland_domain < 1:
-        raise ConfigError("ekeland.domain: must be >= 1")
-    seed = fields.get("seed", int, default=0)
-    if seed < 0:
-        raise ConfigError("seed: must be >= 0")
+    queries = fields.get("hamiltonian.queries", int, default=8, at_least=1)
+    ekeland_eps = fields.get("ekeland.eps", float, default=0.1, above=0)
+    ekeland_domain = fields.get("ekeland.domain", int, default=40, at_least=1)
+    seed = fields.get("seed", int, default=0, at_least=0)
     ekeland_func = fields.raw("ekeland.func", default="moment")
     if ekeland_func not in ("moment", "payoff"):
         raise ConfigError("ekeland.func: must be 'moment' or 'payoff'")
-    transport_target = _load_measure(fields, "transport.target", base_dir)
+    transport_target = _load_measure(
+        fields, "transport.target", base_dir, problem.dim
+    )
     fields.check_all_read()
 
     return Scenario(

@@ -70,7 +70,8 @@ class TransportPlan:
                 f"marginal mismatch: rows {row_err:.3e}, cols {col_err:.3e}"
             )
         recomputed = float(np.sum(pi * _cost_matrix(self.source, self.target)))
-        if abs(recomputed - self.cost) > MARGINAL_TOL:
+        slack = MARGINAL_TOL * max(1.0, abs(self.cost))
+        if abs(recomputed - self.cost) > slack:
             raise ValueError(
                 f"stored cost {self.cost!r} != recomputed {recomputed!r}"
             )

@@ -438,8 +438,8 @@ def solve_Vn(
     ``COLGEN_THRESHOLD`` are read at call time.
     """
     _check_compat(prob, mu0, n)
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be > 0 and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     lattice = build_lattice(prob, mu0, n)

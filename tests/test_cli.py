@@ -79,11 +79,30 @@ class TestScenarioParsing:
             load_scenario(PENNIES.replace("mu0.atoms        = 1.0 0.0",
                                           "mu0.atoms = 1.0 0.0 0.0"))
 
+    @pytest.mark.parametrize(
+        "prefix, old",
+        [("mu0", "mu0.atoms        = 1.0 0.0"),
+         ("transport.target", "transport.target.atoms = 0.5 1.0; 0.5 -1.0")],
+    )
+    def test_both_measures_must_match_the_problem_dim(self, prefix, old):
+        with pytest.raises(
+            ConfigError,
+            match=f"^{prefix}: dimension 2 does not match problem dim 1$",
+        ):
+            load_scenario(PENNIES.replace(old, f"{prefix}.atoms = 1.0 0.0 0.0"))
+
+    def test_path_object_loads(self, pennies_cfg):
+        assert load_scenario(pennies_cfg).label == "pennies"
+
     def test_vector_grid_with_semicolons(self):
         text = PENNIES.replace("problem.kind     = u_plus_v", "problem.kind = pursuit")
         text = text.replace("problem.u_grid   = -1, 1", "problem.u_grid = 1 0; 0 1")
         text = text.replace("problem.v_grid   = -1, 1", "problem.v_grid = 0 0;")
         text = text.replace("mu0.atoms        = 1.0 0.0", "mu0.atoms = 1.0 0.0 0.0")
+        text = text.replace(
+            "transport.target.atoms = 0.5 1.0; 0.5 -1.0",
+            "transport.target.atoms = 0.5 1.0 0.0; 0.5 -1.0 0.0",
+        )
         scn = load_scenario(text)
         assert scn.problem.u_grid.shape == (2, 2)
         assert scn.problem.v_grid.shape == (1, 2)
@@ -105,6 +124,11 @@ class TestScenarioParsing:
             "ekeland.domain = -5",
             "ekeland.eps = 0",
             "seed = -1",
+            "integrator.substeps = 0",
+            "integrator.substeps = 1.5",
+            "solver.tol = inf",
+            "problem.T = nan",
+            "ekeland.eps = inf",
         ],
     )
     def test_bad_value_names_its_field(self, line):
@@ -198,6 +222,13 @@ class TestCommands:
         code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "problem.T" in capsys.readouterr().err
+
+    def test_missing_config_file_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(cfg) in err
 
     def test_oracle_agreement(self, pennies_cfg, tmp_path):
         out = tmp_path / "out"

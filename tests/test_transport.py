@@ -322,6 +322,23 @@ class TestPlanType:
         with pytest.raises(ValueError, match="cost"):
             TransportPlan(np.array([[1.0]]), a, b, 0.123)
 
+    def test_large_costs_pass_the_cost_check(self):
+        # Translating the target by c shifts every coupling's cost, and so
+        # W2^2, by 2 c.(m_nu - m_mu) + |c|^2; far pairs cost about 1e8.
+        rng = np.random.default_rng(0)
+        c = np.array([1e4, 0.0])
+        for _ in range(50):
+            mu, nu = (
+                ParticleMeasure(rng.normal(size=(3, 2)), rng.dirichlet(np.ones(3)))
+                for _ in range(2)
+            )
+            far = ParticleMeasure(nu.points + c, nu.weights)
+            shift = 2.0 * c @ (nu.weights @ nu.points - mu.weights @ mu.points)
+            expected = wasserstein2(mu, nu)[0] ** 2 + shift + c @ c
+            assert wasserstein2(mu, far)[0] ** 2 == pytest.approx(
+                expected, rel=1e-12
+            )
+
     def test_csv_triples(self):
         a = ParticleMeasure(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
         b = ParticleMeasure(np.array([[1.0], [3.0]]), np.array([0.5, 0.5]))

@@ -421,6 +421,18 @@ class TestSolveVn:
         with pytest.raises(ValueError, match="guard"):
             solve_Vn(prob, dirac0(), 25)
 
+    def test_infinite_tol_rejected(self):
+        # With tol = inf the first iterate would pass as certified: value
+        # 0.85 with gap 0.7 on this game, whose value is 0.5.
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
+            v_grid=[-1.0, -0.5, 0.0, 0.5, 1.0],
+        )
+        mu0 = ParticleMeasure(np.array([[-0.3], [0.0]]), np.array([0.5, 0.5]))
+        assert solve_Vn(prob, mu0, 2).value == pytest.approx(0.5, abs=1e-9)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            solve_Vn(prob, mu0, 2, tol=np.inf)
+
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(14)
         for _ in range(6):
