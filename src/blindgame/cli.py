@@ -12,6 +12,7 @@ zero the wall-time column of the solve report.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -57,12 +58,13 @@ def covering_indices(v_grid: np.ndarray, radius: float) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _reachable_samples(scn: Scenario, n: int) -> list[np.ndarray]:
+def _reachable_samples(scn: Scenario, n: int) -> np.ndarray:
     """Atoms of mu0 plus their one-stage images under every control pair,
-    atom by atom, u-major: the first level of the solver's state lattice."""
+    atom by atom, u-major: the first level of the solver's state lattice,
+    as one (N, d) array."""
     prob, pts = scn.problem, scn.mu0.points
     images = stage_step(prob, *control_pairs(prob, pts), prob.T / n, 0)
-    return list(pts) + list(images)
+    return np.concatenate([pts, images])
 
 
 def _coarsening_bound(scn: Scenario, coarse: tuple[int, ...], n: int) -> float:
@@ -70,14 +72,10 @@ def _coarsening_bound(scn: Scenario, coarse: tuple[int, ...], n: int) -> float:
     return gamma_n(scn.problem, coarse, _reachable_samples(scn, n))
 
 
-def _hamiltonian_row(
-    scn: Scenario, p_vectors: np.ndarray, coarse: tuple[int, ...], gamma: float
-) -> tuple[float, float, float]:
+def _query(scn: Scenario, p_vectors: np.ndarray) -> tuple[HamiltonianQuery, float]:
+    """The Hamiltonian query of the field p on mu0, and the field's L2 norm."""
     proj = ProjectionField(scn.mu0, p_vectors)
-    query = HamiltonianQuery(proj, scn.problem)
-    h_full = eval_H(query)
-    h_coarse = eval_Hn(query, coarse)
-    return h_full, h_coarse, gamma * l2_norm(proj)
+    return HamiltonianQuery(proj, scn.problem), l2_norm(proj)
 
 
 def _solve(scn: Scenario, n: int) -> VnSolution:
@@ -119,13 +117,16 @@ def cmd_converge(scn: Scenario, out_dir: str, seed: int) -> int:
         raise ConfigError("sweep.n: required by the converge command")
     rng = np.random.default_rng(seed)
     p_vectors = rng.standard_normal((scn.mu0.n_atoms, scn.mu0.dim))
+    # One field for the whole sweep, so H is solved once; eval_Hn reuses
+    # its LP wherever the covering keeps every v-point.
+    query, p_norm = _query(scn, p_vectors)
+    h_full = eval_H(query)
     rows = ["n,value,gap,h_gap,gamma_bound"]
     for n in scn.sweep:
         res = _solve(scn, n)
         coarse = covering_indices(scn.problem.v_grid, 1.0 / n)
-        h_full, h_coarse, bound = _hamiltonian_row(
-            scn, p_vectors, coarse, _coarsening_bound(scn, coarse, n)
-        )
+        h_coarse = eval_Hn(query, coarse)
+        bound = _coarsening_bound(scn, coarse, n) * p_norm
         rows.append(
             f"{n},{_fmt(res.value)},{_fmt(res.gap)},"
             f"{_fmt(h_full - h_coarse)},{_fmt(bound)}"
@@ -158,12 +159,12 @@ def cmd_hamiltonian(scn: Scenario, out_dir: str, seed: int) -> int:
     rows = ["query,H,Hn,gap,bound"]
     for qid in range(scn.hamiltonian_queries):
         p_vectors = rng.standard_normal((scn.mu0.n_atoms, scn.mu0.dim))
-        h_full, h_coarse, bound = _hamiltonian_row(
-            scn, p_vectors, coarse, gamma
-        )
+        query, p_norm = _query(scn, p_vectors)
+        h_full = eval_H(query)
+        h_coarse = eval_Hn(query, coarse)
         rows.append(
             f"{qid},{_fmt(h_full)},{_fmt(h_coarse)},"
-            f"{_fmt(h_full - h_coarse)},{_fmt(bound)}"
+            f"{_fmt(h_full - h_coarse)},{_fmt(gamma * p_norm)}"
         )
     _write(out_dir, "hamiltonian.csv", "\n".join(rows) + "\n")
     print(f"wrote {scn.hamiltonian_queries} queries")
@@ -212,7 +213,10 @@ def cmd_ekeland(scn: Scenario, out_dir: str, seed: int) -> int:
     return 0 if not res.violations else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    does not change it, and every call returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="blindgame",
         description="Value solver for zero-sum games with a blind maximizer.",

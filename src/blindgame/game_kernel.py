@@ -112,6 +112,12 @@ class HamiltonianQuery:
         """``_pairing_tables`` of this query, built on first use."""
         return _pairing_tables(self)
 
+    @cached_property
+    def lp_values(self) -> dict[tuple[int, ...], float]:
+        """``eval_Hn``'s LP value per ordered tuple of coarse v-indices,
+        filled on first use; it lives and dies with this query."""
+        return {}
+
 
 def _pairing_tables(q: HamiltonianQuery) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per positive-weight atom, the (n_u, n_v) table <f(y,u,v), p(y)>.
@@ -154,12 +160,18 @@ def eval_Hn(q: HamiltonianQuery, coarse_v_indices: Sequence[int]) -> float:
 
     The inner infimum over u-mixes is attained at pure u by linearity, so
     the LP maximizes sum_j w_j z_j subject to z_j <= (C_j vmix)_u for every
-    pure u, with vmix in the simplex over the coarse v points.
+    pure u, with vmix in the simplex over the coarse v points.  Each
+    ordered index set is solved once per query and its value kept in
+    ``q.lp_values``, so ``eval_H`` and a coarse set that keeps every
+    v-point in index order share one LP.
     """
-    idx = _coarse_indices(q.problem, coarse_v_indices)
-    weights, tables = q.pairing
-    restricted = [c[:, idx] for c in tables]
-    return max_weighted_min(weights, restricted).value
+    key = tuple(_coarse_indices(q.problem, coarse_v_indices))
+    memo = q.lp_values
+    if key not in memo:
+        weights, tables = q.pairing
+        restricted = [c[:, list(key)] for c in tables]
+        memo[key] = max_weighted_min(weights, restricted).value
+    return memo[key]
 
 
 def nearest_coarse(fine_v: np.ndarray, coarse_v: np.ndarray) -> np.ndarray:
@@ -175,30 +187,45 @@ def nearest_coarse(fine_v: np.ndarray, coarse_v: np.ndarray) -> np.ndarray:
 def gamma_n(
     problem: ControlProblem,
     coarse_v_indices: Sequence[int],
-    sample_points: Sequence,
+    sample_points: np.ndarray | Sequence,
 ) -> float:
     """Sampled sup of |f(x,u,v) - f(x,u,v')| with v' the nearest point of
     the coarse v-grid, given as indices into ``v_grid`` as to ``eval_Hn``.
 
     An empirical stand-in for the coarsening modulus of the dynamics: the
     sup over all states is not computable, so it is taken over the supplied
-    sample points (callers should include at least the atoms the
-    Hamiltonians are evaluated on).  ``f`` is called on batches of
-    (sample, u, v) rows, so it must act on the last axis.
+    sample points, an (N, d) array or a sequence of N points (callers
+    should include at least the atoms the Hamiltonians are evaluated on).
+    A v that snaps to itself adds exactly 0, so ``f`` is called only on
+    the (sample, u, v) rows whose v moves, in batches, and must act on the
+    last axis; when the coarse grid keeps every v-point, 0.0 is returned
+    without calling ``f``.
     """
-    pts = [np.asarray(x, dtype=float).reshape(-1) for x in sample_points]
-    if len(pts) == 0:
+    pts = np.asarray(sample_points, dtype=float)
+    if pts.size == 0:
         raise ValueError("sample_points must be nonempty")
+    if pts.ndim == 1 and problem.dim == 1:
+        pts = pts[:, None]  # a flat list of 1-d points
+    pts = np.atleast_2d(pts)
+    if pts.ndim != 2 or pts.shape[1] != problem.dim:
+        raise ValueError(
+            f"sample_points must be points of dimension {problem.dim}"
+        )
     fine = problem.v_grid
-    coarse = fine[_coarse_indices(problem, coarse_v_indices)]
-    paired = coarse[nearest_coarse(fine, coarse)]
+    idx = _coarse_indices(problem, coarse_v_indices)
+    snap = np.array(idx)[nearest_coarse(fine, fine[idx])]
+    moved = snap != np.arange(problem.n_v)
+    if not moved.any():
+        return 0.0
     step = max(1, GAMMA_BATCH_ROWS // (problem.n_u * problem.n_v))
     worst = 0.0
     for start in range(0, len(pts), step):
-        x, iu, iv = control_pairs(problem, np.array(pts[start : start + step]))
-        u = problem.u_grid[iu]
+        x, iu, iv = control_pairs(problem, pts[start : start + step])
+        rows = moved[iv]
+        x, iv = x[rows], iv[rows]
+        u = problem.u_grid[iu[rows]]
         f_fine = checked_f(problem, x, u, fine[iv])
-        diff = f_fine - checked_f(problem, x, u, paired[iv])
+        diff = f_fine - checked_f(problem, x, u, fine[snap[iv]])
         # Equal to each row's 1-d norm bit for bit (``norm(axis=1)`` is not);
         # NaN rows never count.
         norms = np.sqrt(_rowdot(diff, diff))

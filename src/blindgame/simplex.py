@@ -212,7 +212,7 @@ def _primal_simplex(
     tableau[:m, :n] = a_mat
     tableau[:m, n] = b
     tableau[m, :n] = cost
-    tableau[1:m] -= np.outer(tableau[1:m, 0], tableau[0])
+    tableau[1:m] -= tableau[1:m, 0, None] * tableau[0]
     obj = tableau[m, :n]
     cap = MAX_PIVOTS
     since_refresh = 0
@@ -244,17 +244,24 @@ def _primal_simplex(
         rows = rows[ratios <= ratios.min() + PIVOT_TOL]
         best = 0
         if rows.size > 1:
+            # A pairwise scan in row order, not a vectorized minimum: the
+            # comparisons within PIVOT_TOL are not transitive.  A key
+            # column whose spread is within PIVOT_TOL decides no comparison
+            # (rounding is monotone), so the scan skips it.
             keys = tableau[rows[:, None], start] / col[rows, None]
+            spread = keys.max(axis=0) - keys.min(axis=0)
+            keys = keys[:, ~(spread <= PIVOT_TOL)].tolist()
             for i in range(1, rows.size):
                 # the first key column on which row i and the best differ
-                diff = keys[i] - keys[best]
-                far = np.abs(diff) > PIVOT_TOL
-                k = far.argmax()
-                if far[k] and diff[k] < 0.0:
-                    best = i
+                for key, best_key in zip(keys[i], keys[best]):
+                    diff = key - best_key
+                    if abs(diff) > PIVOT_TOL:
+                        if diff < 0.0:
+                            best = i
+                        break
         leave = int(rows[best])
         pivot_row = tableau[leave] / tableau[leave, enter]
-        tableau -= np.outer(tableau[:, enter], pivot_row)
+        tableau -= tableau[:, enter, None] * pivot_row
         tableau[leave] = pivot_row
         basis[leave] = enter
         pivots += 1

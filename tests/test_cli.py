@@ -250,6 +250,18 @@ class TestCommands:
         assert float(lines[1].split(",")[1]) == pytest.approx(1.0, abs=1e-9)
         assert float(lines[2].split(",")[1]) == pytest.approx(0.5, abs=1e-9)
 
+    def test_converge_solves_H_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cli, "eval_H", lambda q: calls.append(q) or game_kernel.eval_H(q)
+        )
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(PENNIES.replace("sweep.n          = 1, 2", "sweep.n = 1, 2, 3"))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "converge.csv").read_text().splitlines()) == 4
+        assert len(calls) == 1
+
     def test_hamiltonian_gap_columns(self, pennies_cfg, tmp_path):
         out = tmp_path / "out"
         code = main(["hamiltonian", "--config", str(pennies_cfg), "--out", str(out)])
@@ -326,6 +338,31 @@ class TestCommands:
         assert (out1 / "hamiltonian.csv").read_text() != (
             out2 / "hamiltonian.csv"
         ).read_text()
+
+    def test_reused_parser_keeps_no_state_between_calls(self, tmp_path):
+        cfg = tmp_path / "affine.cfg"
+        cfg.write_text(
+            "problem.kind = affine\nproblem.dim = 1\nproblem.T = 1.0\n"
+            "problem.n_stages = 1\nproblem.A = 0.3\nproblem.B = 1.0\n"
+            "problem.C = 1.0\nproblem.u_grid = -1, 1\nproblem.v_grid = -1, 1\n"
+            "mu0.atoms = 1.0 1.0\nseed = 0\n"
+        )
+
+        def run(name, *extra):
+            out = tmp_path / name
+            argv = ["hamiltonian", "--config", str(cfg), "--out", str(out)]
+            assert main(argv + list(extra)) == 0
+            return (out / "hamiltonian.csv").read_bytes()
+
+        fresh = []
+        for extra in (["--seed", "5"], []):
+            cli._build_parser.cache_clear()
+            fresh.append(run(f"fresh{len(fresh)}", *extra))
+        assert fresh[0] != fresh[1]
+        with pytest.raises(SystemExit):
+            main(["hamiltonian", "--config", str(cfg), "--seed", "five"])
+        assert run("reused0", "--seed", "5") == fresh[0]
+        assert run("reused1") == fresh[1]
 
     def test_certificate_recomputes_the_value(self, tmp_path):
         # sum_i w_i min over atom i's cut rows of row . q*, from the files.

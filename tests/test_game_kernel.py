@@ -157,6 +157,30 @@ class TestHamiltonians:
             eval_H(q), abs=1e-12
         )
 
+    def test_one_lp_per_index_set_and_query(self, monkeypatch):
+        calls = []
+        solve = game_kernel.max_weighted_min
+        monkeypatch.setattr(
+            game_kernel, "max_weighted_min",
+            lambda w, groups: calls.append(len(groups[0][0])) or solve(w, groups),
+        )
+        prob = make_problem(
+            "affine", A=[[0.3]], B=[[1.0]], C=[[-0.7]], dim=1, T=1.0,
+            u_grid=[-1.0, 1.0], v_grid=[-1.0, 0.2, 1.0],
+        )
+        mu = ParticleMeasure(np.array([[0.5], [-1.0]]), np.array([0.4, 0.6]))
+        field = ProjectionField(mu, np.array([[1.5], [-0.5]]))
+        q = HamiltonianQuery(field, prob)
+        h = eval_H(q)
+        assert eval_Hn(q, range(prob.n_v)) == h
+        assert calls == [3]
+        eval_Hn(q, [0, 2])
+        eval_Hn(q, (0, 2))
+        assert calls == [3, 2]
+        # A new query on the same field starts with no LP values.
+        assert eval_H(HamiltonianQuery(field, prob)) == h
+        assert calls == [3, 2, 3]
+
     def test_coarse_validation(self):
         prob = pennies_problem()
         mu = dirac(0.0)
@@ -241,6 +265,45 @@ class TestGammaN:
         )
         val = gamma_n(prob, [0, 2], [np.zeros(1)])
         assert val == pytest.approx(1.0, abs=1e-12)
+
+    def test_full_grid_never_calls_f(self):
+        def f(x, u, v):
+            raise AssertionError("f called")
+
+        prob = dataclasses.replace(pennies_problem(), f=f)
+        assert gamma_n(prob, [1, 0], np.zeros((3, 1))) == 0.0
+
+    def test_f_sees_only_the_rows_whose_v_moves(self):
+        rows = []
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, 0.5, 1.0],
+            v_grid=[-1.0, 0.0, 1.0, 0.9],
+        )
+        f = prob.f
+        prob = dataclasses.replace(
+            prob, f=lambda x, u, v: rows.append(len(x)) or f(x, u, v)
+        )
+        samples = np.linspace(-2.0, 2.0, 5)[:, None]
+        # v = 0 snaps to -1 (a tie goes to the first) and v = 0.9 to 1.
+        assert gamma_n(prob, [0, 2], samples) == pytest.approx(1.0, abs=1e-12)
+        assert rows == [5 * 3 * 2, 5 * 3 * 2]
+
+    def test_samples_as_array_or_points(self):
+        rng = np.random.default_rng(83)
+        prob = _library_problem(rng, "pursuit")
+        samples = rng.uniform(-3, 3, size=(7, 2))
+        expected = gamma_n(prob, [0, 3], list(samples))
+        assert gamma_n(prob, [0, 3], samples) == expected
+        assert gamma_n(prob, [0, 3], samples[0]) == gamma_n(
+            prob, [0, 3], samples[:1]
+        )
+        flat = [0.5, -1.0, 2.0]
+        pennies = pennies_problem()
+        assert gamma_n(pennies, [0], flat) == gamma_n(
+            pennies, [0], [np.array([x]) for x in flat]
+        )
+        with pytest.raises(ValueError, match="of dimension 2"):
+            gamma_n(prob, [0], np.zeros((4, 3)))
 
     def test_empty_samples_rejected(self):
         prob = pennies_problem()

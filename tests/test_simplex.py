@@ -146,6 +146,25 @@ class TestDegenerateBattery:
                 _highs_value(weights, groups), abs=1e-9
             )
 
+    @pytest.mark.parametrize(
+        "seed, pivots, q",
+        [
+            (2, 13, [0.35897435897435914, 0.10256410256410242,
+                     0.12820512820512822, 0.07692307692307698,
+                     0.1794871794871794, 0.15384615384615388]),
+            (3, 15, [0.09999999999999992, 0.3, 0.2, 0.3, 0.0,
+                     0.10000000000000003]),
+        ],
+    )
+    def test_wide_ratio_ties_keep_their_pivots(self, seed, pivots, q):
+        # Two 40-row groups over {-1, 0, 1}: up to 19 rows tie in one
+        # ratio test.  The pivot count and q* pin every leaving row.
+        rng = np.random.default_rng(seed)
+        groups = [rng.integers(-1, 2, size=(40, 6)).astype(float) for _ in range(2)]
+        sol = max_weighted_min([1.0, 2.0], groups)
+        assert sol.iterations == pivots
+        assert sol.q.tolist() == pytest.approx(q, abs=1e-12)
+
 
 class TestCertificate:
     PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
