@@ -68,8 +68,12 @@ def _reachable_samples(scn: Scenario, n: int) -> np.ndarray:
 
 
 def _coarsening_bound(scn: Scenario, coarse: tuple[int, ...], n: int) -> float:
-    """gamma_n of the coarse v-grid, sampled on the reachable states."""
-    return gamma_n(scn.problem, coarse, _reachable_samples(scn, n))
+    """gamma_n of the coarse v-grid, sampled on the reachable states, or
+    on the atoms alone when the grid has n_v distinct indices: gamma_n is
+    then 0.0 on any samples (a repeated v-point snaps to an equal one)."""
+    full = len(coarse) == scn.problem.n_v
+    samples = scn.mu0.points if full else _reachable_samples(scn, n)
+    return gamma_n(scn.problem, coarse, samples)
 
 
 def _query(scn: Scenario, p_vectors: np.ndarray) -> tuple[HamiltonianQuery, float]:

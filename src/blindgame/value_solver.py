@@ -475,11 +475,10 @@ def solve_Vn(
         history.append(
             IterationRecord(br_value, cut_at_gen, master_value, gap)
         )
-        # The next mix keeps the master's entries above 1e-15 (else its
-        # argmax): the live prefixes decide the best response.
+        # The next mix keeps the master's entries above 1e-15: the live
+        # prefixes decide the best response.  The master's q sums to 1 over
+        # n_v**n <= LATTICE_GUARD sequences, so its largest entry is kept.
         keep = q_vec > 1e-15
-        if not keep.any():
-            keep[np.argmax(q_vec)] = True
         q_kept = np.where(keep, q_vec, 0.0)
         q_current = MixedStrategyII(
             n, prob.n_v, q_kept / float(np.sum(q_kept[keep]))
@@ -505,36 +504,61 @@ def solve_Vn(
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_g(prob: ControlProblem, x: np.ndarray) -> float:
-    """g at one terminal state, checked here rather than through
-    ``terminal_costs`` so that the oracles stay independent."""
-    value = float(prob.g(x))
-    if not np.isfinite(value):
-        raise ValueError("g returned a non-finite value")
-    return value
-
-
-def _oracle_payoffs(
-    prob: ControlProblem, x: np.ndarray, n: int
-) -> np.ndarray:
-    """g at the end of every open-loop control history from the state x:
-    entry [a, b] is g(X_T) under the u-sequence of rank a and the
-    v-sequence of rank b, both stage-0-major as in ``seq_from_rank``
-    (shape (n_u**n, n_v**n)).
-
-    One ``flow`` call per u-sequence integrates x repeated once per
-    v-sequence, one v-index array per stage.  Every library ``f`` acts
-    row by row, so each endpoint equals the single-state trajectory bit
-    for bit; g is taken one endpoint at a time.
+def _tree_table(prob: ControlProblem, x: np.ndarray, n: int) -> np.ndarray:
+    """Payoff table of every pure delayed tree from the state x: entry
+    [t, s] is g(X_T) under tree t, which plays base-n_u digit k of t (most
+    significant first) after prefix k of ``tree_prefixes``, against the
+    sequence of rank s.  One ``flow`` call per open-loop u-sequence
+    integrates x once per v-sequence; each endpoint equals the single-state
+    trajectory bit for bit.  g is checked here, one endpoint at a time,
+    rather than through ``terminal_costs``, so the oracle stays independent.
     """
-    n_cols = prob.n_v**n
-    v_cols = np.unravel_index(np.arange(n_cols), (prob.n_v,) * n)
+    n_u, n_v = prob.n_u, prob.n_v
+    n_cols = n_v**n
+    v_cols = np.unravel_index(np.arange(n_cols), (n_v,) * n)
     xs = np.repeat(x[None, :], n_cols, axis=0)
-    table = np.empty((prob.n_u**n, n_cols))
-    for a, u_vals in enumerate(itertools.product(range(prob.n_u), repeat=n)):
+    payoffs = np.empty((n_u**n, n_cols))
+    for a, u_vals in enumerate(itertools.product(range(n_u), repeat=n)):
         ends = flow(prob, xs, u_vals, v_cols)
-        table[a] = [_oracle_g(prob, end) for end in ends]
+        payoffs[a] = [float(prob.g(end)) for end in ends]
+        if not np.all(np.isfinite(payoffs[a])):
+            raise ValueError("g returned a non-finite value")
+
+    prefixes = tree_prefixes(n, n_v)
+    n_prefix = len(prefixes)
+    prefix_index = {p: k for k, p in enumerate(prefixes)}
+    seqs = [seq_from_rank(r, n, n_v) for r in range(n_cols)]
+    table = np.empty((n_u**n_prefix, n_cols))
+    for t in range(n_u**n_prefix):
+        decisions = [
+            (t // n_u ** (n_prefix - 1 - k)) % n_u for k in range(n_prefix)
+        ]
+        for s, seq in enumerate(seqs):
+            u_rank = 0
+            for k in range(n):
+                u_rank = u_rank * n_u + decisions[prefix_index[seq[:k]]]
+            table[t, s] = payoffs[u_rank, s]
     return table
+
+
+def _check_rows(n_rows: int) -> None:
+    if n_rows > BRUTE_ROW_GUARD:
+        raise ValueError(
+            f"{n_rows} product trees exceed the row guard {BRUTE_ROW_GUARD}"
+        )
+
+
+def _product_game(
+    weights: Sequence[float], tables: Sequence[np.ndarray]
+) -> tuple[float, np.ndarray]:
+    """Value and matrix of the game whose row for the trees (t_0, t_1, ...)
+    is sum_i weights[i] * tables[i][t_i], summed in atom order, the rows
+    in ``itertools.product`` order."""
+    n_cols = tables[0].shape[1]
+    matrix = np.zeros((1, n_cols))
+    for w, table in zip(weights, tables):
+        matrix = (matrix[:, None] + w * table).reshape(-1, n_cols)
+    return solve_matrix_game(MatrixGame(matrix)).value, matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,64 +582,25 @@ def brute_force_value(
     sequence, builds the full payoff matrix and solves it as one matrix
     game.  Deliberately naive: shares nothing with the cutting-plane path
     except the trajectory integrator.  ``BRUTE_ROW_GUARD`` and
-    ``BRUTE_COL_GUARD`` cap the rows and columns at call time.
-
-    A tree fixes the u-sequence given the v-sequence, so an atom has only
-    n_u**n * n_v**n distinct trajectories.  They are integrated first, by
-    ``_oracle_payoffs``: one ``flow`` call per atom and open-loop
-    u-sequence, batched over all v-sequences, so no call integrates more
-    than ``BRUTE_COL_GUARD`` rows.  Each batch row equals the
-    single-state trajectory bit for bit, and the tree loop then reads
-    every (tree, sequence) cell at the u-history the tree's decisions
-    give along that sequence.  Like the solver, the oracle therefore
-    needs an ``f`` that acts on the last axis.
+    ``BRUTE_COL_GUARD`` cap the rows and columns at call time, before
+    anything is integrated.  The matrix is ``_product_game`` of the atoms'
+    ``_tree_table``: one ``flow`` call per atom and open-loop u-sequence,
+    batched over at most ``BRUTE_COL_GUARD`` v-sequences (so, like the
+    solver, the oracle needs an ``f`` that acts on the last axis), then
+    one broadcast add per atom.
     """
     _check_compat(prob, mu0, n)
-    n_u, n_v = prob.n_u, prob.n_v
-    prefixes = tree_prefixes(n, n_v)
-    n_prefix = len(prefixes)
-    trees_per_atom = n_u**n_prefix
-    n_rows = trees_per_atom**mu0.n_atoms
-    n_cols = n_v**n
-    if n_rows > BRUTE_ROW_GUARD:
-        raise ValueError(
-            f"{n_rows} product trees exceed the row guard {BRUTE_ROW_GUARD}"
-        )
+    trees_per_atom = prob.n_u ** len(tree_prefixes(n, prob.n_v))
+    _check_rows(trees_per_atom**mu0.n_atoms)
+    n_cols = prob.n_v**n
     if n_cols > BRUTE_COL_GUARD:
         raise ValueError(
             f"{n_cols} sequences exceed the column guard {BRUTE_COL_GUARD}"
         )
-
-    prefix_index = {p: k for k, p in enumerate(prefixes)}
-    seqs = [seq_from_rank(r, n, n_v) for r in range(n_cols)]
-
-    # Per-atom payoff tables, then product rows weighted by the atom masses.
-    tables = []
-    for x in mu0.points:
-        payoffs = _oracle_payoffs(prob, x, n)
-        table = np.empty((trees_per_atom, n_cols))
-        for t in range(trees_per_atom):
-            decisions = [
-                (t // n_u ** (n_prefix - 1 - k)) % n_u for k in range(n_prefix)
-            ]
-            for s, seq in enumerate(seqs):
-                u_rank = 0
-                for k in range(n):
-                    u_rank = u_rank * n_u + decisions[prefix_index[seq[:k]]]
-                table[t, s] = payoffs[u_rank, s]
-        tables.append(table)
-
-    row_trees = list(
-        itertools.product(range(trees_per_atom), repeat=mu0.n_atoms)
+    value, matrix = _product_game(
+        mu0.weights, [_tree_table(prob, x, n) for x in mu0.points]
     )
-    matrix = np.zeros((n_rows, n_cols))
-    for r, combo in enumerate(row_trees):
-        acc = np.zeros(n_cols)
-        for i, t in enumerate(combo):
-            acc += mu0.weights[i] * tables[i][t]
-        matrix[r] = acc
-
-    value = solve_matrix_game(MatrixGame(matrix)).value
+    row_trees = itertools.product(range(trees_per_atom), repeat=mu0.n_atoms)
     return BruteForceResult(value, matrix, tuple(row_trees))
 
 
@@ -653,8 +638,10 @@ def dpp_check(
     over per-atom randomized first-stage controls of the supremum over
     pure first-stage v of the (n-1)-stage brute-force value at mu1, each
     atom's mass spread over its u-mix and moved one stage.  Every atom's
-    one-stage image under every control pair is integrated once, and each
-    mu1 is read off those images.  The infimum is exact when the
+    one-stage image under every control pair, and its (n-1)-stage oracle
+    table, is computed once; each continuation game is the
+    ``_product_game`` of those tables, weighted as mu1 weights its atoms,
+    under ``BRUTE_ROW_GUARD``.  The infimum is exact when the
     continuation is linear in the measure (single-v games, pure per-atom
     controls, each atom's image valued on its own); otherwise it is
     searched on the dyadic mix grid of resolution ``DPP_RESOLUTION`` under
@@ -673,19 +660,7 @@ def dpp_check(
         prob, *control_pairs(prob, mu0.points), tau, 0
     ).reshape(mu0.n_atoms, n_u, n_v, prob.dim)
 
-    if n_v == 1:
-        # Continuation is linear in the measure: pure per-atom controls
-        # are exact and the whole check collapses to per-atom minimization.
-        rhs = 0.0
-        for w, atom_images in zip(mu0.weights, images[:, :, 0]):
-            rhs += w * min(
-                brute_force_value(
-                    cont_prob, ParticleMeasure(y[None], [1.0]), n - 1
-                ).value
-                for y in atom_images
-            )
-        method = "exact-linear"
-    else:
+    if n_v > 1:
         per_atom = _dyadic_simplex(n_u, DPP_RESOLUTION)
         combos = len(per_atom) ** mu0.n_atoms
         if combos > DPP_COMBO_GUARD:
@@ -693,17 +668,31 @@ def dpp_check(
                 f"{combos} dyadic mix combinations exceed the guard "
                 f"{DPP_COMBO_GUARD}"
             )
+    # tables[a, u, v] is the (n-1)-stage oracle table of images[a, u, v].
+    tables = np.array([
+        _tree_table(cont_prob, y, n - 1) for y in images.reshape(-1, prob.dim)
+    ])
+    tables = tables.reshape(mu0.n_atoms, n_u, n_v, *tables.shape[1:])
+
+    if n_v == 1:
+        # Continuation is linear in the measure: pure per-atom controls
+        # are exact and the whole check collapses to per-atom minimization.
+        rhs = 0.0
+        for w, atom_tables in zip(mu0.weights, tables[:, :, 0]):
+            rhs += w * min(_product_game([1.0], [t])[0] for t in atom_tables)
+        method = "exact-linear"
+    else:
         rhs = np.inf
         for combo in itertools.product(per_atom, repeat=mu0.n_atoms):
             rho = np.vstack(combo)
             atoms, us = np.nonzero(rho > 0.0)
-            weights = mu0.weights[atoms] * rho[atoms, us]
+            _check_rows(tables.shape[3] ** len(atoms))
+            # mu1's weights, renormalized as its measure would; v-free.
+            weights = ParticleMeasure(
+                images[atoms, us, 0], mu0.weights[atoms] * rho[atoms, us]
+            ).weights
             worst = max(
-                brute_force_value(
-                    cont_prob,
-                    ParticleMeasure(images[atoms, us, iv], weights),
-                    n - 1,
-                ).value
+                _product_game(weights, tables[atoms, us, iv])[0]
                 for iv in range(n_v)
             )
             rhs = min(rhs, worst)

@@ -7,10 +7,15 @@ from blindgame import (
     ConfigError,
     ParticleMeasure,
     advance_stage,
+    ekeland_point,
+    gamma_n,
     load_scenario,
+    second_moment,
     to_csv,
 )
 from blindgame import cli, game_kernel
+from blindgame.dynamics import terminal_costs
+from blindgame.measures import _fmt
 from blindgame.cli import _reachable_samples, covering_indices, main
 
 PENNIES = """
@@ -323,6 +328,54 @@ class TestCommands:
         row = (out / "ekeland.csv").read_text().splitlines()[1]
         assert row.split(",")[-1] == "0"
 
+    @pytest.mark.parametrize("func", ["moment", "payoff"])
+    def test_ekeland_row_equals_the_library_search(self, func, tmp_path):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(
+            PENNIES + f"ekeland.func = {func}\nekeland.domain = 12\n"
+            "ekeland.eps = 0.05\n"
+        )
+        out = tmp_path / "out"
+        code = main(["ekeland", "--config", str(cfg), "--out", str(out)])
+        scn = load_scenario(str(cfg))
+        rng = np.random.default_rng(scn.seed)
+        domain = []
+        for i in range(12):
+            jitter = rng.normal(0.0, 0.5, size=scn.mu0.points.shape)
+            domain.append((
+                scn.problem.T * i / 11,
+                ParticleMeasure(scn.mu0.points + jitter, scn.mu0.weights),
+            ))
+        if func == "moment":
+            value = lambda t, mu: t + second_moment(mu)
+        else:
+            value = lambda t, mu: t + float(
+                sum(mu.weights * terminal_costs(scn.problem, mu.points))
+            )
+        res = ekeland_point(domain, value, 0.05)
+        assert code == (1 if res.violations else 0)
+        assert (out / "ekeland.csv").read_text().splitlines()[1] == (
+            f"pennies,{res.index},{_fmt(res.value)},{_fmt(0.05)},"
+            f"{res.iterations},{len(res.violations)}"
+        )
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("converge", "sweep.n"), ("transport", "transport.target.atoms")],
+    )
+    def test_command_without_its_key_exits_one(
+        self, command, key, tmp_path, capsys
+    ):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("\n".join(
+            row for row in PENNIES.splitlines() if not row.startswith(key)
+        ) + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: required by the {command}")
+        assert not out.exists()
+
     def test_seed_override_changes_hamiltonian_queries(self, tmp_path):
         # needs a scenario whose Hamiltonian actually depends on the field
         cfg = tmp_path / "affine.cfg"
@@ -437,6 +490,38 @@ class TestCoveringIndices:
         grid = np.array([[-1.0], [0.0], [1.0]])
         assert covering_indices(grid, 1.0) == (0, 2)
         assert covering_indices(grid, 3.0) == (0,)
+
+
+class TestCoarseningBound:
+    @pytest.mark.parametrize(
+        "grid, coarse, steps",
+        [
+            ("-1, 1", "0, 1", 0),
+            ("-1, 1", "1, 0", 0),
+            ("-1, 1", "1", 1),
+            # A repeated grid point snaps to an equal one: f moves by 0.
+            ("-1, 1, 1", "0, 1, 2", 0),
+            ("-1, 1, 1", "0, 2", 1),
+        ],
+    )
+    def test_integrates_only_when_the_coarse_grid_drops_a_point(
+        self, grid, coarse, steps, monkeypatch
+    ):
+        scn = load_scenario(
+            PENNIES.replace("problem.v_grid   = -1, 1", f"problem.v_grid = {grid}")
+            + f"hamiltonian.coarse_indices = {coarse}\n"
+        )
+        calls = []
+        step = cli.stage_step
+        monkeypatch.setattr(
+            cli, "stage_step", lambda *args: calls.append(args) or step(*args)
+        )
+        bound = cli._coarsening_bound(scn, scn.hamiltonian_coarse, 2)
+        assert len(calls) == steps
+        expected = gamma_n(
+            scn.problem, scn.hamiltonian_coarse, _reachable_samples(scn, 2)
+        )
+        assert repr(bound) == repr(expected)
 
 
 class TestReachableSamples:

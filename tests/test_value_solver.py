@@ -1087,8 +1087,60 @@ class TestDppCheck:
         monkeypatch.setattr(value_solver, "DPP_RESOLUTION", 4)
         assert dpp_check(pennies(), dirac0(), 2).method == "dyadic-grid-1/4"
         monkeypatch.setattr(value_solver, "DPP_COMBO_GUARD", 4)
+        stages = []
+        real_flow = value_solver.flow
+        monkeypatch.setattr(
+            value_solver, "flow",
+            lambda *args: stages.append(len(args[2])) or real_flow(*args),
+        )
         with pytest.raises(ValueError, match="5 dyadic mix .* guard 4$"):
             dpp_check(pennies(), dirac0(), 2)
+        # Only the left side ran: one call per open-loop u-sequence.
+        assert stages == [2] * 4
+
+    def test_row_guard_caps_each_continuation_game(self, monkeypatch):
+        # Four u-points, two v-points, one atom at n = 2: the left side has
+        # 4**3 = 64 trees; the continuation at the uniform mix has four
+        # atoms of 4 one-stage trees each, 256 product trees.
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, -0.5, 0.5, 1.0],
+            v_grid=[-1.0, 1.0],
+        )
+        monkeypatch.setattr(value_solver, "DPP_RESOLUTION", 4)
+        monkeypatch.setattr(value_solver, "BRUTE_ROW_GUARD", 64)
+        brute_force_value(prob, dirac0(), 2)
+        with pytest.raises(ValueError, match="^256 product trees .* guard 64$"):
+            dpp_check(prob, dirac0(), 2)
+
+    def test_dyadic_check_integrates_each_one_stage_image_once(
+        self, monkeypatch
+    ):
+        # A 2-atom u_plus_v game at n = 2 on the 1/64 grid: 4,225 mix
+        # combinations, each valued at both v-points.  The left side makes
+        # atoms * n_u**n flow calls, and the (n-1)-stage table of each of
+        # the atoms * n_u * n_v one-stage images takes n_u**(n-1) more.
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, 0.5], v_grid=[-0.5, 1.0]
+        )
+        mu = ParticleMeasure(np.array([[0.2], [-0.4]]), np.array([0.5, 0.5]))
+        flows, oracles = [], []
+        real_flow = value_solver.flow
+        real_oracle = value_solver.brute_force_value
+        monkeypatch.setattr(
+            value_solver, "flow",
+            lambda *args: flows.append(args) or real_flow(*args),
+        )
+        monkeypatch.setattr(
+            value_solver, "brute_force_value",
+            lambda *args: oracles.append(args) or real_oracle(*args),
+        )
+        rep = dpp_check(prob, mu, 2)
+        assert repr(rep) == (
+            "DppReport(lhs=0.41136363636363643, rhs=0.412109375, "
+            "difference=0.0007457386363635687, method='dyadic-grid-1/64')"
+        )
+        assert len(flows) == 2 * 2**2 + 2 * 2 * 2 * 2 == 24
+        assert len(oracles) == 1
 
 
 class TestEkeland:
@@ -1142,6 +1194,9 @@ class TestEkeland:
             ekeland_point(domain, lambda t, mu: 0.0, eps=0.0)
         with pytest.raises(ValueError, match="eps must be > 0"):
             ekeland_point(domain, lambda t, mu: 0.0, eps=float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="func must be finite"):
+                ekeland_point(domain, lambda t, mu: bad if t > 0 else 0.0, 0.1)
 
     def test_mixed_dimensions_raise_naming_the_index(self):
         domain = [
