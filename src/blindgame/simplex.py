@@ -1,4 +1,4 @@
-"""One in-house primal simplex used by every LP in the package.
+"""One in-house simplex used by every LP in the package.
 
 Everything the solvers need (matrix games, the two Hamiltonians, the
 cutting-plane master) is an instance of a single concave problem:
@@ -7,15 +7,35 @@ cutting-plane master) is an instance of a single concave problem:
 
 for positive weights w_j and per-group constraint matrices C_j of shape
 (R_j, K).  The LP reformulation introduces one shifted level variable per
-group and one slack per constraint row; the shift makes the all-slack basis
-feasible after pivoting q_0 into the simplex row, so no phase-1 is needed.
+group and one slack per constraint row.
 
-Pivoting.  The entering variable has the most negative reduced cost
-below -PIVOT_TOL (Dantzig's rule; ties go to the smallest index).  The
-leaving row comes from the lexicographic ratio test of Dantzig, Orden and
-Wolfe (1955): rows tied at the minimum ratio are told apart by their
-entries in the columns of the starting basis, each divided by the pivot
-element and compared in order within PIVOT_TOL.  This rule alone
+Cold and warm starts.  A cold solve starts from q_0 and the slacks: the
+shift makes that basis feasible after pivoting q_0 into the simplex row,
+so no phase-1 is needed and only the primal simplex pivots.  A warm solve
+starts from a given basis, such as the previous cutting-plane master's
+optimal basis with the slacks of the new cut rows added: new rows leave
+the old row duals as they were, so that basis is dual feasible but may
+be primal infeasible.  From it, one tableau is built from the original
+columns, and the dual simplex of Lemke (1954) pivots it until every basic
+value is at least -PIVOT_TOL.  The leaving row has the most negative
+basic value (ties to the first row); the entering column has, among the
+row's entries below -PIVOT_TOL times its largest |entry| (and -PIVOT_TOL
+itself), the least ratio max(reduced cost, 0) / -entry (ties to the
+smallest column).  The primal simplex then goes on from the same tableau,
+with the basis it starts from as its lexicographic keys, to mend any
+reduced cost that drifted below -PIVOT_TOL.  Both phases share the pivot
+step, the refresh, the pivot cap and the certificate.  The dual phase has
+no anti-cycling rule of its own: the cap and the fallback bound it.  When
+the given basis is singular or not dual feasible within PIVOT_TOL, or the
+warm solve raises ``SolverFailure`` for any reason, the same LP is solved
+cold once, and only the cold solve's error is raised.
+
+Primal pivoting.  The entering variable has the most negative reduced
+cost below -PIVOT_TOL (Dantzig's rule; ties go to the smallest index).
+The leaving row comes from the lexicographic ratio test of Dantzig, Orden
+and Wolfe (1955): rows tied at the minimum ratio are told apart by their
+entries in the columns of the primal phase's starting basis, each divided
+by the pivot element and compared in order within PIVOT_TOL.  This rule alone
 guarantees termination, whatever column enters: every pivot strictly
 increases the objective row read lexicographically, so no basis is
 visited twice and the simplex stops after finitely many pivots in exact
@@ -47,7 +67,8 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -73,9 +94,14 @@ class MinmaxSolution:
     q : optimal point of the K-simplex.
     row_duals : per group, nonnegative multipliers over that group's rows
         summing to w_j (a scaled optimal mix of the inner minimizer).
-    iterations : simplex pivots performed.
+    iterations : simplex pivots performed, a failed warm start's included.
     certified_gap : the dual upper bound minus ``value``, at most
         DUALITY_TOL.
+    basis : the final basis, one column index per LP row, in the LP's
+        ``[q, t, s]`` layout: K mix columns, one level per group, then one
+        slack per row of the groups in order.  With each old slack
+        shifted past the rows added before it and the new rows' slacks
+        added, it is a dual feasible ``start`` for the grown groups.
     """
 
     value: float
@@ -83,16 +109,26 @@ class MinmaxSolution:
     row_duals: tuple[np.ndarray, ...]
     iterations: int
     certified_gap: float
+    basis: tuple[int, ...]
 
 
 def max_weighted_min(
     weights: Sequence[float],
     groups: Sequence[np.ndarray],
+    start: Sequence[int] | None = None,
 ) -> MinmaxSolution:
     """Maximize sum_j w_j min_r (C_j q)_r over the simplex.
 
-    Raises ``SolverFailure`` when the simplex hits MAX_PIVOTS or when its
-    answer fails the duality certificate.
+    ``start`` is an optional starting basis: one column index per LP row,
+    in the ``[q, t, s]`` layout of ``MinmaxSolution.basis``.  The solve
+    runs the dual simplex from it, and solves the same LP cold once when
+    that basis is singular or not dual feasible within PIVOT_TOL, or when
+    the warm solve raises ``SolverFailure``.
+
+    Raises ``ValueError`` on a ``start`` of the wrong length or with a
+    repeated or out-of-range column, and ``SolverFailure`` when the cold
+    simplex hits MAX_PIVOTS or when its answer fails the duality
+    certificate.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     mats = [np.atleast_2d(np.asarray(c, dtype=float)) for c in groups]
@@ -126,9 +162,40 @@ def max_weighted_min(
     cost = np.zeros(n)
     cost[K:K + J] = -w
 
-    basis, iters, x_basic, y = _primal_simplex(a_mat, b, cost)
+    warm_pivots = 0
+    if start is not None:
+        basis = [operator.index(col) for col in start]
+        if len(basis) != m:
+            raise ValueError(f"start needs {m} columns, got {len(basis)}")
+        if len(set(basis)) != m or not all(0 <= col < n for col in basis):
+            raise ValueError(
+                f"start columns must be distinct and in [0, {n})"
+            )
+        try:
+            return _certified(w, mats, a_mat.shape, *_dual_simplex(
+                a_mat, b, cost, basis
+            ))
+        except SolverFailure as exc:
+            warm_pivots = exc.iterations
+    sol = _certified(w, mats, a_mat.shape, *_primal_simplex(a_mat, b, cost))
+    if warm_pivots:
+        sol = replace(sol, iterations=sol.iterations + warm_pivots)
+    return sol
 
-    x = np.zeros(n)
+
+def _certified(
+    w: np.ndarray,
+    mats: list[np.ndarray],
+    shape: tuple[int, int],
+    basis: list[int],
+    iters: int,
+    x_basic: np.ndarray,
+    y: np.ndarray,
+) -> MinmaxSolution:
+    """The solution of an optimal basis, its value recomputed from the
+    primal point and checked against the row duals' upper bound."""
+    K = mats[0].shape[1]
+    x = np.zeros(shape[1])
     x[basis] = x_basic
     q = np.clip(x[:K], 0.0, None)
     total = float(np.sum(q))
@@ -157,10 +224,10 @@ def max_weighted_min(
     if not gap <= DUALITY_TOL:
         raise SolverFailure(
             f"LP certificate gap {gap:.3e} exceeds {DUALITY_TOL} "
-            f"on a {m} x {n} LP",
+            f"on a {shape[0]} x {shape[1]} LP",
             iters,
         )
-    return MinmaxSolution(value, q, tuple(duals), iters, gap)
+    return MinmaxSolution(value, q, tuple(duals), iters, gap, tuple(basis))
 
 
 def _solve_basis(
@@ -193,73 +260,100 @@ def _fresh_tableau(
 def _primal_simplex(
     a_mat: np.ndarray, b: np.ndarray, cost: np.ndarray
 ) -> tuple[list[int], int, np.ndarray, np.ndarray]:
-    """Simplex with the most-negative entering rule and the lexicographic
-    leaving rule; the starting basis is q_0 (simplex row) plus the slack
-    columns, which is feasible by construction.
+    """Cold solve: the starting basis is q_0 (simplex row) plus the slack
+    columns, which is feasible by construction, so only the primal phase
+    of ``_simplex`` pivots.
 
     Returns the optimal basis (column index per row), the pivot count, and
     the basic values and row duals solved afresh for that basis.
     """
     m, n = a_mat.shape
     # Start with q_0 basic in row 0 and the slacks elsewhere: eliminating
-    # q_0 from the coupling rows gives the canonical form (b stays >= 0
-    # because the group shifts dominate every |C| entry).  The tableau
-    # columns of this starting basis are B^-1 B_0, the lexicographic keys.
-    # The last tableau row holds the reduced costs.
-    start = np.array([0, *range(n - (m - 1), n)])
-    basis = start.tolist()
+    # q_0 from the coupling rows gives the canonical form (b stays > 0
+    # because the group shifts dominate every |C| entry).  The last
+    # tableau row holds the reduced costs.
+    basis = [0, *range(n - (m - 1), n)]
     tableau = np.zeros((m + 1, n + 1))
     tableau[:m, :n] = a_mat
     tableau[:m, n] = b
     tableau[m, :n] = cost
     tableau[1:m] -= tableau[1:m, 0, None] * tableau[0]
+    return _simplex(a_mat, b, cost, basis, tableau)
+
+
+def _dual_simplex(
+    a_mat: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list[int]
+) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+    """Warm solve from ``basis``, which must be dual feasible: one tableau
+    from the original columns, then ``_simplex``'s dual phase and primal
+    clean-up on it.  Returns what ``_primal_simplex`` returns."""
+    m, n = a_mat.shape
+    tableau = _fresh_tableau(a_mat, b, cost, basis)
+    if tableau[m, :n].min() < -PIVOT_TOL:
+        raise SolverFailure(
+            f"start basis is not dual feasible on a {m} x {n} LP"
+        )
+    return _simplex(a_mat, b, cost, list(basis), tableau)
+
+
+def _simplex(
+    a_mat: np.ndarray,
+    b: np.ndarray,
+    cost: np.ndarray,
+    basis: list[int],
+    tableau: np.ndarray,
+) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+    """Pivot ``tableau`` of a dual feasible ``basis`` to optimality.
+
+    The dual phase runs while some basic value is below -PIVOT_TOL (from
+    a primal feasible basis it makes no pivot); the primal phase then
+    keeps primal feasibility, with the columns of the basis it starts
+    from as its lexicographic keys.  ``basis`` is updated in place.
+    """
+    m, n = a_mat.shape
     obj = tableau[m, :n]
     cap = MAX_PIVOTS
     since_refresh = 0
     pivots = 0
+    keys_of = None  # the primal phase's key columns, once it has begun
     while True:
-        enter = int(obj.argmin())  # most negative; ties to the first
-        if not obj[enter] < -PIVOT_TOL:
-            # Basic values and row duals afresh from the original columns;
-            # the duals re-price every column before optimality is declared.
-            x_basic = _solve_basis(a_mat, basis, b)
-            y = _solve_basis(a_mat, basis, cost[basis], transpose=True)
-            if since_refresh == 0 or (cost - y @ a_mat).min() >= -PIVOT_TOL:
-                return basis, pivots, x_basic, y
-            tableau = _fresh_tableau(a_mat, b, cost, basis)
-            obj = tableau[m, :n]
-            since_refresh = 0
-            continue
+        if keys_of is None:
+            rhs = tableau[:m, n]
+            leave = int(rhs.argmin())  # most negative; ties to the first
+            if not rhs[leave] < -PIVOT_TOL:
+                keys_of = np.array(basis)
+                continue
+            row = tableau[leave, :n]
+            tol = PIVOT_TOL * max(1.0, np.abs(row).max())
+            cols = (row < -tol).nonzero()[0]
+            if cols.size == 0:
+                raise SolverFailure(
+                    f"LP is infeasible on a {m} x {n} LP", pivots
+                )
+            ratios = np.maximum(obj[cols], 0.0) / -row[cols]
+            enter = int(cols[ratios.argmin()])  # ties to the smallest column
+        else:
+            enter = int(obj.argmin())  # most negative; ties to the first
+            if not obj[enter] < -PIVOT_TOL:
+                # Basic values and row duals afresh from the original
+                # columns; the duals re-price every column before
+                # optimality is declared.
+                x_basic = _solve_basis(a_mat, basis, b)
+                y = _solve_basis(a_mat, basis, cost[basis], transpose=True)
+                drift = (cost - y @ a_mat).min() if since_refresh else 0.0
+                if drift >= -PIVOT_TOL:
+                    return basis, pivots, x_basic, y
+                tableau = _fresh_tableau(a_mat, b, cost, basis)
+                obj = tableau[m, :n]
+                since_refresh = 0
+                continue
+            leave = _leaving_row(tableau, enter, keys_of, pivots)
         if pivots == cap:
             raise SolverFailure(
                 f"simplex hit the iteration cap: {pivots} pivots "
                 f"on a {m} x {n} LP",
                 pivots,
             )
-        col = tableau[:m, enter]
-        rows = (col > PIVOT_TOL * max(1.0, np.abs(col).max())).nonzero()[0]
-        if rows.size == 0:
-            raise SolverFailure(f"LP is unbounded on a {m} x {n} LP", pivots)
-        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
-        rows = rows[ratios <= ratios.min() + PIVOT_TOL]
-        best = 0
-        if rows.size > 1:
-            # A pairwise scan in row order, not a vectorized minimum: the
-            # comparisons within PIVOT_TOL are not transitive.  A key
-            # column whose spread is within PIVOT_TOL decides no comparison
-            # (rounding is monotone), so the scan skips it.
-            keys = tableau[rows[:, None], start] / col[rows, None]
-            spread = keys.max(axis=0) - keys.min(axis=0)
-            keys = keys[:, ~(spread <= PIVOT_TOL)].tolist()
-            for i in range(1, rows.size):
-                # the first key column on which row i and the best differ
-                for key, best_key in zip(keys[i], keys[best]):
-                    diff = key - best_key
-                    if abs(diff) > PIVOT_TOL:
-                        if diff < 0.0:
-                            best = i
-                        break
-        leave = int(rows[best])
         pivot_row = tableau[leave] / tableau[leave, enter]
         tableau -= tableau[:, enter, None] * pivot_row
         tableau[leave] = pivot_row
@@ -270,3 +364,34 @@ def _primal_simplex(
             tableau = _fresh_tableau(a_mat, b, cost, basis)
             obj = tableau[m, :n]
             since_refresh = 0
+
+
+def _leaving_row(
+    tableau: np.ndarray, enter: int, keys_of: np.ndarray, pivots: int
+) -> int:
+    """The primal phase's lexicographic ratio test on column ``enter``."""
+    m, n = tableau.shape[0] - 1, tableau.shape[1] - 1
+    col = tableau[:m, enter]
+    rows = (col > PIVOT_TOL * max(1.0, np.abs(col).max())).nonzero()[0]
+    if rows.size == 0:
+        raise SolverFailure(f"LP is unbounded on a {m} x {n} LP", pivots)
+    ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
+    rows = rows[ratios <= ratios.min() + PIVOT_TOL]
+    best = 0
+    if rows.size > 1:
+        # A pairwise scan in row order, not a vectorized minimum: the
+        # comparisons within PIVOT_TOL are not transitive.  A key column
+        # whose spread is within PIVOT_TOL decides no comparison (rounding
+        # is monotone), so the scan skips it.
+        keys = tableau[rows[:, None], keys_of] / col[rows, None]
+        spread = keys.max(axis=0) - keys.min(axis=0)
+        keys = keys[:, ~(spread <= PIVOT_TOL)].tolist()
+        for i in range(1, rows.size):
+            # the first key column on which row i and the best differ
+            for key, best_key in zip(keys[i], keys[best]):
+                diff = key - best_key
+                if abs(diff) > PIVOT_TOL:
+                    if diff < 0.0:
+                        best = i
+                    break
+    return int(rows[best])

@@ -351,12 +351,14 @@ def cut_coefficients(
 class IterationRecord:
     """One cutting-plane iteration: the best response against the current
     mix, the new cut re-evaluated at that same generating mix (must match
-    the best response), and the refreshed master value and gap."""
+    the best response), the refreshed master value and gap, and the
+    pivots of that iteration's master (a cold fallback's included)."""
 
     br_value: float
     cut_at_generating_mix: float
     master_value: float
     gap: float
+    master_pivots: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,22 +377,47 @@ class VnSolution:
     history: tuple[IterationRecord, ...]
 
 
+def _grown_basis(
+    basis: Sequence[int],
+    old_rows: list[int],
+    new_rows: list[int],
+    n_fixed: int,
+) -> list[int]:
+    """A master's final ``basis`` mapped into the master with more cut rows
+    per atom: the ``n_fixed`` mix and level columns keep their indices,
+    each old slack shifts by the rows added to earlier groups, and every
+    new row's slack is basic.  The new rows leave the old row duals as
+    they were, so an optimal basis stays dual feasible."""
+    moved: list[int] = []
+    added: list[int] = []
+    col = n_fixed
+    for old, new in zip(old_rows, new_rows):
+        moved.extend(range(col, col + old))
+        added.extend(range(col + old, col + new))
+        col += new
+    return [c if c < n_fixed else moved[c - n_fixed] for c in basis] + added
+
+
 def _solve_master(
-    weights: np.ndarray, groups: list[np.ndarray]
-) -> tuple[float, np.ndarray]:
+    weights: np.ndarray,
+    groups: list[np.ndarray],
+    last: tuple[list[int], tuple[int, ...]] | None,
+) -> tuple[float, np.ndarray, int, tuple[list[int], tuple[int, ...]] | None]:
     """max over the sequence simplex of sum_i w_i min over atom i's cuts.
 
-    Direct LP up to ``COLGEN_THRESHOLD`` sequences; otherwise column
-    generation on the restricted simplex, priced with the atoms' dual
-    mixes over their cuts, run until no sequence improves the restricted
-    value.
+    Direct LP up to ``COLGEN_THRESHOLD`` sequences, warm-started from
+    ``last``, the previous master's (rows per group, basis), when given;
+    otherwise column generation on the restricted simplex, priced with the
+    atoms' dual mixes over their cuts, run until no sequence improves the
+    restricted value.  Returns the value, the mix, the pivots spent and
+    the ``last`` of the next master (None after column generation).
     """
     n_cuts = sum(c.shape[0] for c in groups)
     n_seq = groups[0].shape[1]
 
-    def lp(subs: list[np.ndarray]):
+    def lp(subs: list[np.ndarray], start=None):
         try:
-            return max_weighted_min(weights, subs)
+            return max_weighted_min(weights, subs, start)
         except SolverFailure as exc:
             raise SolverFailure(
                 f"master LP ({n_cuts} cuts x {n_seq} sequences): "
@@ -399,18 +426,24 @@ def _solve_master(
             ) from exc
 
     if n_seq <= COLGEN_THRESHOLD:
-        sol = lp(groups)
-        return sol.value, sol.q
+        rows = [c.shape[0] for c in groups]
+        start = None
+        if last is not None:
+            start = _grown_basis(last[1], last[0], rows, n_seq + len(groups))
+        sol = lp(groups, start)
+        return sol.value, sol.q, sol.iterations, (rows, sol.basis)
     cols = [0]
     in_cols = {0}
+    pivots = 0
     for _ in range(n_seq):
         sol = lp([c[:, cols] for c in groups])
+        pivots += sol.iterations
         scores = sum(lam @ c for lam, c in zip(sol.row_duals, groups))
         best = int(np.argmax(scores))
         if scores[best] <= sol.value + 1e-12 or best in in_cols:
             q = np.zeros(n_seq)
             q[cols] = sol.q
-            return sol.value, q
+            return sol.value, q, pivots, None
         cols.append(best)
         in_cols.add(best)
     raise SolverFailure("column generation failed to terminate", n_seq)
@@ -432,6 +465,9 @@ def solve_Vn(
     per atom: the master maximizes sum_i w_i min over atom i's distinct
     cuts, the multicut decomposition of Birge and Louveaux (1988).
     Termination is finite: there are finitely many pure trees per atom.
+    Each master after the first starts from the last one's optimal basis
+    (see ``_solve_master``), so it may end on another optimal vertex than
+    a cold solve would, and the iterations may differ from a cold run.
 
     The module constants ``LATTICE_GUARD`` (which also bounds
     ``|v_grid|^n``, the number of leaves of one atom with one u-point) and
@@ -453,6 +489,7 @@ def solve_Vn(
     history: list[IterationRecord] = []
     best_lower = -np.inf
     master_value = np.inf
+    last = None  # the previous master's rows per atom and optimal basis
     gap = np.inf
     converged = False
 
@@ -468,12 +505,12 @@ def solve_Vn(
         best_lower = max(best_lower, br_value)
         cut_at_gen = float(np.dot(mu0.weights, rows @ q_vec))
 
-        master_value, q_vec = _solve_master(
-            mu0.weights, [np.vstack(g) for g in groups]
+        master_value, q_vec, pivots, last = _solve_master(
+            mu0.weights, [np.vstack(g) for g in groups], last
         )
         gap = max(master_value - best_lower, 0.0)
         history.append(
-            IterationRecord(br_value, cut_at_gen, master_value, gap)
+            IterationRecord(br_value, cut_at_gen, master_value, gap, pivots)
         )
         # The next mix keeps the master's entries above 1e-15: the live
         # prefixes decide the best response.  The master's q sums to 1 over

@@ -12,9 +12,11 @@ Regenerate (only after a deliberate output change, noted in CHANGES.md):
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-It prints every file it changed, and refuses to write anything when a
-``values.csv`` value moves by more than its scenario's ``solver.tol +
-1e-9``.
+It prints every file it changed and the old -> new ``iterations`` of
+every game whose ``values.csv`` changed.  It refuses to write anything
+when a ``values.csv`` value moves by more than its scenario's
+``solver.tol + 1e-9``, or when a new ``values.csv`` has ``gap`` above
+``solver.tol``.
 """
 
 import os
@@ -78,18 +80,20 @@ def test_games_match_golden_bytes(name, tmp_path):
             assert data == fh.read(), f"{name}: {fname} differs from golden"
 
 
-def _value(data: bytes) -> float:
-    """The ``value`` column of a one-row ``values.csv``."""
+def _field(data: bytes, name: str) -> float:
+    """Column ``name`` of a one-row ``values.csv``."""
     header, row = data.decode("utf-8").splitlines()[:2]
-    return float(row.split(",")[header.split(",").index("value")])
+    return float(row.split(",")[header.split(",").index(name)])
 
 
-def regenerate(work: str) -> list[str]:
+def regenerate(work: str) -> tuple[list[str], list[tuple[str, int, int]]]:
     """Rerun every golden output and rewrite the files that changed.
 
     Refuses, writing nothing, when a ``values.csv`` value moves by more
-    than its scenario's ``solver.tol + 1e-9``: a recapture may move q*
-    or a last digit, never the value.  Returns the changed paths.
+    than its scenario's ``solver.tol + 1e-9`` or its new ``gap`` exceeds
+    ``solver.tol``: a recapture may move q* or a last digit, never the
+    value or its certificate.  Returns the changed paths and, per changed
+    ``values.csv``, its path with the old and new ``iterations``.
     """
     outputs: dict[str, tuple[bytes, float]] = {}
     for name in sorted(FIXTURE_CONFIGS):
@@ -102,7 +106,7 @@ def regenerate(work: str) -> list[str]:
         for fname, data in solve_game(name, work).items():
             outputs[os.path.join(GAMES, name, fname)] = data, tol
 
-    changed, moved = [], []
+    changed, moved, iterations = [], [], []
     for path, (data, tol) in outputs.items():
         old = None
         if os.path.exists(path):
@@ -111,20 +115,30 @@ def regenerate(work: str) -> list[str]:
         if old == data:
             continue
         changed.append(path)
-        if old is not None and os.path.basename(path) == "values.csv":
-            shift = abs(_value(data) - _value(old))
+        if os.path.basename(path) != "values.csv":
+            continue
+        gap = _field(data, "gap")
+        if not gap <= tol:
+            moved.append(f"{path}: gap {gap:.3e} exceeds solver.tol {tol}")
+        if old is not None:
+            shift = abs(_field(data, "value") - _field(old, "value"))
             if not shift <= tol + 1e-9:
                 moved.append(f"{path}: value moved by {shift:.3e}")
+            iterations.append((
+                path,
+                int(_field(old, "iterations")),
+                int(_field(data, "iterations")),
+            ))
     if moved:
         raise SystemExit(
             "refusing to rewrite golden CSVs, values moved beyond "
-            "solver.tol + 1e-9:\n" + "\n".join(moved)
+            "solver.tol + 1e-9 or gaps above solver.tol:\n" + "\n".join(moved)
         )
     for path in changed:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(outputs[path][0])
-    return changed
+    return changed, iterations
 
 
 if __name__ == "__main__":
@@ -134,7 +148,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
-            changed = regenerate(tmp)
+            changed, iterations = regenerate(tmp)
     for path in changed:
         print(f"changed {os.path.relpath(path)}")
+    for path, old, new in iterations:
+        print(f"{os.path.relpath(path)}: iterations {old} -> {new}")
     print(f"{len(changed)} golden files changed under {GOLDEN}")

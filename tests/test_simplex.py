@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blindgame import SolverFailure, max_weighted_min, simplex
+from blindgame import SolverFailure, max_weighted_min, simplex, value_solver
 
 
 def dual_certificate_gap(weights, groups, sol):
@@ -164,6 +164,86 @@ class TestDegenerateBattery:
         sol = max_weighted_min([1.0, 2.0], groups)
         assert sol.iterations == pivots
         assert sol.q.tolist() == pytest.approx(q, abs=1e-12)
+
+
+def _grown(rng, weights, groups):
+    """The groups with 1-3 rows of {-2, ..., 2} appended to random groups,
+    and the start that maps ``max_weighted_min(weights, groups).basis``
+    into them: the mix and level columns stay, each old slack shifts by
+    the rows added to earlier groups, every new row's slack is basic."""
+    first = max_weighted_min(weights, groups)
+    k, j = groups[0].shape[1], len(groups)
+    grown = [c.copy() for c in groups]
+    for _ in range(int(rng.integers(1, 4))):
+        g = int(rng.integers(j))
+        row = rng.integers(-2, 3, size=(1, k)).astype(float)
+        grown[g] = np.vstack([grown[g], row])
+    start = value_solver._grown_basis(
+        first.basis,
+        [c.shape[0] for c in groups],
+        [c.shape[0] for c in grown],
+        k + j,
+    )
+    return grown, start
+
+
+class TestWarmStart:
+    def test_grown_instances_match_cold_and_highs(self, monkeypatch):
+        cold_calls = []
+        cold = simplex._primal_simplex
+
+        def counted(*args):
+            cold_calls.append(1)
+            return cold(*args)
+
+        rng = np.random.default_rng(2025)
+        for _ in range(100):
+            weights, groups = _degenerate_instance(rng)
+            grown, start = _grown(rng, weights, groups)
+            monkeypatch.setattr(simplex, "_primal_simplex", counted)
+            warm = max_weighted_min(weights, grown, start)
+            monkeypatch.undo()
+            assert not cold_calls  # the warm solve needed no fallback
+            assert warm.certified_gap <= simplex.DUALITY_TOL
+            assert warm.value == pytest.approx(
+                max_weighted_min(weights, grown).value, abs=1e-9
+            )
+            assert warm.value == pytest.approx(
+                _highs_value(weights, grown), abs=1e-9
+            )
+
+    def test_start_without_dual_feasibility_solves_cold(self):
+        rng = np.random.default_rng(11)
+        groups = [rng.uniform(-2, 2, size=(5, 4)) for _ in range(2)]
+        cold = max_weighted_min([1.0, 0.5], groups)
+        # q_0 and the slacks: primal feasible, but the levels price out.
+        start = [0, *range(6, 16)]
+        warm = max_weighted_min([1.0, 0.5], groups, start)
+        assert warm.value == cold.value
+        assert warm.q.tolist() == cold.q.tolist()
+        assert warm.iterations == cold.iterations
+
+    def test_singular_start_solves_cold(self):
+        # Columns q_0 and q_1 of the LP are equal, so no basis holds both.
+        c = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        cold = max_weighted_min([1.0], [c])
+        warm = max_weighted_min([1.0], [c], [0, 1, 3])
+        assert warm.value == cold.value
+        assert warm.q.tolist() == cold.q.tolist()
+
+    @pytest.mark.parametrize(
+        "start, match",
+        [
+            ([0, 3], "needs 3 columns, got 2"),
+            ([0, 3, 4, 2], "needs 3 columns, got 4"),
+            ([0, 3, 3], "distinct"),
+            ([0, 3, 5], "distinct and in \\[0, 5\\)"),
+            ([-1, 3, 4], "distinct and in"),
+        ],
+    )
+    def test_malformed_start_raises(self, start, match):
+        with pytest.raises(ValueError, match=match):
+            max_weighted_min([1.0], [TestCertificate.PENNIES], start)
 
 
 class TestCertificate:

@@ -534,6 +534,31 @@ class TestMasterLPRegressions:
         assert res.converged and res.gap <= 1e-7
         assert abs(res.value - 0.5) <= 1e-7 + 1e-9
 
+    def test_warm_masters_pivot_less_than_cold_ones(self):
+        # Solved cold, the 11 masters of this game take 160 pivots.
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
+            v_grid=np.linspace(-1.0, 1.0, 8),
+        )
+        res = solve_Vn(prob, self.halves(), 2)
+        assert sum(rec.master_pivots for rec in res.history) <= 80
+
+    def test_failed_warm_starts_fall_back_to_cold_masters(self, monkeypatch):
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
+            v_grid=np.linspace(-1.0, 1.0, 8),
+        )
+        warm = solve_Vn(prob, self.halves(), 2)
+
+        def failing(a_mat, b, cost, basis):
+            raise SolverFailure("forced warm-start failure", 0)
+
+        monkeypatch.setattr(simplex, "_dual_simplex", failing)
+        cold = solve_Vn(prob, self.halves(), 2)
+        assert cold.converged
+        assert cold.value == pytest.approx(warm.value, abs=1e-7 + 1e-9)
+        assert sum(rec.master_pivots for rec in cold.history) == 160
+
     def test_u_plus_v_on_three_point_grids_at_four_stages(self):
         prob = make_problem(
             "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
