@@ -43,7 +43,7 @@ from .dynamics import (  # noqa: F401
 )
 from .errors import SolverFailure
 from .measures import ParticleMeasure
-from .game_kernel import MatrixGame, solve_matrix_game
+from .game_kernel import MatrixGame, MatrixGameSolution, solve_matrix_game
 from .simplex import max_weighted_min
 from .transport import wasserstein2
 
@@ -51,8 +51,6 @@ PROB_TOL = 1e-12
 LATTICE_GUARD = 2 * 10**6
 BRUTE_ROW_GUARD = 10**5
 BRUTE_COL_GUARD = 10**3
-DPP_RESOLUTION = 64
-DPP_COMBO_GUARD = 20_000
 COLGEN_THRESHOLD = 10**4
 
 
@@ -587,25 +585,27 @@ def _check_rows(n_rows: int) -> None:
 
 def _product_game(
     weights: Sequence[float], tables: Sequence[np.ndarray]
-) -> tuple[float, np.ndarray]:
-    """Value and matrix of the game whose row for the trees (t_0, t_1, ...)
-    is sum_i weights[i] * tables[i][t_i], summed in atom order, the rows
-    in ``itertools.product`` order."""
+) -> tuple[MatrixGameSolution, np.ndarray]:
+    """Solution and matrix of the game whose row for the trees (t_0, t_1,
+    ...) is sum_i weights[i] * tables[i][t_i], summed in atom order, the
+    rows in ``itertools.product`` order."""
     n_cols = tables[0].shape[1]
     matrix = np.zeros((1, n_cols))
     for w, table in zip(weights, tables):
         matrix = (matrix[:, None] + w * table).reshape(-1, n_cols)
-    return solve_matrix_game(MatrixGame(matrix)).value, matrix
+    return solve_matrix_game(MatrixGame(matrix)), matrix
 
 
 @dataclass(frozen=True, eq=False)
 class BruteForceResult:
-    """The oracle's value and the payoff matrix it was solved from; row r
-    is the product of per-atom tree indices ``row_trees[r]``."""
+    """The oracle's value, the payoff matrix it was solved from and Player
+    I's certified optimal mix over its rows (read-only); row r is the
+    product of per-atom tree indices ``row_trees[r]``."""
 
     value: float
     matrix: np.ndarray
     row_trees: tuple[tuple[int, ...], ...]
+    row_mix: np.ndarray
 
 
 def brute_force_value(
@@ -634,11 +634,12 @@ def brute_force_value(
         raise ValueError(
             f"{n_cols} sequences exceed the column guard {BRUTE_COL_GUARD}"
         )
-    value, matrix = _product_game(
+    sol, matrix = _product_game(
         mu0.weights, [_tree_table(prob, x, n) for x in mu0.points]
     )
     row_trees = itertools.product(range(trees_per_atom), repeat=mu0.n_atoms)
-    return BruteForceResult(value, matrix, tuple(row_trees))
+    sol.row_mix.setflags(write=False)
+    return BruteForceResult(sol.value, matrix, tuple(row_trees), sol.row_mix)
 
 
 # ---------------------------------------------------------------------------
@@ -650,18 +651,6 @@ class DppReport:
     lhs: float
     rhs: float
     difference: float
-    method: str
-
-
-def _dyadic_simplex(n_parts: int, resolution: int) -> list[np.ndarray]:
-    """All probability vectors with denominator ``resolution``."""
-    out = []
-    for comp in itertools.combinations_with_replacement(
-        range(n_parts), resolution
-    ):
-        counts = np.bincount(comp, minlength=n_parts).astype(float)
-        out.append(counts / resolution)
-    return out
 
 
 def dpp_check(
@@ -671,72 +660,45 @@ def dpp_check(
 ) -> DppReport:
     """Verify the one-step dynamic programming identity at time 0.
 
-    Left side: the n-stage brute-force value.  Right side: the infimum
-    over per-atom randomized first-stage controls of the supremum over
-    pure first-stage v of the (n-1)-stage brute-force value at mu1, each
-    atom's mass spread over its u-mix and moved one stage.  Every atom's
-    one-stage image under every control pair, and its (n-1)-stage oracle
-    table, is computed once; each continuation game is the
-    ``_product_game`` of those tables, weighted as mu1 weights its atoms,
-    under ``BRUTE_ROW_GUARD``.  The infimum is exact when the
-    continuation is linear in the measure (single-v games, pure per-atom
-    controls, each atom's image valued on its own); otherwise it is
-    searched on the dyadic mix grid of resolution ``DPP_RESOLUTION`` under
-    ``DPP_COMBO_GUARD`` combinations (both read at call time), so the
-    reported difference carries that grid slack.  With one u-point that
-    grid is the single mix and the search is exact.
+    Left side: the n-stage brute-force value.  Right side: the supremum
+    over pure first-stage v of the (n-1)-stage brute-force value at mu1,
+    each atom's mass spread over rho* and moved one stage.  rho* is each
+    atom's marginal of the oracle's own optimal row mix on its tree's
+    first decision (digit 0 of ``_tree_table``'s row index).  Against
+    rho* every v's continuation value is at most the left side, and the
+    DPP makes the infimum over first stages at least the left side, so
+    the two agree to LP precision.  Every continuation game is the
+    ``_product_game`` of the (n-1)-stage tables of the support's one-stage
+    images, weighted as mu1 weights its atoms; its rows are checked
+    against ``BRUTE_ROW_GUARD`` before any of those tables is built.
     """
     if n < 2:
         raise ValueError("dpp_check needs n >= 2")
-    _check_compat(prob, mu0, n)
-    lhs = brute_force_value(prob, mu0, n).value
+    bf = brute_force_value(prob, mu0, n)
+    n_u, n_v = prob.n_u, prob.n_v
+    first = np.array(bf.row_trees) // n_u ** (len(tree_prefixes(n, n_v)) - 1)
+    rho = np.array([
+        np.bincount(first[:, a], weights=bf.row_mix, minlength=n_u)
+        for a in range(mu0.n_atoms)
+    ])
+    atoms, us = np.nonzero(rho > 0.0)
+    _check_rows(n_u ** (len(tree_prefixes(n - 1, n_v)) * len(atoms)))
     tau = prob.T / n
     cont_prob = replace(prob, T=prob.T - tau)
-    n_u, n_v = prob.n_u, prob.n_v
     images = stage_step(
         prob, *control_pairs(prob, mu0.points), tau, 0
-    ).reshape(mu0.n_atoms, n_u, n_v, prob.dim)
-
-    if n_v > 1:
-        per_atom = _dyadic_simplex(n_u, DPP_RESOLUTION)
-        combos = len(per_atom) ** mu0.n_atoms
-        if combos > DPP_COMBO_GUARD:
-            raise ValueError(
-                f"{combos} dyadic mix combinations exceed the guard "
-                f"{DPP_COMBO_GUARD}"
-            )
-    # tables[a, u, v] is the (n-1)-stage oracle table of images[a, u, v].
-    tables = np.array([
-        _tree_table(cont_prob, y, n - 1) for y in images.reshape(-1, prob.dim)
-    ])
-    tables = tables.reshape(mu0.n_atoms, n_u, n_v, *tables.shape[1:])
-
-    if n_v == 1:
-        # Continuation is linear in the measure: pure per-atom controls
-        # are exact and the whole check collapses to per-atom minimization.
-        rhs = 0.0
-        for w, atom_tables in zip(mu0.weights, tables[:, :, 0]):
-            rhs += w * min(_product_game([1.0], [t])[0] for t in atom_tables)
-        method = "exact-linear"
-    else:
-        rhs = np.inf
-        for combo in itertools.product(per_atom, repeat=mu0.n_atoms):
-            rho = np.vstack(combo)
-            atoms, us = np.nonzero(rho > 0.0)
-            _check_rows(tables.shape[3] ** len(atoms))
-            # mu1's weights, renormalized as its measure would; v-free.
-            weights = ParticleMeasure(
-                images[atoms, us, 0], mu0.weights[atoms] * rho[atoms, us]
-            ).weights
-            worst = max(
-                _product_game(weights, tables[atoms, us, iv])[0]
-                for iv in range(n_v)
-            )
-            rhs = min(rhs, worst)
-        method = (
-            "exact-single-u" if n_u == 1 else f"dyadic-grid-1/{DPP_RESOLUTION}"
-        )
-    return DppReport(float(lhs), float(rhs), float(rhs - lhs), method)
+    ).reshape(mu0.n_atoms, n_u, n_v, prob.dim)[atoms, us]
+    # mu1's weights, renormalized as its measure would; v-free.
+    weights = ParticleMeasure(
+        images[:, 0], mu0.weights[atoms] * rho[atoms, us]
+    ).weights
+    rhs = max(
+        _product_game(
+            weights, [_tree_table(cont_prob, y, n - 1) for y in images[:, iv]]
+        )[0].value
+        for iv in range(n_v)
+    )
+    return DppReport(float(bf.value), float(rhs), float(rhs - bf.value))
 
 
 # ---------------------------------------------------------------------------

@@ -476,18 +476,32 @@ def test_criterion_8_discrete_dpp():
             ),
             measure([[0.2]], [1.0]),
         ),
+        (
+            "two-atom",
+            make_problem(
+                "u_plus_v", T=1.0, u_grid=[-1.0, 0.5], v_grid=[-0.5, 1.0]
+            ),
+            measure([[0.2], [-0.4]], [0.5, 0.5]),
+        ),
+        (
+            "two-atom-3u",
+            make_problem(
+                "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
+                v_grid=[-0.5, 1.0],
+            ),
+            measure([[0.2], [-0.4]], [0.5, 0.5]),
+        ),
     ]
     reports = [(label, dpp_check(prob, mu, 2)) for label, prob, mu in scenarios]
     bad = [
-        f"{label}: {rep.difference:.2e} ({rep.method})"
+        f"{label}: {rep.difference:.2e}"
         for label, rep in reports
-        if abs(rep.difference) > 1e-3
+        if abs(rep.difference) > 1e-9
     ]
     _report(
         8,
         not bad,
-        "5 scenarios satisfy |LHS - RHS| <= 1e-3 "
-        "(dyadic-mix slack documented in each report)"
+        f"{len(scenarios)} scenarios satisfy |LHS - RHS| <= 1e-9"
         + (f"; failing: {bad}" if bad else ""),
     )
 

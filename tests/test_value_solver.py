@@ -701,6 +701,20 @@ class TestStateLattice:
         # The pure mixes at least have dead prefixes.
         assert rewritten_any >= 3
 
+    def test_row_mix_is_a_certified_read_only_optimal_mix(self):
+        for prob, mu, n in oracle_battery(np.random.default_rng(41)):
+            bf = brute_force_value(prob, mu, n)
+            assert bf.row_mix.shape == (len(bf.row_trees),)
+            assert bf.row_mix.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(bf.row_mix >= 0.0)
+            assert not bf.row_mix.flags.writeable
+            with pytest.raises(ValueError):
+                bf.row_mix[0] = 0.0
+            # Against the mix every sequence pays at most the value.
+            assert np.max(bf.row_mix @ bf.matrix) <= (
+                bf.value + simplex.DUALITY_TOL
+            )
+
     def test_blow_up_raises_numeric_failure_naming_the_stage(self):
         # One RK4 step per stage multiplies x by about 4e306: stage 0 stays
         # finite, stage 1 overflows.
@@ -939,37 +953,68 @@ class TestLipschitzInMeasure:
             assert abs(v_mu - v_nu) <= bound_factor * dist + 1e-6
 
 
-def per_atom_dpp_reference(prob, mu0, n, resolution):
-    """(lhs, rhs, method) of the one-step DPP check for a game with two or
-    more v-points, every continuation measure built atom by atom: each
-    atom's branches in u order, each moved by a single-state
-    ``advance_stage`` and weighted by its mass times its mix weight."""
+def per_atom_dpp_reference(prob, mu0, n, rho):
+    """Right side of the one-step DPP check at the first-stage mix ``rho``
+    (one row per atom over the u-grid), every continuation measure built
+    atom by atom: each atom's branches in u order, each moved by a
+    single-state ``advance_stage`` and weighted by its mass times its mix
+    weight."""
     tau = prob.T / n
     cont_prob = replace(prob, T=prob.T - tau)
-    mixes = [
-        np.array(counts, dtype=float) / resolution
-        for counts in itertools.product(range(resolution + 1), repeat=prob.n_u)
-        if sum(counts) == resolution
-    ]
-    rhs = np.inf
-    for rho in itertools.product(mixes, repeat=mu0.n_atoms):
-        worst = -np.inf
-        for iv in range(prob.n_v):
-            points, weights = [], []
-            for w, x, row in zip(mu0.weights, mu0.points, rho):
-                for iu, r in enumerate(row):
-                    if r > 0.0:
-                        points.append(advance_stage(
-                            prob, x, prob.u_grid[iu], prob.v_grid[iv], tau
-                        ))
-                        weights.append(w * r)
-            mu1 = ParticleMeasure(np.array(points), np.array(weights))
-            worst = max(worst, brute_force_value(cont_prob, mu1, n - 1).value)
-        rhs = min(rhs, worst)
-    method = (
-        "exact-single-u" if prob.n_u == 1 else f"dyadic-grid-1/{resolution}"
-    )
-    return float(brute_force_value(prob, mu0, n).value), float(rhs), method
+    worst = -np.inf
+    for iv in range(prob.n_v):
+        points, weights = [], []
+        for w, x, row in zip(mu0.weights, mu0.points, rho):
+            for iu, r in enumerate(row):
+                if r > 0.0:
+                    points.append(advance_stage(
+                        prob, x, prob.u_grid[iu], prob.v_grid[iv], tau
+                    ))
+                    weights.append(w * r)
+        mu1 = ParticleMeasure(np.array(points), np.array(weights))
+        worst = max(worst, brute_force_value(cont_prob, mu1, n - 1).value)
+    return float(worst)
+
+
+def first_stage_mix(prob, bf, n):
+    """Each atom's marginal of the oracle's row mix on its tree's first
+    decision, summed row by row."""
+    first_place = prob.n_u ** (len(tree_prefixes(n, prob.n_v)) - 1)
+    rho = np.zeros((len(bf.row_trees[0]), prob.n_u))
+    for p, trees in zip(bf.row_mix, bf.row_trees):
+        for a, t in enumerate(trees):
+            rho[a, t // first_place] += p
+    return rho
+
+
+def dpp_battery(rng):
+    """Nine seeded n = 2 games, 1 or 2 atoms: u_plus_v, single-u affine
+    with a quadratic g, and planar affine."""
+    for k in range(9):
+        atoms = 1 + k % 2
+        if k % 3 == 0:
+            prob = make_problem(
+                "u_plus_v", T=1.0,
+                u_grid=np.sort(rng.uniform(-1, 1, 2)),
+                v_grid=np.sort(rng.uniform(-1, 1, 2)),
+            )
+        elif k % 3 == 1:
+            prob = make_problem(
+                "affine", A=[[rng.uniform(-0.5, 0.5)]], B=[[1.0]],
+                C=[[1.0]], dim=1, T=1.0, u_grid=[rng.uniform(-1, 1)],
+                v_grid=np.sort(rng.uniform(-1, 1, 3)), g_kind="quadratic",
+            )
+        else:
+            prob = make_problem(
+                "affine", A=[[0.0, 1.0], [-1.0, 0.0]], B=[[1.0], [0.0]],
+                C=[[0.0], [1.0]], dim=2, T=1.0,
+                u_grid=np.sort(rng.uniform(-1, 1, 2)),
+                v_grid=np.sort(rng.uniform(-1, 1, 2)),
+            )
+        w = rng.uniform(0.2, 1.0, atoms)
+        yield prob, ParticleMeasure(
+            rng.uniform(-1, 1, (atoms, prob.dim)), w / w.sum()
+        )
 
 
 class TestDppCheck:
@@ -989,7 +1034,6 @@ class TestDppCheck:
         )
         mu = ParticleMeasure(np.array([[1.0], [2.0]]), np.array([0.5, 0.5]))
         rep = dpp_check(prob, mu, 2)
-        assert rep.method == "exact-single-u"
         assert rep.difference == pytest.approx(0.0, abs=1e-12)
 
     def test_no_choices_is_exact(self):
@@ -1008,6 +1052,7 @@ class TestDppCheck:
         assert abs(rep.difference) <= 1e-9
 
     def test_single_v_exact_linear(self):
+        # With one v-point the continuation is linear in the measure.
         prob = make_problem(
             "affine",
             A=[[0.0]],
@@ -1020,17 +1065,14 @@ class TestDppCheck:
         )
         mu = ParticleMeasure(np.array([[0.3], [-0.8]]), np.array([0.5, 0.5]))
         rep = dpp_check(prob, mu, 2)
-        assert rep.method == "exact-linear"
         assert abs(rep.difference) <= 1e-9
 
     def test_pennies_two_stage(self):
         rep = dpp_check(pennies(), dirac0(), 2)
-        assert abs(rep.difference) <= 1e-3
-        assert rep.method == "dyadic-grid-1/64"
+        assert abs(rep.difference) <= 1e-9
 
     def test_v_only_dynamics(self):
-        # Player I's stage-0 mix is payoff-irrelevant, so the dyadic grid
-        # search is exact up to solver tolerances.
+        # Player I's stage-0 mix is payoff-irrelevant here.
         prob = make_problem(
             "affine",
             A=[[0.0]],
@@ -1043,7 +1085,7 @@ class TestDppCheck:
         )
         mu = dirac0()
         rep = dpp_check(prob, mu, 2)
-        assert abs(rep.difference) <= 1e-6
+        assert abs(rep.difference) <= 1e-9
 
     def test_needs_two_stages(self):
         with pytest.raises(ValueError, match="n >= 2"):
@@ -1053,13 +1095,16 @@ class TestDppCheck:
         self, monkeypatch
     ):
         # The left side integrates every open-loop trajectory over all n
-        # stages; the right side starts each atom's continuation at its
-        # one-stage images, so its calls carry n - 1 stages.
+        # stages; the right side starts each continuation at the one-stage
+        # images that rho* charges, so its calls carry n - 1 stages.
         prob = make_problem(
             "affine", A=[[0.3]], B=[[1.0]], C=[[1.0]], dim=1, T=1.0,
             u_grid=[-1.0, 0.2, 1.0], v_grid=[0.4],
         )
         mu = ParticleMeasure(np.array([[0.3], [-0.8]]), np.array([0.4, 0.6]))
+        support = np.count_nonzero(
+            first_stage_mix(prob, brute_force_value(prob, mu, 3), 3)
+        )
         real_flow = value_solver.flow
         stages = []
 
@@ -1069,81 +1114,71 @@ class TestDppCheck:
 
         monkeypatch.setattr(value_solver, "flow", counting_flow)
         rep = dpp_check(prob, mu, 3)
-        assert rep.method == "exact-linear"
         assert abs(rep.difference) <= 1e-12
         per_side = mu.n_atoms * prob.n_u**3
-        assert stages == [3] * per_side + [2] * per_side
+        assert stages == [3] * per_side + [2] * (support * prob.n_u**2)
 
-    def test_matches_per_atom_reference(self, monkeypatch):
-        resolution = 8
-        monkeypatch.setattr(value_solver, "DPP_RESOLUTION", resolution)
-        rng = np.random.default_rng(15)
-        for k in range(9):
-            atoms = 1 + k % 2
-            if k % 3 == 0:
-                prob = make_problem(
-                    "u_plus_v", T=1.0,
-                    u_grid=np.sort(rng.uniform(-1, 1, 2)),
-                    v_grid=np.sort(rng.uniform(-1, 1, 2)),
-                )
-            elif k % 3 == 1:
-                prob = make_problem(
-                    "affine", A=[[rng.uniform(-0.5, 0.5)]], B=[[1.0]],
-                    C=[[1.0]], dim=1, T=1.0, u_grid=[rng.uniform(-1, 1)],
-                    v_grid=np.sort(rng.uniform(-1, 1, 3)), g_kind="quadratic",
-                )
-            else:
-                prob = make_problem(
-                    "affine", A=[[0.0, 1.0], [-1.0, 0.0]], B=[[1.0], [0.0]],
-                    C=[[0.0], [1.0]], dim=2, T=1.0,
-                    u_grid=np.sort(rng.uniform(-1, 1, 2)),
-                    v_grid=np.sort(rng.uniform(-1, 1, 2)),
-                )
-            w = rng.uniform(0.2, 1.0, atoms)
-            mu = ParticleMeasure(
-                rng.uniform(-1, 1, (atoms, prob.dim)), w / w.sum()
-            )
+    def test_matches_per_atom_reference(self):
+        # At the oracle's own first stage rho* the right side equals the
+        # left side, and the reference rebuilds it bit for bit.
+        for k, (prob, mu) in enumerate(dpp_battery(np.random.default_rng(15))):
             rep = dpp_check(prob, mu, 2)
-            expected = per_atom_dpp_reference(prob, mu, 2, resolution)
-            assert repr((rep.lhs, rep.rhs, rep.method)) == repr(expected), k
+            bf = brute_force_value(prob, mu, 2)
+            rhs = per_atom_dpp_reference(
+                prob, mu, 2, first_stage_mix(prob, bf, 2)
+            )
+            assert repr((rep.lhs, rep.rhs)) == repr((bf.value, rhs)), k
+            assert abs(rep.difference) <= 1e-9, k
 
-    def test_grid_constants_are_read_at_call_time(self, monkeypatch):
-        # Two u-points at resolution 1/4: five mixes for the one atom.
-        monkeypatch.setattr(value_solver, "DPP_RESOLUTION", 4)
-        assert dpp_check(pennies(), dirac0(), 2).method == "dyadic-grid-1/4"
-        monkeypatch.setattr(value_solver, "DPP_COMBO_GUARD", 4)
+    def test_no_first_stage_mix_beats_the_value(self):
+        # The other direction of the DPP: every first-stage mix lets
+        # Player II reach at least the n-stage value.
+        draws = np.random.default_rng(16)
+        for k, (prob, mu) in enumerate(dpp_battery(np.random.default_rng(15))):
+            lhs = brute_force_value(prob, mu, 2).value
+            for _ in range(3):
+                rho = draws.dirichlet(np.ones(prob.n_u), size=mu.n_atoms)
+                rhs = per_atom_dpp_reference(prob, mu, 2, rho)
+                assert rhs >= lhs - 1e-9, k
+
+    def test_row_guard_caps_each_continuation_game(self, monkeypatch):
+        # Four u-points, two v-points, one atom at n = 2: the left side has
+        # 4**3 = 64 trees; rho* charges two u-points, so each continuation
+        # game has two atoms of 4 one-stage trees each, 16 product trees.
+        # The guard is lifted only around the left side's oracle call.
+        prob = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, -0.5, 0.5, 1.0],
+            v_grid=[-1.0, 1.0],
+        )
+        real_oracle = value_solver.brute_force_value
+
+        def lifted_oracle(*args):
+            monkeypatch.setattr(value_solver, "BRUTE_ROW_GUARD", 64)
+            try:
+                return real_oracle(*args)
+            finally:
+                monkeypatch.setattr(value_solver, "BRUTE_ROW_GUARD", 15)
+
+        monkeypatch.setattr(value_solver, "brute_force_value", lifted_oracle)
+        monkeypatch.setattr(value_solver, "BRUTE_ROW_GUARD", 15)
         stages = []
         real_flow = value_solver.flow
         monkeypatch.setattr(
             value_solver, "flow",
             lambda *args: stages.append(len(args[2])) or real_flow(*args),
         )
-        with pytest.raises(ValueError, match="5 dyadic mix .* guard 4$"):
-            dpp_check(pennies(), dirac0(), 2)
-        # Only the left side ran: one call per open-loop u-sequence.
-        assert stages == [2] * 4
-
-    def test_row_guard_caps_each_continuation_game(self, monkeypatch):
-        # Four u-points, two v-points, one atom at n = 2: the left side has
-        # 4**3 = 64 trees; the continuation at the uniform mix has four
-        # atoms of 4 one-stage trees each, 256 product trees.
-        prob = make_problem(
-            "u_plus_v", T=1.0, u_grid=[-1.0, -0.5, 0.5, 1.0],
-            v_grid=[-1.0, 1.0],
-        )
-        monkeypatch.setattr(value_solver, "DPP_RESOLUTION", 4)
-        monkeypatch.setattr(value_solver, "BRUTE_ROW_GUARD", 64)
-        brute_force_value(prob, dirac0(), 2)
-        with pytest.raises(ValueError, match="^256 product trees .* guard 64$"):
+        with pytest.raises(ValueError, match="^16 product trees .* guard 15$"):
             dpp_check(prob, dirac0(), 2)
+        # Only the left side ran: one call per open-loop u-sequence.
+        assert stages == [2] * 4**2
 
-    def test_dyadic_check_integrates_each_one_stage_image_once(
+    def test_exact_check_integrates_each_support_image_once(
         self, monkeypatch
     ):
-        # A 2-atom u_plus_v game at n = 2 on the 1/64 grid: 4,225 mix
-        # combinations, each valued at both v-points.  The left side makes
-        # atoms * n_u**n flow calls, and the (n-1)-stage table of each of
-        # the atoms * n_u * n_v one-stage images takes n_u**(n-1) more.
+        # A 2-atom u_plus_v game at n = 2.  The left side makes
+        # atoms * n_u**n flow calls; rho* charges three (atom, u) pairs,
+        # and the (n-1)-stage table of each of their n_v one-stage images
+        # takes n_u**(n-1) more.
         prob = make_problem(
             "u_plus_v", T=1.0, u_grid=[-1.0, 0.5], v_grid=[-0.5, 1.0]
         )
@@ -1161,10 +1196,10 @@ class TestDppCheck:
         )
         rep = dpp_check(prob, mu, 2)
         assert repr(rep) == (
-            "DppReport(lhs=0.41136363636363643, rhs=0.412109375, "
-            "difference=0.0007457386363635687, method='dyadic-grid-1/64')"
+            "DppReport(lhs=0.41136363636363643, rhs=0.4113636363636364, "
+            "difference=-5.551115123125783e-17)"
         )
-        assert len(flows) == 2 * 2**2 + 2 * 2 * 2 * 2 == 24
+        assert len(flows) == 2 * 2**2 + 3 * 2 * 2 == 20
         assert len(oracles) == 1
 
 
