@@ -321,6 +321,18 @@ class TestCommands:
         plan = (out / "plan.csv").read_text()
         assert plan.splitlines()[0] == "i,j,mass"
 
+    def test_transport_overflow_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(
+            PENNIES.replace("mu0.atoms        = 1.0 0.0", "mu0.atoms = 1.0 -1e200")
+            .replace("0.5 1.0; 0.5 -1.0", "0.5 1e200; 0.5 1.0")
+        )
+        out = tmp_path / "out"
+        assert main(["transport", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: squared distances overflow on a 1 x 2 problem\n"
+        assert not out.exists()
+
     def test_ekeland_no_violations(self, pennies_cfg, tmp_path):
         out = tmp_path / "out"
         code = main(["ekeland", "--config", str(pennies_cfg), "--out", str(out)])

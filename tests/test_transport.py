@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 from math import lcm
 
@@ -27,6 +28,42 @@ def random_cloud(rng, n, d, equal_weights=False):
         w = rng.uniform(0.2, 1.0, size=n)
         w = w / w.sum()
     return ParticleMeasure(pts, w)
+
+
+def readme_pair(atoms, dim):
+    """The README's equal-weight pair: normal clouds, the target shifted."""
+    rng = np.random.default_rng(atoms)
+    w = np.full(atoms, 1.0 / atoms)
+    return (ParticleMeasure(rng.normal(size=(atoms, dim)), w),
+            ParticleMeasure(rng.normal(size=(atoms, dim)) + 0.5, w))
+
+
+def dyadic_cloud(rng, n, d):
+    """Positive unequal weights k / 32 with exact sums in any order, so a
+    reordered copy keeps every weight bit for bit."""
+    w = (rng.multinomial(32 - n, np.full(n, 1.0 / n)) + 1) / 32.0
+    return ParticleMeasure(rng.uniform(-2.0, 2.0, size=(n, d)), w)
+
+
+def pivot_count(monkeypatch, mu, nu):
+    """The smallest ``MAX_PIVOTS`` that solves the pair."""
+    def solves(cap):
+        monkeypatch.setattr(transport, "MAX_PIVOTS", cap)
+        try:
+            wasserstein2(mu, nu)
+        except SolverFailure:
+            return False
+        return True
+
+    if solves(0):
+        return 0
+    lo, hi = 0, 1
+    while not solves(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if solves(mid) else (mid, hi)
+    return hi
 
 
 def permutation_w2(mu, nu):
@@ -116,6 +153,32 @@ class TestWasserstein:
             d01, _ = wasserstein2(mus[0], mus[1])
             d12, _ = wasserstein2(mus[1], mus[2])
             assert d02 <= d01 + d12 + 1e-9
+
+    def test_overflowing_costs_name_the_shape(self):
+        mu = ParticleMeasure(
+            np.array([[-1e200, 1e200], [0.0, 0.0]]), np.array([0.5, 0.5])
+        )
+        nu = ParticleMeasure(
+            np.array([[1e200, -1e200], [1.0, 1.0], [2.0, 2.0]]),
+            np.full(3, 1.0 / 3.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match="overflow on a 2 x 3 problem"):
+                wasserstein2(mu, nu)
+
+    def test_dyadic_scaling_scales_the_distance_exactly(self):
+        # Scaling by 2**500 is exact on every float the solver forms, so
+        # the plan is the same bit for bit, far from overflow and near it.
+        rng = np.random.default_rng(21)
+        mu, nu = random_cloud(rng, 7, 2), random_cloud(rng, 5, 2)
+        d, plan = wasserstein2(mu, nu)
+        big = (ParticleMeasure(m.points * 2.0**500, m.weights) for m in (mu, nu))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d_big, plan_big = wasserstein2(*big)
+        assert d_big == d * 2.0**500
+        assert np.array_equal(plan_big.coupling, plan.coupling)
 
     def test_marginals_of_plan(self):
         rng = np.random.default_rng(17)
@@ -246,19 +309,62 @@ class TestExactSimplex:
         assert d == pytest.approx(np.sqrt(highs_cost(mu, nu)), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "atoms, pivots", [(20, 63), (28, 101), (40, 198), (80, 518)]
+        "atoms, dim, pivots",
+        [(20, 2, 49), (28, 2, 77), (40, 2, 135), (80, 2, 346),
+         (24, 1, 0), (80, 1, 0)],
     )
-    def test_pivot_counts_of_the_readme_pairs(self, monkeypatch, atoms, pivots):
-        # Any change to the entering or leaving sequence moves these counts.
-        rng = np.random.default_rng(atoms)
-        w = np.full(atoms, 1.0 / atoms)
-        mu = ParticleMeasure(rng.normal(size=(atoms, 2)), w)
-        nu = ParticleMeasure(rng.normal(size=(atoms, 2)) + 0.5, w)
-        monkeypatch.setattr(transport, "MAX_PIVOTS", pivots - 1)
-        with pytest.raises(SolverFailure, match="pivot cap"):
-            wasserstein2(mu, nu)
+    def test_pivot_counts_of_the_readme_pairs(
+        self, monkeypatch, atoms, dim, pivots
+    ):
+        # Any change to the sorted start or to the entering or leaving
+        # sequence moves these counts; in 1-d the start is optimal.
+        mu, nu = readme_pair(atoms, dim)
+        if pivots:
+            monkeypatch.setattr(transport, "MAX_PIVOTS", pivots - 1)
+            with pytest.raises(SolverFailure, match="pivot cap"):
+                wasserstein2(mu, nu)
         monkeypatch.setattr(transport, "MAX_PIVOTS", pivots)
         wasserstein2(mu, nu)
+
+    def test_quarter_turns_and_mirrors_keep_pivots_and_plan(self, monkeypatch):
+        # Negating and swapping coordinates is exact in floats, so the
+        # costs, the sorted start and every pivot are the same bit for bit.
+        rng = np.random.default_rng(90)
+        maps = [
+            lambda p: np.stack([-p[:, 1], p[:, 0]], axis=1),  # quarter turn
+            lambda p: -p,  # half turn
+            lambda p: np.stack([p[:, 1], -p[:, 0]], axis=1),  # three quarters
+            lambda p: p * np.array([-1.0, 1.0]),  # mirror in the y axis
+            lambda p: p[:, ::-1],  # mirror in the diagonal
+        ]
+        pairs = [readme_pair(20, 2),
+                 (dyadic_cloud(rng, 9, 2), dyadic_cloud(rng, 13, 2))]
+        for mu, nu in pairs:
+            pivots = pivot_count(monkeypatch, mu, nu)
+            monkeypatch.undo()
+            d, plan = wasserstein2(mu, nu)
+            for f in maps:
+                mu_f, nu_f = (
+                    ParticleMeasure(f(m.points), m.weights) for m in (mu, nu)
+                )
+                assert pivot_count(monkeypatch, mu_f, nu_f) == pivots
+                monkeypatch.undo()
+                d_f, plan_f = wasserstein2(mu_f, nu_f)
+                assert d_f == d
+                assert np.array_equal(plan_f.coupling, plan.coupling)
+
+    def test_shuffled_atoms_permute_the_plan(self):
+        rng = np.random.default_rng(2011)
+        for dim in (1, 2, 3):
+            mu, nu = dyadic_cloud(rng, 17, dim), dyadic_cloud(rng, 11, dim)
+            d, plan = wasserstein2(mu, nu)
+            p, q = rng.permutation(17), rng.permutation(11)
+            d_s, plan_s = wasserstein2(
+                ParticleMeasure(mu.points[p], mu.weights[p]),
+                ParticleMeasure(nu.points[q], nu.weights[q]),
+            )
+            assert d_s == d
+            assert np.array_equal(plan_s.coupling, plan.coupling[np.ix_(p, q)])
 
     def test_integer_marginals_match_a_per_atom_reference(self):
         def reference(mu, nu):

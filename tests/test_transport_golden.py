@@ -15,9 +15,11 @@ CHANGES.md):
     PYTHONPATH=src python3 tests/test_transport_golden.py
 
 It prints every file it changed, and refuses to write anything when a
-distance moves by more than ``DISTANCE_RTOL`` relative: the optimal cost
-is unique, so a recapture may move a plan on tied costs or a last bit of
-the distance, never the distance itself.
+distance moves by more than ``DISTANCE_RTOL`` relative, or when the file of
+a ``cloud`` pair changes at all: the optimal cost is unique, so a recapture
+may move a plan on tied costs or a last bit of the distance, never the
+distance itself; and random clouds have no tied costs, so their optimal
+plan is unique too.
 """
 
 import os
@@ -25,7 +27,7 @@ import os
 import numpy as np
 import pytest
 
-from blindgame import ParticleMeasure, plan_to_csv, wasserstein2
+from blindgame import ParticleMeasure, plan_to_csv, transport, wasserstein2
 
 GOLDEN = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "golden", "transport"
@@ -52,13 +54,18 @@ def _weights(rng, equal: bool, n: int) -> np.ndarray:
     return w / w.sum()
 
 
+def _kind(idx: int) -> str:
+    """The point kind of pair ``idx``."""
+    return POINT_KINDS[(idx // 2) % 3]
+
+
 def battery() -> list[tuple[ParticleMeasure, ParticleMeasure]]:
     """The 200 seeded (mu, nu) pairs of the golden battery."""
     rng = np.random.default_rng(2011)
     pairs = []
     for idx in range(PAIRS):
         dim = 1 + idx % 2
-        kind = POINT_KINDS[(idx // 2) % 3]
+        kind = _kind(idx)
         equal = (idx // 6) % 2 == 0
         m = int(rng.integers(1, 31))
         k = m if rng.random() < 0.25 else int(rng.integers(1, 31))
@@ -100,6 +107,15 @@ def test_battery_covers_its_cases():
     assert any(np.any(mu.weights == 0.0) for mu, _ in _BATTERY)
 
 
+def test_one_dimensional_pairs_need_no_pivots(monkeypatch):
+    # The sorted start is the monotone coupling, which is optimal in 1-d.
+    monkeypatch.setattr(transport, "MAX_PIVOTS", 0)
+    pairs = [(mu, nu) for mu, nu in _BATTERY if mu.dim == 1]
+    assert len(pairs) == PAIRS // 2
+    for mu, nu in pairs:
+        wasserstein2(mu, nu)
+
+
 def _distance(text: str) -> float:
     """The distance on the first line of a golden file."""
     return float(text.split("\n", 1)[0].split(",")[1])
@@ -109,7 +125,8 @@ def regenerate() -> list[str]:
     """Recompute every pair and rewrite the golden files that changed.
 
     Refuses, writing nothing, when a distance moves by more than
-    ``DISTANCE_RTOL`` relative.  Returns the changed paths.
+    ``DISTANCE_RTOL`` relative or a ``cloud`` pair's file changes.  Returns
+    the changed paths.
     """
     changed, moved = {}, []
     for idx, (mu, nu) in enumerate(_BATTERY):
@@ -125,10 +142,13 @@ def regenerate() -> list[str]:
             new_d, old_d = _distance(text), _distance(old)
             if not abs(new_d - old_d) <= DISTANCE_RTOL * abs(old_d):
                 moved.append(f"{path}: distance {old_d!r} -> {new_d!r}")
+            elif _kind(idx) == "cloud":
+                moved.append(f"{path}: the unique plan of a cloud pair changed")
     if moved:
         raise SystemExit(
             "refusing to rewrite golden plans, distances moved beyond "
-            f"{DISTANCE_RTOL:g} relative:\n" + "\n".join(moved)
+            f"{DISTANCE_RTOL:g} relative or cloud plans changed:\n"
+            + "\n".join(moved)
         )
     os.makedirs(GOLDEN, exist_ok=True)
     for path, text in changed.items():
