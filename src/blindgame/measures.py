@@ -5,9 +5,11 @@ object everything else in the package operates on: initial distributions,
 transported distributions after a control stage, and the base measures the
 Hamiltonians integrate over.
 
-Weights must form a probability vector.  Float drift up to 1e-12 away from
-total mass 1 is silently renormalized; anything larger is rejected as a bug
-in the caller.
+Weights must form a probability vector.  A float total within
+``len(weights)`` ulps of 1 is rounding of a normalized vector and is kept as
+given, so a measure rebuilt from its own weights keeps them bit for bit.
+Larger drift up to 1e-12 away from total mass 1 is silently renormalized;
+anything larger is rejected as a bug in the caller.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class ParticleMeasure:
             raise ValueError(
                 f"weights sum to {total!r}, off by {drift:.3e} > {WEIGHT_TOL}"
             )
-        if drift > 0.0:
+        if drift > len(w) * np.finfo(float).eps:
             w = w / total
         pts.setflags(write=False)
         w.setflags(write=False)

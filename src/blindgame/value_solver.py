@@ -51,7 +51,6 @@ PROB_TOL = 1e-12
 LATTICE_GUARD = 2 * 10**6
 BRUTE_ROW_GUARD = 10**5
 BRUTE_COL_GUARD = 10**3
-COLGEN_THRESHOLD = 10**4
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,7 @@ class MixedStrategyII:
         total = float(np.sum(q[q > 0.0]))
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"q sums to {total!r}")
-        if total != 1.0:
+        if abs(total - 1.0) > size * np.finfo(float).eps:
             q = q / total
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -400,51 +399,28 @@ def _solve_master(
     weights: np.ndarray,
     groups: list[np.ndarray],
     last: tuple[list[int], tuple[int, ...]] | None,
-) -> tuple[float, np.ndarray, int, tuple[list[int], tuple[int, ...]] | None]:
+) -> tuple[float, np.ndarray, int, tuple[list[int], tuple[int, ...]]]:
     """max over the sequence simplex of sum_i w_i min over atom i's cuts.
 
-    Direct LP up to ``COLGEN_THRESHOLD`` sequences, warm-started from
-    ``last``, the previous master's (rows per group, basis), when given;
-    otherwise column generation on the restricted simplex, priced with the
-    atoms' dual mixes over their cuts, run until no sequence improves the
-    restricted value.  Returns the value, the mix, the pivots spent and
-    the ``last`` of the next master (None after column generation).
+    One LP over every sequence, warm-started from ``last``, the previous
+    master's (rows per group, basis), when given (None only before the
+    first master).  Returns the value, the mix, the pivots spent and the
+    ``last`` of the next master.
     """
-    n_cuts = sum(c.shape[0] for c in groups)
+    rows = [c.shape[0] for c in groups]
     n_seq = groups[0].shape[1]
-
-    def lp(subs: list[np.ndarray], start=None):
-        try:
-            return max_weighted_min(weights, subs, start)
-        except SolverFailure as exc:
-            raise SolverFailure(
-                f"master LP ({n_cuts} cuts x {n_seq} sequences): "
-                f"{exc.message}",
-                exc.iterations,
-            ) from exc
-
-    if n_seq <= COLGEN_THRESHOLD:
-        rows = [c.shape[0] for c in groups]
-        start = None
-        if last is not None:
-            start = _grown_basis(last[1], last[0], rows, n_seq + len(groups))
-        sol = lp(groups, start)
-        return sol.value, sol.q, sol.iterations, (rows, sol.basis)
-    cols = [0]
-    in_cols = {0}
-    pivots = 0
-    for _ in range(n_seq):
-        sol = lp([c[:, cols] for c in groups])
-        pivots += sol.iterations
-        scores = sum(lam @ c for lam, c in zip(sol.row_duals, groups))
-        best = int(np.argmax(scores))
-        if scores[best] <= sol.value + 1e-12 or best in in_cols:
-            q = np.zeros(n_seq)
-            q[cols] = sol.q
-            return sol.value, q, pivots, None
-        cols.append(best)
-        in_cols.add(best)
-    raise SolverFailure("column generation failed to terminate", n_seq)
+    start = None
+    if last is not None:
+        start = _grown_basis(last[1], last[0], rows, n_seq + len(groups))
+    try:
+        sol = max_weighted_min(weights, groups, start)
+    except SolverFailure as exc:
+        raise SolverFailure(
+            f"master LP ({sum(rows)} cuts x {n_seq} sequences): "
+            f"{exc.message}",
+            exc.iterations,
+        ) from exc
+    return sol.value, sol.q, sol.iterations, (rows, sol.basis)
 
 
 def solve_Vn(
@@ -467,9 +443,9 @@ def solve_Vn(
     (see ``_solve_master``), so it may end on another optimal vertex than
     a cold solve would, and the iterations may differ from a cold run.
 
-    The module constants ``LATTICE_GUARD`` (which also bounds
-    ``|v_grid|^n``, the number of leaves of one atom with one u-point) and
-    ``COLGEN_THRESHOLD`` are read at call time.
+    The module constant ``LATTICE_GUARD`` (which also bounds
+    ``|v_grid|^n``, the number of leaves of one atom with one u-point) is
+    read at call time.
     """
     _check_compat(prob, mu0, n)
     if not 0.0 < tol < np.inf:

@@ -28,6 +28,15 @@ class TestConstruction:
         mu = ParticleMeasure(np.array([[0.0], [1.0]]), w)
         assert np.sum(mu.weights) == pytest.approx(1.0, abs=1e-15)
 
+    def test_rebuilding_from_own_weights_is_bit_identical(self):
+        rng = np.random.default_rng(0)
+        pts = np.arange(9.0).reshape(-1, 1)
+        for _ in range(1000):
+            w = rng.uniform(0.2, 1.0, 9)
+            mu = ParticleMeasure(pts, w / w.sum())
+            assert np.array_equal(ParticleMeasure(pts, mu.weights).weights,
+                                  mu.weights)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ParticleMeasure(np.array([[0.0], [1.0]]), np.array([-0.1, 1.1]))

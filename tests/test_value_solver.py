@@ -118,6 +118,12 @@ class TestStrategyTypes:
         # Within PROB_TOL of 1 the mix is renormalised.
         mix = MixedStrategyII(1, 2, np.array([0.5, 0.5 + 1e-13]))
         assert mix.q.sum() == pytest.approx(1.0, abs=1e-15)
+        # Rounding of a normalized mix is kept as given.
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            q = rng.uniform(0.2, 1.0, 9)
+            q = q / q.sum()
+            assert np.array_equal(MixedStrategyII(1, 9, q).q, q)
 
     def test_mix_must_be_finite(self):
         # A NaN entry would make every prefix of the best response dead.
@@ -486,35 +492,26 @@ class TestSolveVn:
         )
         assert value == pytest.approx(res.value, abs=1e-12)
 
-    def test_column_generation_matches_direct(self, monkeypatch):
-        prob = make_problem(
-            "u_plus_v",
-            T=1.0,
-            u_grid=[-1.0, 1.0],
-            v_grid=[-1.0, 0.0, 1.0],
-        )
-        mu = dirac0()
-        direct = solve_Vn(prob, mu, 2, tol=1e-9)
-        monkeypatch.setattr(value_solver, "COLGEN_THRESHOLD", 2)
-        colgen = solve_Vn(prob, mu, 2, tol=1e-9)
-        assert direct.value == pytest.approx(colgen.value, abs=1e-9)
-
-    def test_column_generation_matches_direct_with_two_atoms(
+    def test_wide_master_is_one_warm_lp_over_every_sequence(
         self, monkeypatch
     ):
         prob = make_problem(
-            "u_plus_v",
-            T=1.0,
-            u_grid=[-1.0, 0.0, 1.0],
-            v_grid=[-1.0, 0.0, 1.0],
+            "u_plus_v", T=1.0, u_grid=[-1.0, 1.0],
+            v_grid=np.linspace(-1.0, 1.0, 11),
         )
-        mu = ParticleMeasure(np.array([[-0.3], [0.4]]), np.array([0.5, 0.5]))
-        direct = solve_Vn(prob, mu, 2, tol=1e-9)
-        monkeypatch.setattr(value_solver, "COLGEN_THRESHOLD", 2)
-        colgen = solve_Vn(prob, mu, 2, tol=1e-9)
-        assert direct.converged and colgen.converged
-        assert colgen.cuts.shape[1] == 2
-        assert direct.value == pytest.approx(colgen.value, abs=1e-9)
+        mu = ParticleMeasure(np.array([[0.1]]), np.array([1.0]))
+        starts = []
+        solve = value_solver.max_weighted_min
+
+        def spy(weights, groups, start=None):
+            starts.append(start)
+            return solve(weights, groups, start)
+
+        monkeypatch.setattr(value_solver, "max_weighted_min", spy)
+        res = solve_Vn(prob, mu, 4, max_iter=4)
+        assert res.cuts.shape == (4, 1, 11**4)
+        assert len(starts) == 4 and starts[0] is None
+        assert all(start is not None for start in starts[1:])
 
 
 class TestMasterLPRegressions:
