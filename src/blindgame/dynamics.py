@@ -168,11 +168,13 @@ def terminal_costs(prob: ControlProblem, x: np.ndarray) -> np.ndarray:
 def flow(
     prob: ControlProblem,
     x0,
-    u_seq: Sequence[int],
-    v_seq: Sequence[int],
+    u_seq: Sequence[int | np.ndarray],
+    v_seq: Sequence[int | np.ndarray],
 ) -> np.ndarray:
     """Endpoints X_T of the stage-wise trajectories from x0 (d,) or (N, d)
-    under one u-grid and one v-grid index per stage."""
+    under one u-grid and one v-grid index per stage.  A stage's index is
+    one integer for every row, or an integer array with one entry per row
+    of a batch."""
     n = len(u_seq)
     if n == 0 or len(v_seq) != n:
         raise ValueError(

@@ -437,7 +437,8 @@ def solve_Vn(
     new cuts) until the gap closes below tol.  Player I knows the atom, so
     the best response separates by atom and each iteration adds one cut
     per atom: the master maximizes sum_i w_i min over atom i's distinct
-    cuts, the multicut decomposition of Birge and Louveaux (1988).
+    cuts, the multicut decomposition of Birge and Louveaux (1988).  An
+    atom of zero weight still gets its cuts, but no group in the master.
     Termination is finite: there are finitely many pure trees per atom.
     Each master after the first starts from the last one's optimal basis
     (see ``_solve_master``), so it may end on another optimal vertex than
@@ -457,9 +458,12 @@ def solve_Vn(
     q_current = MixedStrategyII.pure(n, prob.n_v)
     q_vec = q_current.q
     cuts: list[np.ndarray] = []
-    # Atom i's distinct cut rows, and their bytes to drop repeats.
-    groups: list[list[np.ndarray]] = [[] for _ in range(mu0.n_atoms)]
-    seen: list[set[bytes]] = [set() for _ in range(mu0.n_atoms)]
+    # Each positive-weight atom's distinct cut rows, and their bytes to
+    # drop repeats: the master's weights must be positive, while ``cuts``
+    # keeps every atom.
+    live = mu0.weights > 0.0
+    groups: list[list[np.ndarray]] = [[] for _ in range(np.count_nonzero(live))]
+    seen: list[set[bytes]] = [set() for _ in groups]
     history: list[IterationRecord] = []
     best_lower = -np.inf
     master_value = np.inf
@@ -471,7 +475,7 @@ def solve_Vn(
         tree, br_value = best_response_I(prob, mu0, q_current, lattice)
         rows = cut_coefficients(prob, mu0, tree, lattice)
         cuts.append(rows)
-        for group, keys, row in zip(groups, seen, rows):
+        for group, keys, row in zip(groups, seen, rows[live]):
             key = row.tobytes()
             if key not in keys:
                 keys.add(key)
@@ -480,7 +484,7 @@ def solve_Vn(
         cut_at_gen = float(np.dot(mu0.weights, rows @ q_vec))
 
         master_value, q_vec, pivots, last = _solve_master(
-            mu0.weights, [np.vstack(g) for g in groups], last
+            mu0.weights[live], [np.vstack(g) for g in groups], last
         )
         gap = max(master_value - best_lower, 0.0)
         history.append(
@@ -515,41 +519,53 @@ def solve_Vn(
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _tree_table(prob: ControlProblem, x: np.ndarray, n: int) -> np.ndarray:
-    """Payoff table of every pure delayed tree from the state x: entry
-    [t, s] is g(X_T) under tree t, which plays base-n_u digit k of t (most
-    significant first) after prefix k of ``tree_prefixes``, against the
-    sequence of rank s.  One ``flow`` call per open-loop u-sequence
-    integrates x once per v-sequence; each endpoint equals the single-state
-    trajectory bit for bit.  g is checked here, one endpoint at a time,
-    rather than through ``terminal_costs``, so the oracle stays independent.
+def _tree_tables(prob: ControlProblem, xs: np.ndarray, n: int) -> np.ndarray:
+    """Payoff tables of every pure delayed tree from each state of ``xs``
+    (N, d): entry [i, t, s] is g(X_T) from xs[i] under tree t, which plays
+    base-n_u digit k of t (most significant first) after prefix k of
+    ``tree_prefixes``, against the sequence of rank s.
+
+    Each (state, open-loop u-sequence) pair is one block of n_v**n rows,
+    one per v-sequence, and each ``flow`` call integrates as many whole
+    blocks as fit in ``BRUTE_ROW_GUARD`` rows, and at least one.  ``f``
+    acts row by row, so every endpoint equals the single-state trajectory
+    bit for bit.  g is checked here, one endpoint at a time, rather than
+    through ``terminal_costs``, so the oracle stays independent.  Tree t
+    meets sequence s along the u-sequence of its digits at the prefixes s
+    reads, one prefix column per stage.
     """
     n_u, n_v = prob.n_u, prob.n_v
-    n_cols = n_v**n
-    v_cols = np.unravel_index(np.arange(n_cols), (n_v,) * n)
-    xs = np.repeat(x[None, :], n_cols, axis=0)
-    payoffs = np.empty((n_u**n, n_cols))
-    for a, u_vals in enumerate(itertools.product(range(n_u), repeat=n)):
-        ends = flow(prob, xs, u_vals, v_cols)
-        payoffs[a] = [float(prob.g(end)) for end in ends]
-        if not np.all(np.isfinite(payoffs[a])):
-            raise ValueError("g returned a non-finite value")
+    n_open, n_cols = n_u**n, n_v**n
+    u_digits = np.unravel_index(np.arange(n_open), (n_u,) * n)
+    v_digits = np.unravel_index(np.arange(n_cols), (n_v,) * n)
+    n_blocks = len(xs) * n_open
+    per_call = max(1, BRUTE_ROW_GUARD // n_cols)
+    ends = []
+    for start in range(0, n_blocks, per_call):
+        blocks = np.arange(start, min(start + per_call, n_blocks))
+        rows = np.repeat(blocks, n_cols)
+        ends.append(flow(
+            prob,
+            xs[rows // n_open],
+            [u[rows % n_open] for u in u_digits],
+            [np.tile(v, len(blocks)) for v in v_digits],
+        ))
+    payoffs = np.array([float(prob.g(end)) for end in np.concatenate(ends)])
+    if not np.all(np.isfinite(payoffs)):
+        raise ValueError("g returned a non-finite value")
 
-    prefixes = tree_prefixes(n, n_v)
-    n_prefix = len(prefixes)
-    prefix_index = {p: k for k, p in enumerate(prefixes)}
-    seqs = [seq_from_rank(r, n, n_v) for r in range(n_cols)]
-    table = np.empty((n_u**n_prefix, n_cols))
-    for t in range(n_u**n_prefix):
-        decisions = [
-            (t // n_u ** (n_prefix - 1 - k)) % n_u for k in range(n_prefix)
-        ]
-        for s, seq in enumerate(seqs):
-            u_rank = 0
-            for k in range(n):
-                u_rank = u_rank * n_u + decisions[prefix_index[seq[:k]]]
-            table[t, s] = payoffs[u_rank, s]
-    return table
+    # Prefixes are numbered level by level (``tree_prefixes`` order), so
+    # prefix c extended by v has column c * n_v + 1 + v.
+    n_prefix = len(tree_prefixes(n, n_v))
+    trees = np.arange(n_u**n_prefix)[:, None]
+    digits = trees // n_u ** np.arange(n_prefix - 1, -1, -1) % n_u
+    col = np.zeros(n_cols, dtype=np.int64)
+    u_rank = digits[:, col]
+    for k in range(1, n):
+        col = col * n_v + 1 + v_digits[k - 1]
+        u_rank = u_rank * n_u + digits[:, col]
+    payoffs = payoffs.reshape(len(xs), n_open, n_cols)
+    return payoffs[:, u_rank, np.arange(n_cols)]
 
 
 def _check_rows(n_rows: int) -> None:
@@ -596,11 +612,12 @@ def brute_force_value(
     game.  Deliberately naive: shares nothing with the cutting-plane path
     except the trajectory integrator.  ``BRUTE_ROW_GUARD`` and
     ``BRUTE_COL_GUARD`` cap the rows and columns at call time, before
-    anything is integrated.  The matrix is ``_product_game`` of the atoms'
-    ``_tree_table``: one ``flow`` call per atom and open-loop u-sequence,
-    batched over at most ``BRUTE_COL_GUARD`` v-sequences (so, like the
-    solver, the oracle needs an ``f`` that acts on the last axis), then
-    one broadcast add per atom.
+    anything is integrated.  The matrix is ``_product_game`` of the
+    atoms' tables from one ``_tree_tables`` call, which integrates every
+    (atom, open-loop u-sequence, v-sequence) trajectory together, in
+    ``flow`` calls of as many whole (atom, u-sequence) blocks as fit in
+    ``BRUTE_ROW_GUARD`` rows (so, like the solver, the oracle needs an
+    ``f`` that acts on the last axis), then one broadcast add per atom.
     """
     _check_compat(prob, mu0, n)
     trees_per_atom = prob.n_u ** len(tree_prefixes(n, prob.n_v))
@@ -611,7 +628,7 @@ def brute_force_value(
             f"{n_cols} sequences exceed the column guard {BRUTE_COL_GUARD}"
         )
     sol, matrix = _product_game(
-        mu0.weights, [_tree_table(prob, x, n) for x in mu0.points]
+        mu0.weights, _tree_tables(prob, mu0.points, n)
     )
     row_trees = itertools.product(range(trees_per_atom), repeat=mu0.n_atoms)
     sol.row_mix.setflags(write=False)
@@ -640,13 +657,15 @@ def dpp_check(
     over pure first-stage v of the (n-1)-stage brute-force value at mu1,
     each atom's mass spread over rho* and moved one stage.  rho* is each
     atom's marginal of the oracle's own optimal row mix on its tree's
-    first decision (digit 0 of ``_tree_table``'s row index).  Against
+    first decision (digit 0 of ``_tree_tables``' row index).  Against
     rho* every v's continuation value is at most the left side, and the
     DPP makes the infimum over first stages at least the left side, so
     the two agree to LP precision.  Every continuation game is the
     ``_product_game`` of the (n-1)-stage tables of the support's one-stage
     images, weighted as mu1 weights its atoms; its rows are checked
-    against ``BRUTE_ROW_GUARD`` before any of those tables is built.
+    against ``BRUTE_ROW_GUARD`` before any of those tables is built, and
+    one ``_tree_tables`` call builds the tables of every (support image,
+    first-stage v) pair.
     """
     if n < 2:
         raise ValueError("dpp_check needs n >= 2")
@@ -668,11 +687,11 @@ def dpp_check(
     weights = ParticleMeasure(
         images[:, 0], mu0.weights[atoms] * rho[atoms, us]
     ).weights
+    tables = _tree_tables(
+        cont_prob, images.reshape(-1, prob.dim), n - 1
+    ).reshape(len(atoms), n_v, -1, n_v ** (n - 1))
     rhs = max(
-        _product_game(
-            weights, [_tree_table(cont_prob, y, n - 1) for y in images[:, iv]]
-        )[0].value
-        for iv in range(n_v)
+        _product_game(weights, tables[:, iv])[0].value for iv in range(n_v)
     )
     return DppReport(float(bf.value), float(rhs), float(rhs - bf.value))
 

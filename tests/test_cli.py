@@ -242,6 +242,17 @@ class TestCommands:
         row = (out / "oracle.csv").read_text().splitlines()[1].split(",")
         assert float(row[2]) == pytest.approx(float(row[3]), abs=1e-9)
 
+    @pytest.mark.parametrize("command", ["solve", "converge", "oracle"])
+    def test_zero_weight_atom_exits_zero(self, command, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(
+            PENNIES.replace("problem.n_stages = 1", "problem.n_stages = 2")
+            .replace("mu0.atoms        = 1.0 0.0", "mu0.atoms = 1 0.2; 0 -0.3")
+        )
+        out = tmp_path / "out"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 0
+
     def test_converge_rows(self, pennies_cfg, tmp_path):
         out = tmp_path / "out"
         code = main(

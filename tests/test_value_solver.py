@@ -514,6 +514,21 @@ class TestSolveVn:
         assert all(start is not None for start in starts[1:])
 
 
+class TestZeroWeightAtoms:
+    def test_value_is_the_positive_atoms_game_value(self):
+        prob = pennies()
+        mu = ParticleMeasure(np.array([[0.2], [-0.3]]), np.array([1.0, 0.0]))
+        one = ParticleMeasure(np.array([[0.2]]), np.array([1.0]))
+        tol = 1e-9
+        sol = solve_Vn(prob, mu, 2, tol=tol)
+        assert sol.converged
+        assert abs(sol.value - solve_Vn(prob, one, 2, tol=tol).value) <= tol
+        assert sol.value == pytest.approx(0.575, abs=tol)
+        assert abs(sol.value - brute_force_value(prob, mu, 2).value) <= tol
+        # Every atom keeps its cuts.
+        assert sol.cuts.shape[1] == 2
+
+
 class TestMasterLPRegressions:
     """Games whose master LP cycled, or pivoted onto a numerically
     singular basis, under a float Bland leaving rule."""
@@ -839,7 +854,7 @@ class TestBruteForce:
             bf = brute_force_value(prob, mu, n)
             assert np.array_equal(bf.matrix, scalar_oracle_matrix(prob, mu, n))
 
-    def test_one_flow_call_per_atom_and_open_loop_u_sequence(
+    def test_one_flow_call_for_every_atom_and_open_loop_u_sequence(
         self, monkeypatch
     ):
         calls = []
@@ -853,9 +868,43 @@ class TestBruteForce:
         for prob, mu, n in oracle_battery(np.random.default_rng(37)):
             calls.clear()
             brute_force_value(prob, mu, n)
-            assert len(calls) == mu.n_atoms * prob.n_u**n
-            # Each call carries one row per v-sequence.
-            assert all(len(c[1]) == prob.n_v**n for c in calls)
+            # Under the default row guard one call carries every (atom,
+            # open-loop u-sequence, v-sequence) row.
+            assert len(calls) == 1
+            assert len(calls[0][1]) == mu.n_atoms * prob.n_u**n * prob.n_v**n
+
+    def test_row_guard_splits_the_batch_into_whole_blocks(self, monkeypatch):
+        # Each (atom, open-loop u-sequence) block has one row per
+        # v-sequence.  Pennies at n = 2 has 4 blocks of 4 rows, so a guard
+        # of 8 gives two calls of two blocks; 3 atoms at n = 1 have 6 blocks
+        # of 2 rows, 4 to a call; a 3-point v-grid at n = 2 has 9-row
+        # blocks, above half the guard of 16, so one block to a call.
+        three_v = make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, 1.0], v_grid=[-1.0, 0.5, 1.0]
+        )
+        three_atoms = ParticleMeasure(
+            np.array([[0.2], [-0.3], [0.7]]), np.array([0.2, 0.3, 0.5])
+        )
+        cases = [
+            (pennies(), dirac0(), 2, 8, [8, 8]),
+            (pennies(), three_atoms, 1, 8, [8, 4]),
+            (three_v, dirac0(), 2, 16, [9] * 4),
+        ]
+        real_flow = value_solver.flow
+        for prob, mu, n, guard, expected in cases:
+            whole = brute_force_value(prob, mu, n)
+            rows = []
+            with monkeypatch.context() as m:
+                m.setattr(value_solver, "BRUTE_ROW_GUARD", guard)
+                m.setattr(
+                    value_solver, "flow",
+                    lambda *args: rows.append(len(args[1])) or real_flow(*args),
+                )
+                split = brute_force_value(prob, mu, n)
+            assert rows == expected
+            assert max(rows) <= guard
+            assert np.array_equal(split.matrix, whole.matrix)
+            assert np.array_equal(split.matrix, scalar_oracle_matrix(prob, mu, n))
 
     def test_blow_up_raises_numeric_failure_naming_the_stage(self):
         # One RK4 step per stage multiplies x by about 4e306: stage 0 stays
@@ -868,6 +917,19 @@ class TestBruteForce:
         with pytest.raises(NumericFailure, match="stage=1") as exc:
             brute_force_value(prob, mu, 2)
         assert exc.value.stage == 1
+
+    def test_oracle_and_solver_name_the_same_failing_stage(self):
+        # u = 1e308 overflows in the stage it is played: in stage 0 on the
+        # u-sequences that open with it, in stage 1 on (0, 1e308).  Both
+        # integrate every u-sequence's stage 0 before any stage 1.
+        prob = make_problem(
+            "affine", A=[[0.0]], B=[[1.0]], C=[[0.0]], dim=1, T=2.0,
+            u_grid=[0.0, 1e308], v_grid=[0.0], substeps=1,
+        )
+        for solver in (solve_Vn, brute_force_value):
+            with pytest.raises(NumericFailure, match="stage=0") as exc:
+                solver(prob, dirac0(), 2)
+            assert exc.value.stage == 0
 
     def test_two_by_two_structure(self):
         bf = brute_force_value(pennies(), dirac0(), 1)
@@ -1092,8 +1154,9 @@ class TestDppCheck:
         self, monkeypatch
     ):
         # The left side integrates every open-loop trajectory over all n
-        # stages; the right side starts each continuation at the one-stage
-        # images that rho* charges, so its calls carry n - 1 stages.
+        # stages in one call; the right side then starts every
+        # continuation at the one-stage images that rho* charges, in one
+        # call of n - 1 stages.
         prob = make_problem(
             "affine", A=[[0.3]], B=[[1.0]], C=[[1.0]], dim=1, T=1.0,
             u_grid=[-1.0, 0.2, 1.0], v_grid=[0.4],
@@ -1103,17 +1166,19 @@ class TestDppCheck:
             first_stage_mix(prob, brute_force_value(prob, mu, 3), 3)
         )
         real_flow = value_solver.flow
-        stages = []
+        calls = []
 
         def counting_flow(*args):
-            stages.append(len(args[2]))
+            calls.append((len(args[2]), len(args[1])))
             return real_flow(*args)
 
         monkeypatch.setattr(value_solver, "flow", counting_flow)
         rep = dpp_check(prob, mu, 3)
         assert abs(rep.difference) <= 1e-12
-        per_side = mu.n_atoms * prob.n_u**3
-        assert stages == [3] * per_side + [2] * (support * prob.n_u**2)
+        # (stages, rows); the single v-point makes one sequence per side.
+        assert calls == [
+            (3, mu.n_atoms * prob.n_u**3), (2, support * prob.n_u**2)
+        ]
 
     def test_matches_per_atom_reference(self):
         # At the oracle's own first stage rho* the right side equals the
@@ -1158,24 +1223,26 @@ class TestDppCheck:
 
         monkeypatch.setattr(value_solver, "brute_force_value", lifted_oracle)
         monkeypatch.setattr(value_solver, "BRUTE_ROW_GUARD", 15)
-        stages = []
+        calls = []
         real_flow = value_solver.flow
         monkeypatch.setattr(
             value_solver, "flow",
-            lambda *args: stages.append(len(args[2])) or real_flow(*args),
+            lambda *args: calls.append((len(args[2]), len(args[1])))
+            or real_flow(*args),
         )
         with pytest.raises(ValueError, match="^16 product trees .* guard 15$"):
             dpp_check(prob, dirac0(), 2)
-        # Only the left side ran: one call per open-loop u-sequence.
-        assert stages == [2] * 4**2
+        # Only the left side ran: one 2-stage call of 4**2 open-loop
+        # u-sequences times 2**2 v-sequences, 64 rows under its lifted guard.
+        assert calls == [(2, 4**2 * 2**2)]
 
     def test_exact_check_integrates_each_support_image_once(
         self, monkeypatch
     ):
-        # A 2-atom u_plus_v game at n = 2.  The left side makes
-        # atoms * n_u**n flow calls; rho* charges three (atom, u) pairs,
-        # and the (n-1)-stage table of each of their n_v one-stage images
-        # takes n_u**(n-1) more.
+        # A 2-atom u_plus_v game at n = 2.  The left side makes one flow
+        # call of atoms * n_u**n * n_v**n rows; rho* charges three (atom,
+        # u) pairs, and one more call builds the (n-1)-stage tables of
+        # their n_v one-stage images, n_u**(n-1) * n_v**(n-1) rows each.
         prob = make_problem(
             "u_plus_v", T=1.0, u_grid=[-1.0, 0.5], v_grid=[-0.5, 1.0]
         )
@@ -1196,7 +1263,14 @@ class TestDppCheck:
             "DppReport(lhs=0.41136363636363643, rhs=0.4113636363636364, "
             "difference=-5.551115123125783e-17)"
         )
-        assert len(flows) == 2 * 2**2 + 3 * 2 * 2 == 20
+        assert [len(args[1]) for args in flows] == [
+            2 * 2**2 * 2**2, 3 * 2 * 2 * 2
+        ]
+        # The second call starts from the 3 * 2 one-stage images, each in
+        # one block of 4 consecutive rows.
+        starts = flows[1][1][::4]
+        assert starts.shape == (6, 1)
+        assert np.array_equal(flows[1][1], np.repeat(starts, 4, axis=0))
         assert len(oracles) == 1
 
 
