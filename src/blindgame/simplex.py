@@ -12,14 +12,15 @@ group and one slack per constraint row.
 Cold and warm starts.  A cold solve starts from q_0 and the slacks: the
 shift makes that basis feasible after pivoting q_0 into the simplex row,
 so no phase-1 is needed and only the primal simplex pivots.  A warm solve
-starts from a given basis, such as the previous cutting-plane master's
-optimal basis with the slacks of the new cut rows added: new rows leave
-the old row duals as they were, so that basis is dual feasible but may
-be primal infeasible.  From it, one tableau is built from the original
-columns, and the dual simplex of Lemke (1954) pivots it until every basic
-value is at least -PIVOT_TOL.  The leaving row has the most negative
-basic value (ties to the first row); the entering column has, among the
-row's entries below -PIVOT_TOL times its largest |entry| (and -PIVOT_TOL
+starts from an earlier solution of the same groups, such as the previous
+cutting-plane master, with its basis mapped into the LP of the grown
+groups and the new rows' slacks basic: new rows leave the old row duals
+as they were, so that basis is dual feasible but may be primal
+infeasible.  From it, one tableau is built from the original columns,
+and the dual simplex of Lemke (1954) pivots it until every basic value
+is at least -PIVOT_TOL.  The leaving row has the most negative basic
+value (ties to the first row); the entering column has, among the row's
+entries below -PIVOT_TOL times its largest |entry| (and -PIVOT_TOL
 itself), the least ratio max(reduced cost, 0) / -entry (ties to the
 smallest column).  The primal simplex then goes on from the same tableau,
 with the basis it starts from as its lexicographic keys, to mend any
@@ -97,11 +98,9 @@ class MinmaxSolution:
     iterations : simplex pivots performed, a failed warm start's included.
     certified_gap : the dual upper bound minus ``value``, at most
         DUALITY_TOL.
-    basis : the final basis, one column index per LP row, in the LP's
-        ``[q, t, s]`` layout: K mix columns, one level per group, then one
-        slack per row of the groups in order.  With each old slack
-        shifted past the rows added before it and the new rows' slacks
-        added, it is a dual feasible ``start`` for the grown groups.
+    basis : the final basis, one LP column per LP row.  It is read only
+        when the solution is handed back to ``max_weighted_min`` as the
+        ``start`` of the same groups with rows appended.
     """
 
     value: float
@@ -115,20 +114,20 @@ class MinmaxSolution:
 def max_weighted_min(
     weights: Sequence[float],
     groups: Sequence[np.ndarray],
-    start: Sequence[int] | None = None,
+    start: MinmaxSolution | None = None,
 ) -> MinmaxSolution:
     """Maximize sum_j w_j min_r (C_j q)_r over the simplex.
 
-    ``start`` is an optional starting basis: one column index per LP row,
-    in the ``[q, t, s]`` layout of ``MinmaxSolution.basis``.  The solve
-    runs the dual simplex from it, and solves the same LP cold once when
-    that basis is singular or not dual feasible within PIVOT_TOL, or when
-    the warm solve raises ``SolverFailure``.
+    ``start`` is an optional earlier solution of the same groups before
+    rows were appended to them.  The solve runs the dual simplex from its
+    basis, mapped into this LP, and solves the same LP cold once when that
+    basis is singular or not dual feasible within PIVOT_TOL, or when the
+    warm solve raises ``SolverFailure``.
 
-    Raises ``ValueError`` on a ``start`` of the wrong length or with a
-    repeated or out-of-range column, and ``SolverFailure`` when the cold
-    simplex hits MAX_PIVOTS or when its answer fails the duality
-    certificate.
+    Raises ``ValueError`` on a ``start`` that does not fit (another group
+    count or K, fewer rows in a group, or a basis that is not one of the
+    start's own LP), and ``SolverFailure`` when the cold simplex hits
+    MAX_PIVOTS or when its answer fails the duality certificate.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     mats = [np.atleast_2d(np.asarray(c, dtype=float)) for c in groups]
@@ -164,13 +163,7 @@ def max_weighted_min(
 
     warm_pivots = 0
     if start is not None:
-        basis = [operator.index(col) for col in start]
-        if len(basis) != m:
-            raise ValueError(f"start needs {m} columns, got {len(basis)}")
-        if len(set(basis)) != m or not all(0 <= col < n for col in basis):
-            raise ValueError(
-                f"start columns must be distinct and in [0, {n})"
-            )
+        basis = _grown_basis(start, rows_per, K)
         try:
             return _certified(w, mats, a_mat.shape, *_dual_simplex(
                 a_mat, b, cost, basis
@@ -181,6 +174,36 @@ def max_weighted_min(
     if warm_pivots:
         sol = replace(sol, iterations=sol.iterations + warm_pivots)
     return sol
+
+
+def _grown_basis(
+    start: MinmaxSolution, rows_per: list[int], K: int
+) -> list[int]:
+    """``start.basis``, checked against the start's own LP (its rows per
+    group read off ``row_duals``, its K off ``q``), mapped into the LP
+    whose groups have ``rows_per`` rows: the mix and level columns keep
+    their indices, each old slack shifts by the rows added to earlier
+    groups, and every new row's slack is basic."""
+    old_rows = [len(lam) for lam in start.row_duals]
+    if len(old_rows) != len(rows_per) or len(start.q) != K:
+        raise ValueError(f"start has {len(old_rows)} groups, K {len(start.q)}")
+    basis = [operator.index(col) for col in start.basis]
+    n_fixed = K + len(old_rows)
+    m, n = 1 + sum(old_rows), n_fixed + sum(old_rows)
+    if len(basis) != m:
+        raise ValueError(f"start needs {m} columns, got {len(basis)}")
+    if len(set(basis)) != m or not all(0 <= col < n for col in basis):
+        raise ValueError(f"start columns must be distinct and in [0, {n})")
+    moved: list[int] = []
+    added: list[int] = []
+    col = n_fixed
+    for j, (old, new) in enumerate(zip(old_rows, rows_per)):
+        if old > new:
+            raise ValueError(f"group {j} has {new} rows, the start {old}")
+        moved.extend(range(col, col + old))
+        added.extend(range(col + old, col + new))
+        col += new
+    return [c if c < n_fixed else moved[c - n_fixed] for c in basis] + added
 
 
 def _certified(

@@ -59,10 +59,16 @@ BRUTE_COL_GUARD = 10**3
 
 def seq_from_rank(rank: int, n_stages: int, n_v: int) -> tuple[int, ...]:
     """Stage-0-major decoding of a sequence rank (lexicographic order)."""
+    _check_rank(rank, n_stages, n_v)
     digits = []
     for k in range(n_stages - 1, -1, -1):
         digits.append((rank // n_v**k) % n_v)
     return tuple(digits)
+
+
+def _check_rank(rank: int, n_stages: int, n_v: int) -> None:
+    if not 0 <= rank < n_v**n_stages:
+        raise ValueError(f"rank {rank} is outside [0, {n_v**n_stages})")
 
 
 def tree_prefixes(n_stages: int, n_v: int) -> list[tuple[int, ...]]:
@@ -106,6 +112,7 @@ class MixedStrategyII:
 
     @classmethod
     def pure(cls, n_stages: int, n_v: int, rank: int = 0) -> "MixedStrategyII":
+        _check_rank(rank, n_stages, n_v)
         q = np.zeros(n_v**n_stages)
         q[rank] = 1.0
         return cls(n_stages, n_v, q)
@@ -181,9 +188,7 @@ def payoff(
         cols[:, k] = cols[:, k - 1] * n_v + 1 + seqs[:, k - 1]
     iu = strat_i.decisions[:, cols].reshape(-1, n)
     iv = np.tile(seqs, (mu0.n_atoms, 1))
-    x = np.repeat(mu0.points, len(seqs), axis=0)
-    for k in range(n):
-        x = stage_step(prob, x, iu[:, k], iv[:, k], prob.T / n, k)
+    x = flow(prob, np.repeat(mu0.points, len(seqs), axis=0), iu.T, iv.T)
     weights = np.outer(mu0.weights, strat_ii.q[support]).reshape(-1)
     total = 0.0
     for term in weights * terminal_costs(prob, x):
@@ -374,55 +379,6 @@ class VnSolution:
     history: tuple[IterationRecord, ...]
 
 
-def _grown_basis(
-    basis: Sequence[int],
-    old_rows: list[int],
-    new_rows: list[int],
-    n_fixed: int,
-) -> list[int]:
-    """A master's final ``basis`` mapped into the master with more cut rows
-    per atom: the ``n_fixed`` mix and level columns keep their indices,
-    each old slack shifts by the rows added to earlier groups, and every
-    new row's slack is basic.  The new rows leave the old row duals as
-    they were, so an optimal basis stays dual feasible."""
-    moved: list[int] = []
-    added: list[int] = []
-    col = n_fixed
-    for old, new in zip(old_rows, new_rows):
-        moved.extend(range(col, col + old))
-        added.extend(range(col + old, col + new))
-        col += new
-    return [c if c < n_fixed else moved[c - n_fixed] for c in basis] + added
-
-
-def _solve_master(
-    weights: np.ndarray,
-    groups: list[np.ndarray],
-    last: tuple[list[int], tuple[int, ...]] | None,
-) -> tuple[float, np.ndarray, int, tuple[list[int], tuple[int, ...]]]:
-    """max over the sequence simplex of sum_i w_i min over atom i's cuts.
-
-    One LP over every sequence, warm-started from ``last``, the previous
-    master's (rows per group, basis), when given (None only before the
-    first master).  Returns the value, the mix, the pivots spent and the
-    ``last`` of the next master.
-    """
-    rows = [c.shape[0] for c in groups]
-    n_seq = groups[0].shape[1]
-    start = None
-    if last is not None:
-        start = _grown_basis(last[1], last[0], rows, n_seq + len(groups))
-    try:
-        sol = max_weighted_min(weights, groups, start)
-    except SolverFailure as exc:
-        raise SolverFailure(
-            f"master LP ({sum(rows)} cuts x {n_seq} sequences): "
-            f"{exc.message}",
-            exc.iterations,
-        ) from exc
-    return sol.value, sol.q, sol.iterations, (rows, sol.basis)
-
-
 def solve_Vn(
     prob: ControlProblem,
     mu0: ParticleMeasure,
@@ -440,9 +396,10 @@ def solve_Vn(
     cuts, the multicut decomposition of Birge and Louveaux (1988).  An
     atom of zero weight still gets its cuts, but no group in the master.
     Termination is finite: there are finitely many pure trees per atom.
-    Each master after the first starts from the last one's optimal basis
-    (see ``_solve_master``), so it may end on another optimal vertex than
-    a cold solve would, and the iterations may differ from a cold run.
+    Each master after the first is warm-started from the last one's
+    solution (``max_weighted_min``'s ``start``), so it may end on another
+    optimal vertex than a cold solve would, and the iterations may differ
+    from a cold run.
 
     The module constant ``LATTICE_GUARD`` (which also bounds
     ``|v_grid|^n``, the number of leaves of one atom with one u-point) is
@@ -467,7 +424,7 @@ def solve_Vn(
     history: list[IterationRecord] = []
     best_lower = -np.inf
     master_value = np.inf
-    last = None  # the previous master's rows per atom and optimal basis
+    last = None  # the previous master's solution
     gap = np.inf
     converged = False
 
@@ -483,13 +440,21 @@ def solve_Vn(
         best_lower = max(best_lower, br_value)
         cut_at_gen = float(np.dot(mu0.weights, rows @ q_vec))
 
-        master_value, q_vec, pivots, last = _solve_master(
-            mu0.weights[live], [np.vstack(g) for g in groups], last
-        )
+        try:
+            last = max_weighted_min(
+                mu0.weights[live], [np.vstack(g) for g in groups], last
+            )
+        except SolverFailure as exc:
+            raise SolverFailure(
+                f"master LP ({sum(map(len, groups))} cuts x {len(q_vec)} "
+                f"sequences): {exc.message}",
+                exc.iterations,
+            ) from exc
+        master_value, q_vec = last.value, last.q
         gap = max(master_value - best_lower, 0.0)
-        history.append(
-            IterationRecord(br_value, cut_at_gen, master_value, gap, pivots)
-        )
+        history.append(IterationRecord(
+            br_value, cut_at_gen, master_value, gap, last.iterations
+        ))
         # The next mix keeps the master's entries above 1e-15: the live
         # prefixes decide the best response.  The master's q sums to 1 over
         # n_v**n <= LATTICE_GUARD sequences, so its largest entry is kept.
@@ -609,28 +574,34 @@ def brute_force_value(
 
     Enumerates every pure product of per-atom delayed trees and every pure
     sequence, builds the full payoff matrix and solves it as one matrix
-    game.  Deliberately naive: shares nothing with the cutting-plane path
-    except the trajectory integrator.  ``BRUTE_ROW_GUARD`` and
-    ``BRUTE_COL_GUARD`` cap the rows and columns at call time, before
-    anything is integrated.  The matrix is ``_product_game`` of the
-    atoms' tables from one ``_tree_tables`` call, which integrates every
-    (atom, open-loop u-sequence, v-sequence) trajectory together, in
-    ``flow`` calls of as many whole (atom, u-sequence) blocks as fit in
-    ``BRUTE_ROW_GUARD`` rows (so, like the solver, the oracle needs an
-    ``f`` that acts on the last axis), then one broadcast add per atom.
+    game.  An atom of zero weight adds nothing to any entry, so only the
+    positive-weight atoms' trees are enumerated, and the zero-weight atoms
+    play tree 0 in every row of ``row_trees``.  Deliberately naive: shares
+    nothing with the cutting-plane path except the trajectory integrator.
+    ``BRUTE_ROW_GUARD`` and ``BRUTE_COL_GUARD`` cap the rows and columns at
+    call time, before anything is integrated.  The matrix is
+    ``_product_game`` of the positive-weight atoms' tables from one
+    ``_tree_tables`` call, which integrates every (atom, open-loop
+    u-sequence, v-sequence) trajectory together, in ``flow`` calls of as
+    many whole (atom, u-sequence) blocks as fit in ``BRUTE_ROW_GUARD`` rows
+    (so, like the solver, the oracle needs an ``f`` that acts on the last
+    axis), then one broadcast add per atom.
     """
     _check_compat(prob, mu0, n)
     trees_per_atom = prob.n_u ** len(tree_prefixes(n, prob.n_v))
-    _check_rows(trees_per_atom**mu0.n_atoms)
+    live = mu0.weights > 0.0
+    _check_rows(trees_per_atom ** np.count_nonzero(live))
     n_cols = prob.n_v**n
     if n_cols > BRUTE_COL_GUARD:
         raise ValueError(
             f"{n_cols} sequences exceed the column guard {BRUTE_COL_GUARD}"
         )
     sol, matrix = _product_game(
-        mu0.weights, _tree_tables(prob, mu0.points, n)
+        mu0.weights[live], _tree_tables(prob, mu0.points[live], n)
     )
-    row_trees = itertools.product(range(trees_per_atom), repeat=mu0.n_atoms)
+    row_trees = itertools.product(
+        *[range(trees_per_atom if alive else 1) for alive in live]
+    )
     sol.row_mix.setflags(write=False)
     return BruteForceResult(sol.value, matrix, tuple(row_trees), sol.row_mix)
 
@@ -661,22 +632,23 @@ def dpp_check(
     rho* every v's continuation value is at most the left side, and the
     DPP makes the infimum over first stages at least the left side, so
     the two agree to LP precision.  Every continuation game is the
-    ``_product_game`` of the (n-1)-stage tables of the support's one-stage
-    images, weighted as mu1 weights its atoms; its rows are checked
-    against ``BRUTE_ROW_GUARD`` before any of those tables is built, and
-    one ``_tree_tables`` call builds the tables of every (support image,
-    first-stage v) pair.
+    ``_product_game`` of the (n-1)-stage tables of the one-stage images
+    of rho*'s support over the positive-weight atoms, weighted as mu1
+    weights its atoms; its rows are checked against ``BRUTE_ROW_GUARD``
+    before any of those tables is built, and one ``_tree_tables`` call
+    builds the tables of every (support image, first-stage v) pair.
     """
     if n < 2:
         raise ValueError("dpp_check needs n >= 2")
     bf = brute_force_value(prob, mu0, n)
+    live = mu0.weights > 0.0
     n_u, n_v = prob.n_u, prob.n_v
     first = np.array(bf.row_trees) // n_u ** (len(tree_prefixes(n, n_v)) - 1)
     rho = np.array([
         np.bincount(first[:, a], weights=bf.row_mix, minlength=n_u)
         for a in range(mu0.n_atoms)
     ])
-    atoms, us = np.nonzero(rho > 0.0)
+    atoms, us = np.nonzero((rho > 0.0) & live[:, None])
     _check_rows(n_u ** (len(tree_prefixes(n - 1, n_v)) * len(atoms)))
     tau = prob.T / n
     cont_prob = replace(prob, T=prob.T - tau)

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from blindgame import SolverFailure, max_weighted_min, simplex, value_solver
+from blindgame import SolverFailure, max_weighted_min, simplex
+
+PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def dual_certificate_gap(weights, groups, sol):
@@ -168,9 +172,7 @@ class TestDegenerateBattery:
 
 def _grown(rng, weights, groups):
     """The groups with 1-3 rows of {-2, ..., 2} appended to random groups,
-    and the start that maps ``max_weighted_min(weights, groups).basis``
-    into them: the mix and level columns stay, each old slack shifts by
-    the rows added to earlier groups, every new row's slack is basic."""
+    and ``max_weighted_min(weights, groups)``, a start for them."""
     first = max_weighted_min(weights, groups)
     k, j = groups[0].shape[1], len(groups)
     grown = [c.copy() for c in groups]
@@ -178,13 +180,14 @@ def _grown(rng, weights, groups):
         g = int(rng.integers(j))
         row = rng.integers(-2, 3, size=(1, k)).astype(float)
         grown[g] = np.vstack([grown[g], row])
-    start = value_solver._grown_basis(
-        first.basis,
-        [c.shape[0] for c in groups],
-        [c.shape[0] for c in grown],
-        k + j,
-    )
-    return grown, start
+    return grown, first
+
+
+def _start(groups, basis=None):
+    """The solution of ``groups`` at unit weights, its basis replaced when
+    one is given."""
+    sol = max_weighted_min([1.0] * len(groups), groups)
+    return sol if basis is None else replace(sol, basis=basis)
 
 
 class TestWarmStart:
@@ -199,9 +202,9 @@ class TestWarmStart:
         rng = np.random.default_rng(2025)
         for _ in range(100):
             weights, groups = _degenerate_instance(rng)
-            grown, start = _grown(rng, weights, groups)
+            grown, first = _grown(rng, weights, groups)
             monkeypatch.setattr(simplex, "_primal_simplex", counted)
-            warm = max_weighted_min(weights, grown, start)
+            warm = max_weighted_min(weights, grown, first)
             monkeypatch.undo()
             assert not cold_calls  # the warm solve needed no fallback
             assert warm.certified_gap <= simplex.DUALITY_TOL
@@ -217,7 +220,7 @@ class TestWarmStart:
         groups = [rng.uniform(-2, 2, size=(5, 4)) for _ in range(2)]
         cold = max_weighted_min([1.0, 0.5], groups)
         # q_0 and the slacks: primal feasible, but the levels price out.
-        start = [0, *range(6, 16)]
+        start = replace(cold, basis=(0, *range(6, 16)))
         warm = max_weighted_min([1.0, 0.5], groups, start)
         assert warm.value == cold.value
         assert warm.q.tolist() == cold.q.tolist()
@@ -227,27 +230,42 @@ class TestWarmStart:
         # Columns q_0 and q_1 of the LP are equal, so no basis holds both.
         c = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         cold = max_weighted_min([1.0], [c])
-        warm = max_weighted_min([1.0], [c], [0, 1, 3])
+        warm = max_weighted_min([1.0], [c], replace(cold, basis=(0, 1, 3)))
         assert warm.value == cold.value
         assert warm.q.tolist() == cold.q.tolist()
 
     @pytest.mark.parametrize(
         "start, match",
         [
-            ([0, 3], "needs 3 columns, got 2"),
-            ([0, 3, 4, 2], "needs 3 columns, got 4"),
-            ([0, 3, 3], "distinct"),
-            ([0, 3, 5], "distinct and in \\[0, 5\\)"),
-            ([-1, 3, 4], "distinct and in"),
+            (_start([PENNIES], (0, 3)), "needs 3 columns, got 2"),
+            (_start([PENNIES], (0, 3, 4, 2)), "needs 3 columns, got 4"),
+            (_start([PENNIES], (0, 3, 3)), "distinct"),
+            (_start([PENNIES], (0, 3, 5)), "distinct and in \\[0, 5\\)"),
+            (_start([PENNIES], (-1, 3, 4)), "distinct and in"),
+            (_start([PENNIES, PENNIES]), "start has 2 groups, K 2"),
+            (_start([np.eye(3)]), "start has 1 groups, K 3"),
+            (
+                _start([np.vstack([PENNIES, [[0.0, 0.0]]])]),
+                "group 0 has 2 rows, the start 3",
+            ),
         ],
     )
     def test_malformed_start_raises(self, start, match):
+        # A misfit is refused by a ValueError, never by an IndexError.
         with pytest.raises(ValueError, match=match):
-            max_weighted_min([1.0], [TestCertificate.PENNIES], start)
+            max_weighted_min([1.0], [PENNIES], start)
+
+    def test_start_basis_is_checked_against_its_own_lp(self):
+        # Column 5 exists once a row is appended, but not in the LP the
+        # start solved, whose 5 columns are q_0, q_1, the level and two
+        # slacks.
+        grown = [np.vstack([PENNIES, [[0.0, 0.0]]])]
+        with pytest.raises(ValueError, match="distinct and in \\[0, 5\\)"):
+            max_weighted_min([1.0], grown, _start([PENNIES], (0, 3, 5)))
 
 
 class TestCertificate:
-    PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    PENNIES = PENNIES
 
     def test_gap_is_reported(self):
         sol = max_weighted_min([1.0], [self.PENNIES])

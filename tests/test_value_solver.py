@@ -102,6 +102,12 @@ class TestSequenceRanks:
     def test_prefix_order(self):
         assert tree_prefixes(2, 2) == [(), (0,), (1,)]
 
+    @pytest.mark.parametrize("rank", [-1, 4])
+    def test_out_of_range_rank_raises(self, rank):
+        # Neither wraps around: 4 would read as (0, 0), -1 as (1, 1).
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            seq_from_rank(rank, 2, 2)
+
 
 class TestStrategyTypes:
     def test_mix_validation(self):
@@ -145,6 +151,12 @@ class TestStrategyTypes:
         assert mix.q.tolist() == [0.0] * 5 + [1.0] + [0.0] * 3
         assert mix.support.tolist() == [5]
         assert MixedStrategyII.pure(1, 2).support.tolist() == [0]
+
+    @pytest.mark.parametrize("rank", [-1, 4])
+    def test_pure_mix_rejects_out_of_range_ranks(self, rank):
+        # -1 would index the last rank through numpy's negative indexing.
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            MixedStrategyII.pure(2, 2, rank)
 
     def test_tree_needs_one_column_per_prefix(self):
         # Prefixes (), (0,), (1,): three columns.
@@ -527,6 +539,26 @@ class TestZeroWeightAtoms:
         assert abs(sol.value - brute_force_value(prob, mu, 2).value) <= tol
         # Every atom keeps its cuts.
         assert sol.cuts.shape[1] == 2
+
+    def test_oracle_enumerates_the_positive_atoms_trees_only(
+        self, monkeypatch
+    ):
+        prob = pennies()
+        mu = ParticleMeasure(np.array([[0.2], [-0.3]]), np.array([1.0, 0.0]))
+        one = ParticleMeasure(np.array([[0.2]]), np.array([1.0]))
+        # 2**3 trees for the weighted atom; the 2**6 products of both
+        # atoms' trees would exceed this guard.
+        monkeypatch.setattr(value_solver, "BRUTE_ROW_GUARD", 10)
+        bf = brute_force_value(prob, mu, 2)
+        assert bf.matrix.shape == (8, 4)
+        one_atom = brute_force_value(prob, one, 2)
+        assert np.array_equal(bf.matrix, one_atom.matrix)
+        assert bf.value == pytest.approx(0.575, abs=1e-12)
+        # One tree per atom in every row; the zero-weight atom plays tree 0.
+        assert bf.row_trees == tuple((t, 0) for t in range(8))
+        report = dpp_check(prob, mu, 2)
+        assert report.lhs == bf.value
+        assert abs(report.difference) <= 1e-9
 
 
 class TestMasterLPRegressions:
@@ -958,6 +990,28 @@ class TestBruteForce:
             brute_force_value(prob, dirac0(), 2)
         with pytest.raises(ValueError, match="g returned a non-finite value"):
             dpp_check(prob, dirac0(), 2)
+
+    def test_oracle_shares_nothing_with_the_solver(self):
+        # The oracle is the reference the cutting-plane path is checked
+        # against, so no code of it, nested code included, names a
+        # function of that path.
+        fast = {
+            "build_lattice", "_lattice_for", "best_response_I",
+            "cut_coefficients", "terminal_costs", "solve_Vn",
+            "max_weighted_min",
+        }
+        for func in (
+            brute_force_value,
+            value_solver._tree_tables,
+            value_solver._product_game,
+            dpp_check,
+        ):
+            codes, names = [func.__code__], set()
+            while codes:
+                code = codes.pop()
+                names.update(code.co_names)
+                codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+            assert not names & fast, func.__name__
 
     def test_guards(self, monkeypatch):
         # Pennies at n = 2: 2**3 trees for the one atom, 2**2 sequences.
