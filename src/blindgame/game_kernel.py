@@ -108,7 +108,7 @@ class HamiltonianQuery:
             raise ValueError("measure and problem dimensions differ")
 
     @cached_property
-    def pairing(self) -> tuple[np.ndarray, list[np.ndarray]]:
+    def pairing(self) -> tuple[np.ndarray, np.ndarray]:
         """``_pairing_tables`` of this query, built on first use."""
         return _pairing_tables(self)
 
@@ -119,8 +119,9 @@ class HamiltonianQuery:
         return {}
 
 
-def _pairing_tables(q: HamiltonianQuery) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per positive-weight atom, the (n_u, n_v) table <f(y,u,v), p(y)>.
+def _pairing_tables(q: HamiltonianQuery) -> tuple[np.ndarray, np.ndarray]:
+    """The positive-weight atoms' weights, and their tables <f(y,u,v), p(y)>
+    as one read-only array of shape (atoms, n_u, n_v).
 
     ``f`` is called once on every (atom, u, v) row of ``control_pairs``,
     so it must act on the last axis.  The weights are a probability
@@ -133,7 +134,9 @@ def _pairing_tables(q: HamiltonianQuery) -> tuple[np.ndarray, list[np.ndarray]]:
     x, iu, iv = control_pairs(prob, pts)
     fx = checked_f(prob, x, prob.u_grid[iu], prob.v_grid[iv])
     c = _rowdot(fx, np.repeat(vecs, prob.n_u * prob.n_v, axis=0))
-    return weights, list(c.reshape(len(pts), prob.n_u, prob.n_v))
+    tables = c.reshape(len(pts), prob.n_u, prob.n_v)
+    tables.setflags(write=False)
+    return weights, tables
 
 
 def _coarse_indices(
@@ -169,8 +172,7 @@ def eval_Hn(q: HamiltonianQuery, coarse_v_indices: Sequence[int]) -> float:
     memo = q.lp_values
     if key not in memo:
         weights, tables = q.pairing
-        restricted = [c[:, list(key)] for c in tables]
-        memo[key] = max_weighted_min(weights, restricted).value
+        memo[key] = max_weighted_min(weights, tables[:, :, list(key)]).value
     return memo[key]
 
 

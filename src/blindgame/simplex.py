@@ -9,27 +9,37 @@ for positive weights w_j and per-group constraint matrices C_j of shape
 (R_j, K).  The LP reformulation introduces one shifted level variable per
 group and one slack per constraint row.
 
-Cold and warm starts.  A cold solve starts from q_0 and the slacks: the
-shift makes that basis feasible after pivoting q_0 into the simplex row,
-so no phase-1 is needed and only the primal simplex pivots.  A warm solve
-starts from an earlier solution of the same groups, such as the previous
-cutting-plane master, with its basis mapped into the LP of the grown
-groups and the new rows' slacks basic: new rows leave the old row duals
-as they were, so that basis is dual feasible but may be primal
+Cold and warm starts.  A cold solve starts from a crash basis (Bixby
+1992): q_0 in the simplex row, each group's level basic in the group's
+lead row, and the slacks elsewhere.  Once q_0 is eliminated the shift
+keeps every right-hand side positive; the lead row is the one of least
+right-hand side in its group, ties to the last row (the row the
+lexicographic test below picks from q_0 and the slacks).  Making every
+level basic at once subtracts each lead row from the other rows of its
+group, so every right-hand side stays >= 0 exactly and no phase-1 is
+needed.  It is the basis Dantzig's rule reaches after its J level pivots
+when no q column enters in between, and its columns are the identity in
+the tableau, so they serve as the primal phase's lexicographic keys.
+
+A warm solve starts from an earlier solution of the same groups, such as
+the previous cutting-plane master, with its basis mapped into the LP of
+the grown groups and the new rows' slacks basic: new rows leave the old
+row duals as they were, so that basis is dual feasible but may be primal
 infeasible.  From it, one tableau is built from the original columns,
 and the dual simplex of Lemke (1954) pivots it until every basic value
 is at least -PIVOT_TOL.  The leaving row has the most negative basic
 value (ties to the first row); the entering column has, among the row's
 entries below -PIVOT_TOL times its largest |entry| (and -PIVOT_TOL
 itself), the least ratio max(reduced cost, 0) / -entry (ties to the
-smallest column).  The primal simplex then goes on from the same tableau,
-with the basis it starts from as its lexicographic keys, to mend any
-reduced cost that drifted below -PIVOT_TOL.  Both phases share the pivot
-step, the refresh, the pivot cap and the certificate.  The dual phase has
-no anti-cycling rule of its own: the cap and the fallback bound it.  When
-the given basis is singular or not dual feasible within PIVOT_TOL, or the
-warm solve raises ``SolverFailure`` for any reason, the same LP is solved
-cold once, and only the cold solve's error is raised.
+smallest column).  The primal simplex then goes on from the same
+tableau, with the basis it starts from as its lexicographic keys, to
+mend any reduced cost that drifted below -PIVOT_TOL.  Both phases share
+the pivot step, the refresh, the pivot cap and the certificate.  The
+dual phase has no anti-cycling rule of its own: the cap and the fallback
+bound it.  When the given basis is singular or not dual feasible within
+PIVOT_TOL, or the warm solve raises ``SolverFailure`` for any reason,
+the same LP is solved cold once, and only the cold solve's error is
+raised.
 
 Primal pivoting.  The entering variable has the most negative reduced
 cost below -PIVOT_TOL (Dantzig's rule; ties go to the smallest index).
@@ -136,16 +146,17 @@ def max_weighted_min(
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("group weights must be positive and finite")
     K = mats[0].shape[1]
-    for c in mats:
-        if c.shape[1] != K or c.shape[0] < 1:
-            raise ValueError("all groups must have K columns and >= 1 row")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("group matrices must be finite")
+    if any(c.shape[1] != K or c.shape[0] < 1 for c in mats):
+        raise ValueError("all groups must have K columns and >= 1 row")
+    stacked = np.vstack(mats)
+    if not np.all(np.isfinite(stacked)):
+        raise ValueError("group matrices must be finite")
     J = len(mats)
     rows_per = [c.shape[0] for c in mats]
-    r_tot = sum(rows_per)
+    r_tot = stacked.shape[0]
+    starts = np.cumsum([0, *rows_per[:-1]])
     group_of_row = np.repeat(np.arange(J), rows_per)
-    shifts = np.array([np.max(np.abs(c)) + 1.0 for c in mats])
+    shifts = np.maximum.reduceat(np.abs(stacked).max(axis=1), starts) + 1.0
 
     # Standard form min c.x, A x = b, x >= 0 with variable order
     # [q_0..q_{K-1}, t_0..t_{J-1}, s_0..s_{r_tot-1}] where t_j is the
@@ -154,7 +165,7 @@ def max_weighted_min(
     n = K + J + r_tot
     a_mat = np.zeros((m, n))
     a_mat[0, :K] = 1.0
-    a_mat[1:, :K] = -np.vstack(mats)
+    a_mat[1:, :K] = -stacked
     a_mat[np.arange(1, m), K + group_of_row] = 1.0
     a_mat[1:, K + J:] = np.eye(r_tot)
     b = np.concatenate([[1.0], shifts[group_of_row]])
@@ -165,12 +176,14 @@ def max_weighted_min(
     if start is not None:
         basis = _grown_basis(start, rows_per, K)
         try:
-            return _certified(w, mats, a_mat.shape, *_dual_simplex(
+            return _certified(w, stacked, rows_per, starts, *_dual_simplex(
                 a_mat, b, cost, basis
             ))
         except SolverFailure as exc:
             warm_pivots = exc.iterations
-    sol = _certified(w, mats, a_mat.shape, *_primal_simplex(a_mat, b, cost))
+    sol = _certified(
+        w, stacked, rows_per, starts, *_primal_simplex(a_mat, b, cost)
+    )
     if warm_pivots:
         sol = replace(sol, iterations=sol.iterations + warm_pivots)
     return sol
@@ -208,17 +221,21 @@ def _grown_basis(
 
 def _certified(
     w: np.ndarray,
-    mats: list[np.ndarray],
-    shape: tuple[int, int],
+    stacked: np.ndarray,
+    rows_per: list[int],
+    starts: np.ndarray,
     basis: list[int],
     iters: int,
     x_basic: np.ndarray,
     y: np.ndarray,
 ) -> MinmaxSolution:
     """The solution of an optimal basis, its value recomputed from the
-    primal point and checked against the row duals' upper bound."""
-    K = mats[0].shape[1]
-    x = np.zeros(shape[1])
+    primal point and checked against the row duals' upper bound.
+    ``stacked`` holds every group's rows, group j's ``rows_per[j]`` from
+    ``starts[j]``."""
+    r_tot, K = stacked.shape
+    n = K + len(rows_per) + r_tot
+    x = np.zeros(n)
     x[basis] = x_basic
     q = np.clip(x[:K], 0.0, None)
     total = float(np.sum(q))
@@ -226,31 +243,30 @@ def _certified(
         raise SolverFailure("simplex returned a defective primal point", iters)
     q = q / total
 
-    minima = np.array([float(np.min(c @ q)) for c in mats])
+    minima = np.minimum.reduceat(stacked @ q, starts)
     value = float(np.dot(w, minima))
 
-    duals: list[np.ndarray] = []
-    scores = np.zeros(K)
-    row = 1
-    for j, c in enumerate(mats):
-        lam = np.clip(-y[row:row + c.shape[0]], 0.0, None)
-        s = float(np.sum(lam))
-        if not s > 0.0:
-            raise SolverFailure(f"LP duals of group {j} are all zero", iters)
-        lam = lam * (w[j] / s)
-        duals.append(lam)
-        scores += lam @ c
-        row += c.shape[0]
+    lam = np.clip(-y[1:], 0.0, None)
+    sums = np.add.reduceat(lam, starts)
+    positive = sums > 0.0
+    if not positive.all():
+        raise SolverFailure(
+            f"LP duals of group {positive.argmin()} are all zero", iters
+        )
+    lam *= np.repeat(w / sums, rows_per)
     # Weak duality: sum_j w_j min_r (C_j q)_r <= (sum_j lam_j' C_j) q for
     # every q in the simplex, since each lam_j >= 0 sums to w_j.
-    gap = float(np.max(scores)) - value
+    gap = float(np.max(lam @ stacked)) - value
     if not gap <= DUALITY_TOL:
         raise SolverFailure(
             f"LP certificate gap {gap:.3e} exceeds {DUALITY_TOL} "
-            f"on a {shape[0]} x {shape[1]} LP",
+            f"on a {1 + r_tot} x {n} LP",
             iters,
         )
-    return MinmaxSolution(value, q, tuple(duals), iters, gap, tuple(basis))
+    duals = tuple(
+        lam[a:a + r] for a, r in zip(starts.tolist(), rows_per)
+    )
+    return MinmaxSolution(value, q, duals, iters, gap, tuple(basis))
 
 
 def _solve_basis(
@@ -283,25 +299,57 @@ def _fresh_tableau(
 def _primal_simplex(
     a_mat: np.ndarray, b: np.ndarray, cost: np.ndarray
 ) -> tuple[list[int], int, np.ndarray, np.ndarray]:
-    """Cold solve: the starting basis is q_0 (simplex row) plus the slack
-    columns, which is feasible by construction, so only the primal phase
-    of ``_simplex`` pivots.
+    """Cold solve: ``_simplex`` from the crash basis of ``_crash``, which
+    is primal feasible, so only its primal phase pivots.
 
     Returns the optimal basis (column index per row), the pivot count, and
     the basic values and row duals solved afresh for that basis.
     """
+    return _simplex(a_mat, b, cost, *_crash(a_mat, b, cost))
+
+
+def _crash(
+    a_mat: np.ndarray, b: np.ndarray, cost: np.ndarray
+) -> tuple[list[int], np.ndarray]:
+    """The crash basis of ``max_weighted_min``'s LP and its tableau.
+
+    q_0 is basic in the simplex row, each group's level in the group's
+    lead row, the row of least right-hand side once q_0 is eliminated
+    (ties to the last row, as the lexicographic test with slack keys
+    breaks them; a near tie is not a tie), and the slacks in every other
+    row.  K, the groups and the weights are read off the LP: row 0 is the
+    simplex row, and each group's rows are consecutive.  The last tableau
+    row holds the reduced costs.
+    """
     m, n = a_mat.shape
-    # Start with q_0 basic in row 0 and the slacks elsewhere: eliminating
-    # q_0 from the coupling rows gives the canonical form (b stays > 0
-    # because the group shifts dominate every |C| entry).  The last
-    # tableau row holds the reduced costs.
-    basis = [0, *range(n - (m - 1), n)]
+    K = int(np.count_nonzero(a_mat[0]))
+    J = n - K - (m - 1)
     tableau = np.zeros((m + 1, n + 1))
     tableau[:m, :n] = a_mat
     tableau[:m, n] = b
     tableau[m, :n] = cost
+    # Eliminating q_0 from the coupling rows leaves each right-hand side
+    # at its group's shift plus a C entry, so > 0.
     tableau[1:m] -= tableau[1:m, 0, None] * tableau[0]
-    return _simplex(a_mat, b, cost, basis, tableau)
+    # Every level pivot at once: each lead row is subtracted from the
+    # other rows of its group (its level's entry there is 1), which keeps
+    # their right-hand sides >= 0 exactly, and w_j times it is added to
+    # the reduced costs.  No lead row has another group's level, so the
+    # pivots do not interact.
+    rhs = tableau[1:m, n]
+    levels = a_mat[1:, K:K + J]
+    group, starts = levels.argmax(axis=1), levels.argmax(axis=0)
+    least = np.minimum.reduceat(rhs, starts)
+    rows = np.arange(m - 1)
+    lead = np.maximum.reduceat(np.where(rhs == least[group], rows, -1), starts)
+    leads = tableau[1 + lead[group]]
+    leads[lead] = 0.0
+    tableau[1:m] -= leads
+    tableau[m] += (-cost[K:K + J, None] * tableau[1 + lead]).sum(axis=0)
+    basis = [0, *range(K + J, n)]
+    for j, r in enumerate(lead.tolist()):
+        basis[1 + r] = K + j
+    return basis, tableau
 
 
 def _dual_simplex(

@@ -367,8 +367,11 @@ class IterationRecord:
 class VnSolution:
     """``cuts[t, i]`` is atom i's row of iteration t's best-response tree
     against every pure sequence, by rank (read-only, shape
-    (iterations, atoms, n_v**n)).  The value is
-    sum_i w_i min_t cuts[t, i] @ q at the master's mix q."""
+    (iterations, atoms, n_v**n)).  The value is the last master's,
+    sum_i w_i min_t cuts[t, i] @ q at its mix q.  ``q_star`` is the
+    incumbent, the mix whose best response gave the best lower bound, so
+    Player I's best response against it is worth at least value - gap;
+    at ``q_star`` the cut sum above bounds that worth from above."""
 
     value: float
     q_star: MixedStrategyII
@@ -390,7 +393,9 @@ def solve_Vn(
 
     Alternates the master LP over the sequence simplex (upper bound) with
     Player I's exact best response at the master's mix (lower bound and
-    new cuts) until the gap closes below tol.  Player I knows the atom, so
+    new cuts) until the gap closes below tol, and returns the mix of the
+    best lower bound as ``q_star``: the last master's mix has met no best
+    response.  Player I knows the atom, so
     the best response separates by atom and each iteration adds one cut
     per atom: the master maximizes sum_i w_i min over atom i's distinct
     cuts, the multicut decomposition of Birge and Louveaux (1988).  An
@@ -423,6 +428,7 @@ def solve_Vn(
     seen: list[set[bytes]] = [set() for _ in groups]
     history: list[IterationRecord] = []
     best_lower = -np.inf
+    incumbent = q_current  # the mix whose best response gave best_lower
     master_value = np.inf
     last = None  # the previous master's solution
     gap = np.inf
@@ -437,7 +443,8 @@ def solve_Vn(
             if key not in keys:
                 keys.add(key)
                 group.append(row)
-        best_lower = max(best_lower, br_value)
+        if br_value > best_lower:
+            best_lower, incumbent = br_value, q_current
         cut_at_gen = float(np.dot(mu0.weights, rows @ q_vec))
 
         try:
@@ -471,7 +478,7 @@ def solve_Vn(
     cut_array.setflags(write=False)
     return VnSolution(
         value=float(master_value),
-        q_star=q_current,
+        q_star=incumbent,
         cuts=cut_array,
         gap=float(gap),
         iterations=len(history),

@@ -139,6 +139,8 @@ class TestHamiltonians:
                 HamiltonianQuery(field, prob)
             )
             assert np.array_equal(weights, mu.weights[keep])
+            assert tables.shape == (len(weights), prob.n_u, prob.n_v)
+            assert not tables.flags.writeable
             expected = [
                 [
                     [float(np.dot(prob.f(y, u, v), p)) for v in prob.v_grid]
@@ -146,7 +148,7 @@ class TestHamiltonians:
                 ]
                 for y, p in zip(mu.points[keep], field.vectors[keep])
             ]
-            assert [t.tolist() for t in tables] == expected
+            assert tables.tolist() == expected
 
     def test_full_coarse_grid_equals_H(self):
         rng = np.random.default_rng(0)
@@ -180,6 +182,32 @@ class TestHamiltonians:
         # A new query on the same field starts with no LP values.
         assert eval_H(HamiltonianQuery(field, prob)) == h
         assert calls == [3, 2, 3]
+
+    def test_planar_hamiltonian_lp_starts_at_its_crash_basis(
+        self, monkeypatch
+    ):
+        # 30 atoms, 4 u-points and 12 v-points on the unit circle: a
+        # 121-row LP.  From q_0 and the slacks it took 33 pivots, 30 of
+        # them bringing the per-atom levels into the basis.
+        sols = []
+        solve = game_kernel.max_weighted_min
+        monkeypatch.setattr(
+            game_kernel, "max_weighted_min",
+            lambda w, groups: sols.append(solve(w, groups)) or sols[-1],
+        )
+        rng = np.random.default_rng(2)
+        angles = np.arange(12) * (2.0 * np.pi / 12)
+        prob = make_problem(
+            "pursuit", T=1.0,
+            u_grid=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            v_grid=np.column_stack([np.cos(angles), np.sin(angles)]),
+        )
+        mu = ParticleMeasure(
+            rng.normal(0.0, 0.5, size=(30, 2)), np.full(30, 1 / 30)
+        )
+        field = ProjectionField(mu, rng.standard_normal((30, 2)))
+        assert eval_H(HamiltonianQuery(field, prob)) == -0.83033323433349
+        assert [sol.iterations for sol in sols] == [1]
 
     def test_coarse_validation(self):
         prob = pennies_problem()

@@ -153,10 +153,10 @@ class TestDegenerateBattery:
     @pytest.mark.parametrize(
         "seed, pivots, q",
         [
-            (2, 13, [0.35897435897435914, 0.10256410256410242,
+            (2, 15, [0.35897435897435914, 0.10256410256410242,
                      0.12820512820512822, 0.07692307692307698,
                      0.1794871794871794, 0.15384615384615388]),
-            (3, 15, [0.09999999999999992, 0.3, 0.2, 0.3, 0.0,
+            (3, 11, [0.09999999999999992, 0.3, 0.2, 0.3, 0.0,
                      0.10000000000000003]),
         ],
     )
@@ -168,6 +168,65 @@ class TestDegenerateBattery:
         sol = max_weighted_min([1.0, 2.0], groups)
         assert sol.iterations == pivots
         assert sol.q.tolist() == pytest.approx(q, abs=1e-12)
+
+
+def _cold_lps(instances, monkeypatch):
+    """The (a_mat, b, cost) of each instance's cold LP, as
+    ``max_weighted_min`` hands them to ``_primal_simplex``."""
+    lps = []
+    cold = simplex._primal_simplex
+
+    def spy(a_mat, b, cost):
+        lps.append((a_mat, b, cost))
+        return cold(a_mat, b, cost)
+
+    monkeypatch.setattr(simplex, "_primal_simplex", spy)
+    for weights, groups in instances:
+        max_weighted_min(weights, groups)
+    return lps
+
+
+def _tie_instances():
+    """The degenerate battery and the two wide-tie instances."""
+    rng = np.random.default_rng(2024)
+    yield from (_degenerate_instance(rng) for _ in range(100))
+    for seed in (2, 3):
+        rng = np.random.default_rng(seed)
+        yield [1.0, 2.0], [
+            rng.integers(-1, 2, size=(40, 6)).astype(float) for _ in range(2)
+        ]
+
+
+class TestCrash:
+    def test_crash_tableau_is_the_fresh_tableau_of_its_basis(
+        self, monkeypatch
+    ):
+        for a_mat, b, cost in _cold_lps(_tie_instances(), monkeypatch):
+            basis, tableau = simplex._crash(a_mat, b, cost)
+            assert sorted(basis) == sorted(set(basis))
+            fresh = simplex._fresh_tableau(a_mat, b, cost, basis)
+            assert np.allclose(tableau, fresh, rtol=0.0, atol=1e-12)
+            assert tableau[:-1, -1].min() >= 0.0  # primal feasible exactly
+
+    def test_lead_rows_are_the_lexicographic_leaving_rows(self, monkeypatch):
+        # From q_0 and the slacks, pivoting each level in by the primal
+        # phase's ratio test, with those columns as keys, leaves the rows
+        # where the crash makes the levels basic.
+        for a_mat, b, cost in _cold_lps(_tie_instances(), monkeypatch):
+            m, n = a_mat.shape
+            k = int(a_mat[0].sum())
+            levels = range(k, n - (m - 1))
+            start = [0, *range(n - (m - 1), n)]
+            tableau = simplex._fresh_tableau(a_mat, b, cost, start)
+            leaving = []
+            for col in levels:
+                row = simplex._leaving_row(tableau, col, np.array(start), 0)
+                pivot_row = tableau[row] / tableau[row, col]
+                tableau -= tableau[:, col, None] * pivot_row
+                tableau[row] = pivot_row
+                leaving.append(row)
+            basis, _ = simplex._crash(a_mat, b, cost)
+            assert leaving == [basis.index(col) for col in levels]
 
 
 def _grown(rng, weights, groups):
@@ -286,6 +345,23 @@ class TestCertificate:
         monkeypatch.setattr(simplex, "_primal_simplex", wrong_simplex)
         with pytest.raises(SolverFailure, match="certificate gap 2.000e\\+00"):
             max_weighted_min([1.0], [self.PENNIES])
+
+    def test_certificate_matches_the_per_group_loop(self):
+        # The value, duals and gap are computed on all groups stacked; the
+        # loop over groups gives them to rounding.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            weights, groups = _degenerate_instance(rng)
+            sol = max_weighted_min(weights, groups)
+            value = sum(w * np.min(c @ sol.q) for w, c in zip(weights, groups))
+            assert sol.value == pytest.approx(value, abs=1e-12)
+            assert [len(lam) for lam in sol.row_duals] == [len(c) for c in groups]
+            for w, lam in zip(weights, sol.row_duals):
+                assert lam.min() >= 0.0
+                assert lam.sum() == pytest.approx(w, abs=1e-12)
+            assert sol.certified_gap == pytest.approx(
+                dual_certificate_gap(weights, groups, sol), abs=1e-12
+            )
 
     def test_pivot_cap_names_the_lp(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)

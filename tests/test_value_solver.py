@@ -497,12 +497,34 @@ class TestSolveVn:
         assert not res.cuts.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             res.cuts[0, 0, 0] = 0.0
-        # Each atom's value is its lowest cut at q*.
+        # At q* the cut sum lies between V(q*) >= value - gap and the
+        # value; this game closes its gap to 0.
+        assert res.gap == 0.0
         q = res.q_star.q
         value = sum(
             w * np.min(res.cuts[:, i] @ q) for i, w in enumerate(mu.weights)
         )
         assert value == pytest.approx(res.value, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "points, converged", [([-0.3, 0.4], True), ([0.1], False)]
+    )
+    def test_q_star_reaches_the_value_minus_the_gap(self, points, converged):
+        # 7x7 grids at n = 3, stopped at max_iter = 200.  The last
+        # master's mix, which no best response has checked, gave 6.5e-3
+        # below the value on the 2-atom game; the incumbent's best
+        # response is the lower bound itself.
+        grid = np.linspace(-1.0, 1.0, 7)
+        prob = make_problem("u_plus_v", T=1.0, u_grid=grid, v_grid=grid)
+        mu = ParticleMeasure(
+            np.array(points)[:, None], np.full(len(points), 1 / len(points))
+        )
+        lattice = build_lattice(prob, mu, 3)
+        res = solve_Vn(prob, mu, 3, max_iter=200)
+        assert res.converged is converged
+        _, v_star = best_response_I(prob, mu, res.q_star, lattice)
+        assert v_star >= res.value - res.gap - 1e-12
+        assert v_star == max(rec.br_value for rec in res.history)
 
     def test_wide_master_is_one_warm_lp_over_every_sequence(
         self, monkeypatch
@@ -579,7 +601,7 @@ class TestMasterLPRegressions:
         assert abs(res.value - 0.5) <= 1e-7 + 1e-9
 
     def test_warm_masters_pivot_less_than_cold_ones(self):
-        # Solved cold, the 11 masters of this game take 160 pivots.
+        # Solved cold, the 11 masters of this game take 169 pivots.
         prob = make_problem(
             "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
             v_grid=np.linspace(-1.0, 1.0, 8),
@@ -601,7 +623,38 @@ class TestMasterLPRegressions:
         cold = solve_Vn(prob, self.halves(), 2)
         assert cold.converged
         assert cold.value == pytest.approx(warm.value, abs=1e-7 + 1e-9)
-        assert sum(rec.master_pivots for rec in cold.history) == 160
+        assert sum(rec.master_pivots for rec in cold.history) == 169
+
+    @pytest.mark.parametrize(
+        "game, iterations, pivots",
+        [("upv-3x8", 14, 43), ("upv-3x3-n4", 47, 258), ("pursuit", 49, 381)],
+    )
+    def test_warm_master_pivots_are_pinned(self, game, iterations, pivots):
+        # The first master starts from its crash basis, one level per
+        # atom already basic: at q_0 and the slacks these games took
+        # 45, 260 and 383 pivots, with the same iterations.
+        dirs = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        prob, mu, n = {
+            "upv-3x8": (make_problem(
+                "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
+                v_grid=np.linspace(-1.0, 1.0, 8),
+            ), self.halves(), 2),
+            "upv-3x3-n4": (make_problem(
+                "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
+                v_grid=[-1.0, 0.0, 1.0],
+            ), self.halves(), 4),
+            "pursuit": (
+                make_problem("pursuit", T=1.0, u_grid=dirs, v_grid=dirs),
+                ParticleMeasure(
+                    np.array([[0.3, 0.1], [-0.2, 0.4]]), np.array([0.5, 0.5])
+                ),
+                3,
+            ),
+        }[game]
+        res = solve_Vn(prob, mu, n)
+        assert res.converged
+        assert res.iterations == iterations
+        assert sum(rec.master_pivots for rec in res.history) == pivots
 
     def test_u_plus_v_on_three_point_grids_at_four_stages(self):
         prob = make_problem(
@@ -1294,9 +1347,11 @@ class TestDppCheck:
         self, monkeypatch
     ):
         # A 2-atom u_plus_v game at n = 2.  The left side makes one flow
-        # call of atoms * n_u**n * n_v**n rows; rho* charges three (atom,
-        # u) pairs, and one more call builds the (n-1)-stage tables of
-        # their n_v one-stage images, n_u**(n-1) * n_v**(n-1) rows each.
+        # call of atoms * n_u**n * n_v**n rows; rho* charges all four
+        # (atom, u) pairs (one of them 3.6e-16, a degenerate basic value
+        # of the oracle's LP), and one more call builds the (n-1)-stage
+        # tables of their n_v one-stage images, n_u**(n-1) * n_v**(n-1)
+        # rows each.
         prob = make_problem(
             "u_plus_v", T=1.0, u_grid=[-1.0, 0.5], v_grid=[-0.5, 1.0]
         )
@@ -1314,16 +1369,16 @@ class TestDppCheck:
         )
         rep = dpp_check(prob, mu, 2)
         assert repr(rep) == (
-            "DppReport(lhs=0.41136363636363643, rhs=0.4113636363636364, "
-            "difference=-5.551115123125783e-17)"
+            "DppReport(lhs=0.4113636363636367, rhs=0.4113636363636367, "
+            "difference=0.0)"
         )
         assert [len(args[1]) for args in flows] == [
-            2 * 2**2 * 2**2, 3 * 2 * 2 * 2
+            2 * 2**2 * 2**2, 4 * 2 * 2 * 2
         ]
-        # The second call starts from the 3 * 2 one-stage images, each in
+        # The second call starts from the 4 * 2 one-stage images, each in
         # one block of 4 consecutive rows.
         starts = flows[1][1][::4]
-        assert starts.shape == (6, 1)
+        assert starts.shape == (8, 1)
         assert np.array_equal(flows[1][1], np.repeat(starts, 4, axis=0))
         assert len(oracles) == 1
 
