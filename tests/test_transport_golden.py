@@ -8,15 +8,19 @@ them zero.  For every pair, ``repr(distance)`` and ``plan_to_csv(plan)``
 are compared byte for byte against ``tests/golden/transport/NNN.txt``.
 The exact simplex picks one canonical plan by its fixed pivot rules, so
 these files catch any change to the pivot sequence, not only to the cost.
+A cloud pair's optimal plan is unique, so its file cannot show a changed
+pivot sequence; ``tests/golden/transport/pivots.csv`` therefore pins every
+pair's pivot count, the smallest ``transport.MAX_PIVOTS`` that solves it.
 
 Regenerate (only after a deliberate change of canonical plans, noted in
 CHANGES.md):
 
     PYTHONPATH=src python3 tests/test_transport_golden.py
 
-It prints every file it changed, and refuses to write anything when a
-distance moves by more than ``DISTANCE_RTOL`` relative, or when the file of
-a ``cloud`` pair changes at all: the optimal cost is unique, so a recapture
+It prints every file it changed and every pivot count that moved, and
+rewrites ``pivots.csv``.  It refuses to write anything when a distance
+moves by more than ``DISTANCE_RTOL`` relative, or when the file of a
+``cloud`` pair changes at all: the optimal cost is unique, so a recapture
 may move a plan on tied costs or a last bit of the distance, never the
 distance itself; and random clouds have no tied costs, so their optimal
 plan is unique too.
@@ -27,11 +31,18 @@ import os
 import numpy as np
 import pytest
 
-from blindgame import ParticleMeasure, plan_to_csv, transport, wasserstein2
+from blindgame import (
+    ParticleMeasure,
+    SolverFailure,
+    plan_to_csv,
+    transport,
+    wasserstein2,
+)
 
 GOLDEN = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "golden", "transport"
 )
+PIVOTS = os.path.join(GOLDEN, "pivots.csv")
 PAIRS = 200
 DISTANCE_RTOL = 1e-12
 POINT_KINDS = ("cloud", "lattice", "duplicates")
@@ -89,6 +100,39 @@ def _path(idx: int) -> str:
     return os.path.join(GOLDEN, f"{idx:03d}.txt")
 
 
+def _solves(mu: ParticleMeasure, nu: ParticleMeasure, cap: int) -> bool:
+    """Whether the pair solves within ``cap`` pivots."""
+    saved, transport.MAX_PIVOTS = transport.MAX_PIVOTS, cap
+    try:
+        wasserstein2(mu, nu)
+    except SolverFailure:
+        return False
+    finally:
+        transport.MAX_PIVOTS = saved
+    return True
+
+
+def pivot_count(mu: ParticleMeasure, nu: ParticleMeasure) -> int:
+    """The smallest ``MAX_PIVOTS`` that solves the pair."""
+    lo, hi = -1, 0  # lo fails (or is -1), hi solves once the doubling stops
+    while not _solves(mu, nu, hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _solves(mu, nu, mid) else (mid, hi)
+    return hi
+
+
+def pinned_pivots() -> list[int]:
+    """The pivot count of every pair, from ``pivots.csv``."""
+    with open(PIVOTS, encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "pair,pivots"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(idx) for idx, _ in rows] == list(range(len(rows)))
+    return [int(count) for _, count in rows]
+
+
 _BATTERY = battery()
 
 
@@ -97,6 +141,17 @@ def test_plan_matches_golden_bytes(idx):
     mu, nu = _BATTERY[idx]
     with open(_path(idx), encoding="utf-8", newline="") as fh:
         assert golden_text(mu, nu) == fh.read(), f"pair {idx:03d} differs"
+
+
+def test_pivot_counts_match_pinned():
+    # Each pair solves within its pinned count and fails one pivot short.
+    pinned = pinned_pivots()
+    assert len(pinned) == PAIRS
+    wrong = [
+        f"{idx:03d}" for idx, ((mu, nu), count) in enumerate(zip(_BATTERY, pinned))
+        if not _solves(mu, nu, count) or (count and _solves(mu, nu, count - 1))
+    ]
+    assert not wrong, f"pivot counts moved on pairs {', '.join(wrong)}"
 
 
 def test_battery_covers_its_cases():
@@ -121,13 +176,20 @@ def _distance(text: str) -> float:
     return float(text.split("\n", 1)[0].split(",")[1])
 
 
-def regenerate() -> list[str]:
-    """Recompute every pair and rewrite the golden files that changed.
+def regenerate() -> tuple[list[str], list[str]]:
+    """Recompute every pair, rewrite the golden files that changed and the
+    pivot counts.
 
     Refuses, writing nothing, when a distance moves by more than
     ``DISTANCE_RTOL`` relative or a ``cloud`` pair's file changes.  Returns
-    the changed paths.
+    the changed paths and one line per pivot count that moved.
     """
+    old_counts = pinned_pivots() if os.path.exists(PIVOTS) else []
+    counts = [pivot_count(mu, nu) for mu, nu in _BATTERY]
+    recounted = [
+        f"pair {idx:03d}: pivots {old} -> {new}"
+        for idx, (old, new) in enumerate(zip(old_counts, counts)) if old != new
+    ]
     changed, moved = {}, []
     for idx, (mu, nu) in enumerate(_BATTERY):
         text, path = golden_text(mu, nu), _path(idx)
@@ -154,11 +216,16 @@ def regenerate() -> list[str]:
     for path, text in changed.items():
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    return list(changed)
+    with open(PIVOTS, "w", encoding="utf-8", newline="") as fh:
+        fh.write("pair,pivots\n")
+        fh.writelines(f"{idx},{count}\n" for idx, count in enumerate(counts))
+    return list(changed), recounted
 
 
 if __name__ == "__main__":
-    changed = regenerate()
+    changed, recounted = regenerate()
     for path in changed:
         print(f"changed {os.path.relpath(path)}")
+    for line in recounted:
+        print(line)
     print(f"{len(changed)} golden files changed under {GOLDEN}")
