@@ -11,10 +11,11 @@ along projections the same way (Rabin, Peyre, Delon & Bernot 2011).  It
 enters by the most negative reduced cost and leaves by Cunningham's (1976)
 strongly feasible rule, which keeps that pricing finite without Bland's
 rule.  The basis tree and its node potentials persist across pivots
-(Bonneel et al. 2011).  A pivot shifts the potentials of one re-hung
-subtree by a constant, so the pricing keeps each row's least reduced cost
-and re-prices, after a pivot, only the rows whose minimum that shift can
-have moved.  The final basis is certified optimal from scratch.  The
+(Bonneel et al. 2011).  Each pivot screens every reduced cost in one float
+pass and prices exactly only the cells that a proven error bound cannot
+rule out, so it enters the cell an exact full scan enters: the
+float-then-exact scheme of Applegate, Cook, Dash & Espinoza (2007).  The
+final basis is certified optimal from scratch, in exact integers.  The
 distance is the exact optimal cost rounded once, so it does not depend on
 which optimal plan the pivots reach; the plan is canonical by the sorted
 start and the fixed pivot rules.
@@ -29,9 +30,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from math import lcm
-from operator import le, mul, sub
+from itertools import repeat
+from math import frexp, lcm
+from operator import lshift, mul, sub
 
 import numpy as np
 
@@ -200,11 +201,22 @@ def _integer_costs(cost_f: np.ndarray) -> tuple[list[list[int]], int]:
     """The float costs times their largest denominator ``scale``, as exact
     ints, and that ``scale``.
 
-    Floats are dyadic, so every product is an integer.  NaN and inf raise.
+    Floats are dyadic: ``frexp`` splits each cost elementwise into an odd
+    integer (or zero) times a power of two, so every product is an integer.
+    NaN raises ``ValueError`` and inf ``OverflowError``, as in
+    ``float.as_integer_ratio``.
     """
-    ratios = [[c.as_integer_ratio() for c in row] for row in cost_f.tolist()]
-    scale = max(d for row in ratios for _, d in row)
-    return [[n * (scale // d) for n, d in row] for row in ratios], scale
+    if np.isnan(cost_f).any():
+        raise ValueError("cannot scale NaN costs to integers")
+    if np.isinf(cost_f).any():
+        raise OverflowError("cannot scale infinite costs to integers")
+    mant, exp = np.frexp(cost_f)
+    ints = np.ldexp(mant, 53).astype(np.int64)  # cost = ints * 2**(exp - 53)
+    zeros = np.maximum(np.frexp(ints & -ints)[1] - 1, 0)  # trailing zero bits
+    exp = np.where(ints == 0, 0, exp - 53 + zeros)  # cost = odd * 2**exp
+    power = max(0, -int(exp.min()))
+    rows = zip((ints >> zeros).tolist(), (exp + power).tolist())
+    return [list(map(lshift, odd, shift)) for odd, shift in rows], 1 << power
 
 
 def _hang(top, adj, parent, depth, pot, cost, m) -> list[int]:
@@ -241,13 +253,6 @@ def _tree(basis: dict[tuple[int, int], int], cost, m: int, k: int):
     return adj, parent, depth, pot
 
 
-def _row_min(row: list[int], v: list[int]) -> tuple[int, int]:
-    """The least ``row[j] - v[j]`` and the smallest ``j`` that reaches it."""
-    vals = list(map(sub, row, v))
-    low = min(vals)
-    return low, vals.index(low)
-
-
 def _certify(basis: dict[tuple[int, int], int], cost, a, b) -> None:
     """Raise ``InvalidStateError`` unless ``basis`` is an optimal tree flow.
 
@@ -268,65 +273,118 @@ def _certify(basis: dict[tuple[int, int], int], cost, a, b) -> None:
         raise InvalidStateError("transport basis has a negative reduced cost")
 
 
-def _solve_transport(cost, a: list[int], b: list[int]) -> dict[tuple[int, int], int]:
+def _solve_transport(
+    cost, a: list[int], b: list[int], cost_f: np.ndarray, scale: int
+) -> dict[tuple[int, int], int]:
     """Exact transportation simplex; returns optimal basic integer flows.
 
-    It starts from the northwest corner in the given order of rows and
-    columns; ``wasserstein2`` sorts them along one axis first.  Every
-    marginal must be positive, so that the northwest corner of any order is
-    a strongly feasible tree (Cunningham 1976): hung from row 0, every
-    zero-flow cell (i, j) has row i directly below column j.  A pivot enters
-    the cell of most negative reduced cost, ties to the smallest ``i*k + j``,
-    and walks both its ends up the tree to find the cycle.  Walking that
-    cycle from its apex down to the entering row, across the entering cell
-    and up from its column, the minus-cell of least flow met last leaves,
-    which keeps the tree strongly feasible and the pivots finite.  The
-    subtree cut off is hung again from the entering end inside it, so only
-    its potentials change and row 0 stays the root.
+    ``cost_f`` holds ``cost[i][j] / scale`` rounded to nearest, as an
+    (m, k) float array; from ``_integer_costs`` it is exact.  The simplex
+    starts from the northwest corner in the given order of rows and columns;
+    ``wasserstein2`` sorts them along one axis first.  Every marginal must
+    be positive, so that the northwest corner of any order is a strongly
+    feasible tree (Cunningham 1976): hung from row 0, every zero-flow cell
+    (i, j) has row i directly below column j.  A pivot enters the cell of
+    most negative reduced cost, ties to the smallest ``i*k + j``, and walks
+    both its ends up the tree to find the cycle.  Walking that cycle from
+    its apex down to the entering row, across the entering cell and up from
+    its column, the minus-cell of least flow met last leaves, which keeps
+    the tree strongly feasible and the pivots finite.  The subtree cut off
+    is hung again from the entering end inside it, so only its potentials
+    change and row 0 stays the root.
 
-    Pricing is incremental.  ``rmin[i]`` is the least ``cost[i][j] - v_j``
-    over row i and ``rarg[i]`` the smallest j at it, so row i's least
-    reduced cost is ``rmin[i] - u_i`` and the entering cell is
-    ``(i0, rarg[i0])`` for the first row i0 at the global minimum.  A pivot
-    moves the re-hung subtree's row potentials by one delta and its column
-    potentials by -delta, so every row's entries at the subtree's columns
-    move by delta and no other entry moves.  When they fall, they are folded
-    into each row's minimum; when they rise, only the rows whose ``rarg``
-    is among them are rescanned.  ``_certify`` still prices every cell.
+    Pricing screens every cell in floats and confirms in integers.  Let
+    ``n = m + k``, ``T`` the largest ``|cost_f|``, ``T < 2**e`` and ``2n <
+    2**b``; then ``E = max(0, e + b - 1000)`` keeps ``2n T / 2**E`` below
+    ``2**1000``.  Each pivot evaluates ``R = (cost_f / 2**E - u) - v``
+    elementwise over all m x k cells, where ``u`` and ``v`` are the
+    potentials ``pot / (scale * 2**E)`` by correctly rounded int / int
+    division, refreshed only at the nodes ``_hang`` re-hangs.  Every cell
+    with ``R <= min(R) + delta`` is then priced exactly, and the least exact
+    reduced cost enters, ties to the smallest ``i*k + j``; the simplex stops
+    when that least value is >= 0.  With ``delta = 16 n 2**-53 T / 2**E +
+    2**-1069`` this is the cell, and the stop, of an exact full scan.
+    Proof, in the units of ``R``, with ``eps = 2**-53``, ``eta = 2**-1075``
+    (half the least subnormal) and ``mu = T / 2**E``:
+
+    * Sizes.  Each exact cost ``cost[i][j] / (scale * 2**E)`` is at most
+      ``mu' = (1 + 2 eps) mu + 2 eta`` in size.  A potential is an
+      alternating sum of the costs on its tree path from row 0, so it is at
+      most ``P = (n - 1) mu'``.  Every quantity below stays under
+      ``2**1001``, so nothing overflows and no int / int division raises.
+    * Inputs.  A scaled float cost is off from the exact one by at most
+      ``eps mu' + 2 eta``: the rounding of ``cost_f``, then that of the
+      division by ``2**E``, which is exact above the subnormals.  A float
+      potential is off by at most ``eps P + eta``.
+    * Operations.  The two subtractions round by at most ``eps`` times
+      their results, which are below ``mu' + P`` and ``mu' + 2P`` up to
+      ``O(eps)``; a subtraction with a subnormal result is exact.
+    * Sum.  So ``|R - r| <= eps (3 mu' + 5 P) + 4 eta + O(eps**2 n mu) <=
+      5 n eps mu + 5 eta`` for the exact reduced cost ``r``.  Take ``g``
+      with ``R_g = min(R)``, so ``r_g <= min(R) + 5 n eps mu + 5 eta``.  The
+      computed threshold ``fl(min(R) + delta)`` is off by at most ``eps
+      |min(R) + delta| <= 2 n eps mu``, so a cell above it has ``r >
+      min(R) + delta - 2 n eps mu - 5 n eps mu - 5 eta >= r_g``: ``delta``
+      is at least ``12 n eps mu + 10 eta`` even after its own rounding.  So
+      every exact minimizer is screened in, and only exact values decide.
+
+    ``_certify`` still prices every cell exactly.  The float pass is
+    elementwise numpy, never BLAS, so no choice depends on the BLAS thread
+    count.
     """
     m, k = len(a), len(b)
+    n = m + k
     flows = _northwest_corner(a, b)
     adj, parent, depth, pot = _tree(flows, cost, m, k)
-    rmin, rarg = map(list, zip(*(_row_min(row, pot[m:]) for row in cost)))
-    cost_t = [list(col) for col in zip(*cost)]
-
-    def cell(z: int) -> tuple[int, int]:  # the cell from node z to its parent
-        return (z, parent[z] - m) if z < m else (parent[z], z - m)
+    top = float(np.max(np.abs(cost_f)))
+    shift = max(0, frexp(top)[1] + (2 * n).bit_length() - 1000)  # E
+    div = scale << shift
+    scaled = cost_f / 2.0**shift
+    delta = (16 * n * 2.0**-53) * (top / 2.0**shift) + 2.0**-1069
+    pf = np.array([p / div for p in pot])  # int / int is correctly rounded
+    u, v = pf[:m, None], pf[m:]
+    flat = np.empty(m * k)
+    screen = flat.reshape(m, k)  # a view: the pass fills ``flat`` row-major
 
     for pivots in range(MAX_PIVOTS + 1):
-        reduced = list(map(sub, rmin, pot[:m]))
-        best = min(reduced)
+        np.subtract(scaled, u, out=screen)
+        np.subtract(screen, v, out=screen)
+        near = (flat <= np.minimum.reduce(flat) + delta).nonzero()[0].tolist()
+        best, i0, j0 = min(
+            (cost[i][j] - pot[i] - pot[m + j], i, j)
+            for i, j in map(divmod, near, repeat(k))
+        )
         if best >= 0:
             break
         if pivots == MAX_PIVOTS:
             msg = f"transport simplex hit the pivot cap on a {m} x {k} problem"
             raise SolverFailure(msg, pivots)
-        i0 = reduced.index(best)
-        j0 = rarg[i0]
-        xs, ys = [i0], [m + j0]  # the tree paths up to the common ancestor
-        while xs[-1] != ys[-1]:
-            path = xs if depth[xs[-1]] >= depth[ys[-1]] else ys
-            path.append(parent[path[-1]])
-        del xs[-1], ys[-1]
-        # From either end, the cycle's edges alternately lose and gain flow;
-        # the minus-cells in the order the walk from the apex meets them.
-        minus = [cell(z) for z in xs[::2][::-1] + ys[::2]]
+        # The tree paths from row i0 and column j0 up to the apex, excluded.
+        x, y, xs, ys = i0, m + j0, [], []
+        while depth[x] > depth[y]:
+            xs.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            ys.append(y)
+            y = parent[y]
+        while x != y:
+            xs.append(x)
+            ys.append(y)
+            x, y = parent[x], parent[y]
+        # From either end, the cycle's edges alternately lose and gain flow,
+        # each edge the cell from its node to the parent: xs alternates row,
+        # column, ..., ys column, row, ....  The minus-cells are in the order
+        # the walk from the apex meets them.
+        minus = [(i, parent[i] - m) for i in xs[::2]][::-1]
+        minus += [(parent[j], j - m) for j in ys[::2]]
         theta = min(flows[c] for c in minus)
         leave = next(c for c in reversed(minus) if flows[c] == theta)
         for c in minus:
             flows[c] -= theta
-        for z in xs[1::2] + ys[1::2]:
-            flows[cell(z)] += theta
+        for c in [(parent[j], j - m) for j in xs[1::2]]:
+            flows[c] += theta
+        for c in [(i, parent[i] - m) for i in ys[1::2]]:
+            flows[c] += theta
         del flows[leave]
         flows[i0, j0] = theta
         # Cut at the leaving cell's child q; hang q's subtree from its end.
@@ -339,28 +397,7 @@ def _solve_transport(cost, a: list[int], b: list[int]) -> dict[tuple[int, int], 
         parent[a_end], depth[a_end] = b_end, depth[b_end] + 1
         pot[a_end] = cost[i0][j0] - pot[b_end]
         subtree = _hang(a_end, adj, parent, depth, pot, cost, m)
-        # The subtree's rows moved by one delta and its columns by -delta:
-        # delta = best < 0 if it hangs from row i0, else -best > 0.  So in
-        # every row, cost[i][j] - v_j moved by delta at the subtree's columns
-        # and stayed put at the others.
-        moved = sorted(y - m for y in subtree if y >= m)
-        if not moved:
-            continue
-        if a_end < m:  # those entries fell: fold them into the row minima
-            cols = [list(map(sub, cost_t[j], repeat(pot[m + j], m))) for j in moved]
-            # Each row's least over the moved columns (cols[0] twice, so that
-            # min always gets at least two arguments).
-            low = list(map(min, cols[0], *cols))
-            for i in compress(range(m), map(le, low, rmin)):
-                j = next(j for j, col in zip(moved, cols) if col[i] == low[i])
-                if (low[i], j) < (rmin[i], rarg[i]):
-                    rmin[i], rarg[i] = low[i], j
-        else:  # they rose: only a row whose minimum sat there can change
-            v, rose = pot[m:], [False] * k
-            for j in moved:
-                rose[j] = True
-            for i in compress(range(m), map(rose.__getitem__, rarg)):
-                rmin[i], rarg[i] = _row_min(cost[i], v)
+        pf[subtree] = [pot[z] / div for z in subtree]
     _certify(flows, cost, a, b)
     return flows
 
@@ -399,7 +436,9 @@ def wasserstein2(
             f"squared distances overflow on a {len(rows)} x {len(cols)} problem"
         )
     cost, scale = _integer_costs(cost_f)
-    basis = _solve_transport(cost, [a[i] for i in rows], [b[j] for j in cols])
+    basis = _solve_transport(
+        cost, [a[i] for i in rows], [b[j] for j in cols], cost_f, scale
+    )
     coupling = np.zeros((mu.n_atoms, nu.n_atoms))
     for (i, j), flow in basis.items():
         coupling[rows[i], cols[j]] = flow / denom  # int / int is correctly rounded

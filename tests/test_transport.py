@@ -190,14 +190,14 @@ class TestWasserstein:
 
 
 def exact_problem(mu, nu):
-    """Integer costs and marginals of a pair's positive-mass atoms, as the
-    simplex sees them."""
+    """Integer costs, marginals, float costs and cost scale of a pair's
+    positive-mass atoms, as the simplex sees them."""
     a, b, _ = transport._integer_marginals(mu, nu)
     rows = [i for i, w in enumerate(a) if w > 0]
     cols = [j for j, w in enumerate(b) if w > 0]
     cost_f = transport._cost_matrix(mu, nu)[np.ix_(rows, cols)]
-    cost, _ = transport._integer_costs(cost_f)
-    return cost, [a[i] for i in rows], [b[j] for j in cols]
+    cost, scale = transport._integer_costs(cost_f)
+    return cost, [a[i] for i in rows], [b[j] for j in cols], cost_f, scale
 
 
 def lattice_measure(rng, n, dim):
@@ -231,6 +231,87 @@ def highs_cost(mu, nu):
     return float(res.fun)
 
 
+def dantzig_reference(cost, a, b):
+    """Exact full-scan transportation simplex, recomputing the tree and
+    every reduced cost at each pivot: the entering cells in order, the
+    final flows, and the gaps from each least reduced cost to the next.
+
+    It starts from the northwest corner, enters the least reduced cost
+    (ties to the smallest ``i*k + j``), and, walking the cycle from its apex
+    (tree rooted at row 0) down to the entering row, across the entering
+    cell and up from its column, leaves by the last minus-cell of least
+    flow.
+    """
+    m, k = len(a), len(b)
+    flows, ra, rb, i, j = {}, list(a), list(b), 0, 0
+    while True:
+        f = min(ra[i], rb[j])
+        flows[i, j] = f
+        ra[i] -= f
+        rb[j] -= f
+        if (i, j) == (m - 1, k - 1):
+            break
+        i, j = (i + 1, j) if ra[i] == 0 and i < m - 1 else (i, j + 1)
+    entered, gaps = [], []
+    while True:
+        parent, pot, order = {0: None}, {0: 0}, [0]
+        for x in order:
+            for i, j in flows:
+                if x in (i, m + j):
+                    y = m + j if x == i else i
+                    if y not in parent:
+                        parent[y], pot[y] = x, cost[i][j] - pot[x]
+                        order.append(y)
+        reduced = sorted(
+            (cost[i][j] - pot[i] - pot[m + j], i, j)
+            for i in range(m) for j in range(k)
+        )
+        best, i0, j0 = reduced[0]
+        if best >= 0:
+            return entered, flows, gaps
+        entered.append((i0, j0))
+        gaps.append(reduced[1][0] - best)
+
+        def up(z):
+            path = [z]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path
+
+        up_i, up_j = up(i0), up(m + j0)
+        apex = next(z for z in up_i if z in up_j)
+        down = up_i[:up_i.index(apex) + 1][::-1]  # apex ... i0
+        rise = up_j[:up_j.index(apex) + 1]  # m + j0 ... apex
+        walk = list(zip(down, down[1:])) + [(i0, m + j0)] + list(zip(rise, rise[1:]))
+        cells = [(min(x, y), max(x, y) - m) for x, y in walk]
+        enter_at = len(down) - 1
+        minus = [c for t, c in enumerate(cells) if (t - enter_at) % 2]
+        theta = min(flows[c] for c in minus)
+        leave = [c for c in minus if flows[c] == theta][-1]
+        for t, c in enumerate(cells):
+            if c != (i0, j0):
+                flows[c] += theta if (t - enter_at) % 2 == 0 else -theta
+        del flows[leave]
+        flows[i0, j0] = theta
+
+
+def fraction_permutation_cost(mu, nu):
+    """The optimal cost of an equal-weight pair, exactly: the least sum of
+    ``Fraction`` float squared distances over all permutations, over n,
+    rounded once."""
+    n = mu.n_atoms
+    cost = [
+        [Fraction(sum((p - q) * (p - q) for p, q in zip(x, y))) for y in
+         nu.points.tolist()]
+        for x in mu.points.tolist()
+    ]
+    best = min(
+        sum(cost[i][j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(n))
+    )
+    return float(best / n)
+
+
 class TestExactSimplex:
     def test_integer_costs_are_exact_multiples(self):
         cost_f = np.array([[0.5, 3.0], [0.1, 0.0]])
@@ -247,16 +328,19 @@ class TestExactSimplex:
         # The northwest corner sends 0 -> 2 and 2 -> 0; crossing costs 0.
         mu = ParticleMeasure(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
         nu = ParticleMeasure(np.array([[2.0], [0.0]]), np.array([0.5, 0.5]))
-        cost, a, b = exact_problem(mu, nu)
+        cost, a, b, cost_f, scale = exact_problem(mu, nu)
         corner = transport._northwest_corner(a, b)
         with pytest.raises(InvalidStateError, match="negative reduced cost"):
             transport._certify(corner, cost, a, b)
-        transport._certify(transport._solve_transport(cost, a, b), cost, a, b)
+        basis = transport._solve_transport(cost, a, b, cost_f, scale)
+        transport._certify(basis, cost, a, b)
 
     def test_certificate_rejects_broken_bases(self):
         rng = np.random.default_rng(5)
-        cost, a, b = exact_problem(random_cloud(rng, 3, 2), random_cloud(rng, 2, 2))
-        basis = transport._solve_transport(cost, a, b)
+        cost, a, b, cost_f, scale = exact_problem(
+            random_cloud(rng, 3, 2), random_cloud(rng, 2, 2)
+        )
+        basis = transport._solve_transport(cost, a, b, cost_f, scale)
         cell, flow = next(iter(basis.items()))
         cases = [
             ({**basis, cell: flow + 1}, "not feasible"),
@@ -286,8 +370,8 @@ class TestExactSimplex:
             dim = 1 + idx % 2
             mu = lattice_measure(rng, int(rng.integers(1, 26)), dim)
             nu = lattice_measure(rng, int(rng.integers(1, 26)), dim)
-            cost, a, b = exact_problem(mu, nu)
-            basis = transport._solve_transport(cost, a, b)
+            cost, a, b, cost_f, scale = exact_problem(mu, nu)
+            basis = transport._solve_transport(cost, a, b, cost_f, scale)
             transport._certify(basis, cost, a, b)
             m = len(a)
             _, parent, _, _ = transport._tree(basis, cost, m, len(b))
@@ -365,6 +449,69 @@ class TestExactSimplex:
             )
             assert d_s == d
             assert np.array_equal(plan_s.coupling, plan.coupling[np.ix_(p, q)])
+
+    def test_screen_matches_exact_full_scan_where_floats_tie(self, monkeypatch):
+        # Costs 2**60 + 128 q + t with t in {-1, 0, 1}: floats there are 256
+        # apart, so the float costs drop t and round odd q to even.  The
+        # screen's values are then off by about 128 while the exact reduced
+        # costs differ by 1, and only its exact check can pick the cell.
+        entered = []
+        hang = transport._hang
+
+        def spy(top, adj, parent, *rest):
+            if parent[top] >= 0:  # a pivot hangs the entering cell's end
+                entered.append(sorted((top, parent[top])))
+            return hang(top, adj, parent, *rest)
+
+        rng = np.random.default_rng(60)
+        pivots, unit_gaps = 0, 0
+        for _ in range(30):
+            m, k = (int(x) for x in rng.integers(2, 8, size=2))
+            q, t = rng.integers(0, 8, size=(m, k)), rng.integers(-1, 2, size=(m, k))
+            cost = (2**60 + 128 * q + t).tolist()
+            a, b = rng.integers(1, 6, size=m), rng.integers(1, 6, size=k)
+            a, b = (a * b.sum()).tolist(), (b * a.sum()).tolist()
+            cost_f = np.array(cost, dtype=float)
+            want, flows, gaps = dantzig_reference(cost, a, b)
+            entered.clear()
+            monkeypatch.setattr(transport, "_hang", spy)
+            got = transport._solve_transport(cost, a, b, cost_f, 1)
+            monkeypatch.undo()
+            assert [(i, j - m) for i, j in entered] == want
+            assert got == flows
+            pivots += len(want)
+            unit_gaps += gaps.count(1)
+        assert pivots > 100 and unit_gaps > 10
+
+    def test_whole_float_range_matches_a_fraction_oracle(self, monkeypatch):
+        # Costs from near overflow (about 1e308) down to subnormal: the
+        # screen's scaling and error bound must hold at both ends.
+        rng = np.random.default_rng(0)
+
+        def side():
+            points = np.concatenate([
+                rng.uniform(-4e153, 4e153, size=(2, 2)),
+                rng.uniform(-1e150, 1e150, size=(2, 2)),
+                rng.uniform(-1e-160, 1e-160, size=(3, 2)),
+            ])
+            return ParticleMeasure(points, np.full(7, 1.0 / 7.0))
+
+        line = ParticleMeasure(
+            np.array([[-6e153], [-1e150], [-1e-160], [3e-161], [2e-161], [1e150]]),
+            np.full(6, 1.0 / 6.0),
+        )
+        flipped = ParticleMeasure(-line.points[::-1] + 1e-160, line.weights)
+        pairs = [(line, flipped), (side(), side())]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu, nu in pairs:
+                costs = transport._cost_matrix(mu, nu)
+                assert costs.max() > 1e307 and 0.0 < costs[costs > 0].min() < 2.0**-1022
+                _, plan = wasserstein2(mu, nu)
+                assert plan.cost == fraction_permutation_cost(mu, nu)
+            monkeypatch.setattr(transport, "MAX_PIVOTS", 0)
+            with pytest.raises(SolverFailure, match="pivot cap"):
+                wasserstein2(*pairs[1])
 
     def test_integer_marginals_match_a_per_atom_reference(self):
         def reference(mu, nu):
