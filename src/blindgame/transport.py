@@ -346,6 +346,9 @@ def _solve_transport(
     flat = np.empty(m * k)
     screen = flat.reshape(m, k)  # a view: the pass fills ``flat`` row-major
 
+    def cell(z: int) -> tuple[int, int]:  # the cell from node z to its parent
+        return (z, parent[z] - m) if z < m else (parent[z], z - m)
+
     for pivots in range(MAX_PIVOTS + 1):
         np.subtract(scaled, u, out=screen)
         np.subtract(screen, v, out=screen)
@@ -359,32 +362,20 @@ def _solve_transport(
         if pivots == MAX_PIVOTS:
             msg = f"transport simplex hit the pivot cap on a {m} x {k} problem"
             raise SolverFailure(msg, pivots)
-        # The tree paths from row i0 and column j0 up to the apex, excluded.
-        x, y, xs, ys = i0, m + j0, [], []
-        while depth[x] > depth[y]:
-            xs.append(x)
-            x = parent[x]
-        while depth[y] > depth[x]:
-            ys.append(y)
-            y = parent[y]
-        while x != y:
-            xs.append(x)
-            ys.append(y)
-            x, y = parent[x], parent[y]
-        # From either end, the cycle's edges alternately lose and gain flow,
-        # each edge the cell from its node to the parent: xs alternates row,
-        # column, ..., ys column, row, ....  The minus-cells are in the order
-        # the walk from the apex meets them.
-        minus = [(i, parent[i] - m) for i in xs[::2]][::-1]
-        minus += [(parent[j], j - m) for j in ys[::2]]
+        xs, ys = [i0], [m + j0]  # the tree paths up to the common ancestor
+        while xs[-1] != ys[-1]:
+            path = xs if depth[xs[-1]] >= depth[ys[-1]] else ys
+            path.append(parent[path[-1]])
+        del xs[-1], ys[-1]
+        # From either end, the cycle's edges alternately lose and gain flow;
+        # the minus-cells in the order the walk from the apex meets them.
+        minus = [cell(z) for z in xs[::2][::-1] + ys[::2]]
         theta = min(flows[c] for c in minus)
         leave = next(c for c in reversed(minus) if flows[c] == theta)
         for c in minus:
             flows[c] -= theta
-        for c in [(parent[j], j - m) for j in xs[1::2]]:
-            flows[c] += theta
-        for c in [(i, parent[i] - m) for i in ys[1::2]]:
-            flows[c] += theta
+        for z in xs[1::2] + ys[1::2]:
+            flows[cell(z)] += theta
         del flows[leave]
         flows[i0, j0] = theta
         # Cut at the leaving cell's child q; hang q's subtree from its end.

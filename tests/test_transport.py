@@ -324,6 +324,24 @@ class TestExactSimplex:
             with pytest.raises(exc):
                 transport._integer_costs(np.array([[1.0, bad]]))
 
+    def test_integer_costs_match_a_per_cell_reference(self):
+        def reference(cost_f):
+            ratios = [[c.as_integer_ratio() for c in row] for row in cost_f.tolist()]
+            scale = max(d for row in ratios for _, d in row)
+            return [[n * (scale // d) for n, d in row] for row in ratios], scale
+
+        rng = np.random.default_rng(199)
+        cases = [np.zeros((2, 3)), np.array([[5e-324, 1.7e308, 0.0, -1.5]])]
+        for _ in range(200):
+            shape = tuple(int(x) for x in rng.integers(1, 9, size=2))
+            cases += [
+                rng.normal(size=shape) ** 2,
+                rng.integers(-3, 4, size=shape).astype(float),
+                np.ldexp(rng.random(shape), rng.integers(-1100, 1020, size=shape)),
+            ]
+        for cost_f in cases:
+            assert transport._integer_costs(cost_f) == reference(cost_f)
+
     def test_certificate_rejects_feasible_non_optimal_basis(self):
         # The northwest corner sends 0 -> 2 and 2 -> 0; crossing costs 0.
         mu = ParticleMeasure(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
@@ -509,6 +527,13 @@ class TestExactSimplex:
                 assert costs.max() > 1e307 and 0.0 < costs[costs > 0].min() < 2.0**-1022
                 _, plan = wasserstein2(mu, nu)
                 assert plan.cost == fraction_permutation_cost(mu, nu)
+            # Column 1's potential is 2**1024, past the float range unless
+            # the screen divides by 2**E first.
+            cost = [[2**1023, 2**1023], [0, 2**1023]]
+            flows = transport._solve_transport(
+                cost, [1, 1], [1, 1], np.array(cost, dtype=float), 1
+            )
+            assert flows == dantzig_reference(cost, [1, 1], [1, 1])[1]
             monkeypatch.setattr(transport, "MAX_PIVOTS", 0)
             with pytest.raises(SolverFailure, match="pivot cap"):
                 wasserstein2(*pairs[1])
