@@ -1,4 +1,6 @@
 import itertools
+import os
+import sys
 import warnings
 from fractions import Fraction
 from math import lcm
@@ -18,6 +20,10 @@ from blindgame import (
     wasserstein2,
 )
 from blindgame import transport
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from test_transport_golden import pivot_count  # noqa: E402
 
 
 def random_cloud(rng, n, d, equal_weights=False):
@@ -43,27 +49,6 @@ def dyadic_cloud(rng, n, d):
     reordered copy keeps every weight bit for bit."""
     w = (rng.multinomial(32 - n, np.full(n, 1.0 / n)) + 1) / 32.0
     return ParticleMeasure(rng.uniform(-2.0, 2.0, size=(n, d)), w)
-
-
-def pivot_count(monkeypatch, mu, nu):
-    """The smallest ``MAX_PIVOTS`` that solves the pair."""
-    def solves(cap):
-        monkeypatch.setattr(transport, "MAX_PIVOTS", cap)
-        try:
-            wasserstein2(mu, nu)
-        except SolverFailure:
-            return False
-        return True
-
-    if solves(0):
-        return 0
-    lo, hi = 0, 1
-    while not solves(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if solves(mid) else (mid, hi)
-    return hi
 
 
 def permutation_w2(mu, nu):
@@ -428,7 +413,7 @@ class TestExactSimplex:
         monkeypatch.setattr(transport, "MAX_PIVOTS", pivots)
         wasserstein2(mu, nu)
 
-    def test_quarter_turns_and_mirrors_keep_pivots_and_plan(self, monkeypatch):
+    def test_quarter_turns_and_mirrors_keep_pivots_and_plan(self):
         # Negating and swapping coordinates is exact in floats, so the
         # costs, the sorted start and every pivot are the same bit for bit.
         rng = np.random.default_rng(90)
@@ -442,15 +427,13 @@ class TestExactSimplex:
         pairs = [readme_pair(20, 2),
                  (dyadic_cloud(rng, 9, 2), dyadic_cloud(rng, 13, 2))]
         for mu, nu in pairs:
-            pivots = pivot_count(monkeypatch, mu, nu)
-            monkeypatch.undo()
+            pivots = pivot_count(mu, nu)
             d, plan = wasserstein2(mu, nu)
             for f in maps:
                 mu_f, nu_f = (
                     ParticleMeasure(f(m.points), m.weights) for m in (mu, nu)
                 )
-                assert pivot_count(monkeypatch, mu_f, nu_f) == pivots
-                monkeypatch.undo()
+                assert pivot_count(mu_f, nu_f) == pivots
                 d_f, plan_f = wasserstein2(mu_f, nu_f)
                 assert d_f == d
                 assert np.array_equal(plan_f.coupling, plan.coupling)
