@@ -14,6 +14,7 @@ between the two Hamiltonians.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -23,8 +24,7 @@ import numpy as np
 from .dynamics import (
     ControlProblem, _rowdot, as_grid, checked_f, control_pairs
 )
-from .errors import SolverFailure
-from .simplex import DUALITY_TOL, max_weighted_min
+from .simplex import max_weighted_min
 from .transport import ProjectionField
 
 #: Rows per batched call of ``f`` in ``gamma_n``; bounds its temporaries.
@@ -59,41 +59,22 @@ class MatrixGameSolution:
 def solve_matrix_game(game: MatrixGame) -> MatrixGameSolution:
     """Value and certified optimal mixes of a zero-sum matrix game.
 
-    One LP is solved in whichever orientation has fewer coupling rows; the
-    other player's mix is recovered from the duals.  The returned mixes are
-    checked to certify the value within DUALITY_TOL.
+    One LP is solved in whichever orientation has fewer coupling rows: the
+    LP's point is the mix of the player with more pure strategies, its
+    group's row duals the other player's.  Both are returned as the LP
+    certified them, so ``certified_gap`` is the weak-duality gap of these
+    very vectors, at most DUALITY_TOL.
     """
     a = game.payoff
-    m, k = a.shape
-    if m <= k:
+    if a.shape[0] <= a.shape[1]:
         sol = max_weighted_min([1.0], [a])
-        col_mix = sol.q
-        row_mix = sol.row_duals[0]
-        value = sol.value
-    else:
-        sol = max_weighted_min([1.0], [-a.T])
-        row_mix = sol.q
-        col_mix = sol.row_duals[0]
-        value = -sol.value
-    row_mix = _clean_mix(row_mix)
-    col_mix = _clean_mix(col_mix)
-    worst_row = float(np.max(row_mix @ a))  # row player's guaranteed cap
-    worst_col = float(np.min(a @ col_mix))  # column player's guaranteed floor
-    gap = worst_row - worst_col
-    if gap > DUALITY_TOL:
-        raise SolverFailure(
-            f"matrix-game certificate gap {gap:.3e} exceeds {DUALITY_TOL}",
-            sol.iterations,
+        return MatrixGameSolution(
+            sol.value, sol.row_duals[0], sol.q, sol.certified_gap
         )
-    return MatrixGameSolution(value, row_mix, col_mix, gap)
-
-
-def _clean_mix(p: np.ndarray) -> np.ndarray:
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    total = float(np.sum(p))
-    if total <= 0.0:
-        raise SolverFailure("degenerate mix returned by LP", 0)
-    return p / total
+    sol = max_weighted_min([1.0], [-a.T])
+    return MatrixGameSolution(
+        -sol.value, sol.q, sol.row_duals[0], sol.certified_gap
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +123,12 @@ def _pairing_tables(q: HamiltonianQuery) -> tuple[np.ndarray, np.ndarray]:
 def _coarse_indices(
     problem: ControlProblem, coarse_v_indices: Sequence[int]
 ) -> list[int]:
-    """The coarse v-grid as a list of distinct indices into ``v_grid``."""
-    idx = [int(i) for i in coarse_v_indices]
+    """The coarse v-grid as a list of distinct indices into ``v_grid``;
+    each must be an integer (numpy integers too), never a rounded float."""
+    try:
+        idx = [operator.index(i) for i in coarse_v_indices]
+    except TypeError:
+        raise ValueError("coarse v-grid indices must be integers") from None
     if len(idx) == 0:
         raise ValueError("coarse v-grid must be nonempty")
     if len(set(idx)) != len(idx):

@@ -5,11 +5,13 @@ object everything else in the package operates on: initial distributions,
 transported distributions after a control stage, and the base measures the
 Hamiltonians integrate over.
 
-Weights must form a probability vector.  A float total within
-``len(weights)`` ulps of 1 is rounding of a normalized vector and is kept as
-given, so a measure rebuilt from its own weights keeps them bit for bit.
-Larger drift up to 1e-12 away from total mass 1 is silently renormalized;
-anything larger is rejected as a bug in the caller.
+Weights must form a probability vector, and ``_probabilities`` is the one
+rule for every probability vector in the package (a measure's weights and
+Player II's blind mix alike).  A float total within ``len(p)`` ulps of 1 is
+rounding of a normalized vector and is kept as given, so a vector rebuilt
+from its own entries keeps them bit for bit.  Larger drift up to
+``WEIGHT_TOL`` away from total mass 1 is silently renormalized; anything
+larger is rejected as a bug in the caller.
 """
 
 from __future__ import annotations
@@ -36,32 +38,23 @@ class ParticleMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        # Copies: freezing them must not freeze the caller's arrays, and no
+        # later write by the caller may reach the checked weights.
+        pts = np.array(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a nonempty (m, d) array")
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        w = np.array(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != pts.shape[0]:
             raise ValueError(
                 f"got {pts.shape[0]} points but {w.shape[0]} weights"
             )
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
-            raise ValueError("points and weights must be finite")
-        total = float(np.sum(w))
-        drift = abs(total - 1.0)
-        if drift > WEIGHT_TOL:
-            raise ValueError(
-                f"weights sum to {total!r}, off by {drift:.3e} > {WEIGHT_TOL}"
-            )
-        if drift > len(w) * np.finfo(float).eps:
-            w = w / total
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         pts.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _probabilities(w, "weights"))
 
     @property
     def dim(self) -> int:
@@ -73,6 +66,25 @@ class ParticleMeasure:
 
     def __repr__(self) -> str:
         return f"ParticleMeasure(n_atoms={self.n_atoms}, dim={self.dim})"
+
+
+def _probabilities(p: np.ndarray, name: str) -> np.ndarray:
+    """The float vector ``p`` as a read-only probability vector, or a
+    ``ValueError`` naming it: its entries must be finite and nonnegative,
+    and its sum within ``WEIGHT_TOL`` of 1.  It is divided by that sum
+    only when the sum is off by more than ``len(p)`` ulps."""
+    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    total = float(np.sum(p))
+    drift = abs(total - 1.0)
+    if drift > WEIGHT_TOL:
+        raise ValueError(
+            f"{name} sum to {total!r}, off by {drift:.3e} > {WEIGHT_TOL}"
+        )
+    if drift > len(p) * np.finfo(float).eps:
+        p = p / total
+    p.setflags(write=False)
+    return p
 
 
 def second_moment(mu: ParticleMeasure) -> float:

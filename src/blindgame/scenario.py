@@ -76,11 +76,16 @@ def parse_kv(text: str) -> dict[str, tuple[str, int]]:
 
 
 def _floats(raw: str, key: str) -> list[float]:
+    """The finite numbers of a comma or space separated list."""
     toks = [t for t in raw.replace(",", " ").split() if t]
     try:
-        return [float(t) for t in toks]
+        vals = [float(t) for t in toks]
     except ValueError as exc:
         raise ConfigError(f"{key}: not a number list ({exc})") from None
+    for tok, val in zip(toks, vals):
+        if not math.isfinite(val):
+            raise ConfigError(f"{key}: must be finite, got {tok!r}")
+    return vals
 
 
 def _ints(raw: str, key: str) -> tuple[int, ...]:
@@ -231,7 +236,6 @@ def load_scenario(path_or_text: str | os.PathLike) -> Scenario:
     n_stages = fields.get("problem.n_stages", int, at_least=1)
     u_grid = _grid(fields.require("problem.u_grid"), "problem.u_grid")
     v_grid = _grid(fields.require("problem.v_grid"), "problem.v_grid")
-    label = fields.raw("problem.label", default=kind)
     dim = None
     if fields.raw("problem.dim") is not None:
         dim = fields.get("problem.dim", int, at_least=1)
@@ -282,6 +286,13 @@ def load_scenario(path_or_text: str | os.PathLike) -> Scenario:
         )
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from None
+    # The label is written unquoted into every CSV the CLI writes; a kind
+    # that make_problem accepts never holds either character.
+    label = fields.raw("problem.label", default=kind)
+    if any(c in label for c in ',"'):
+        raise ConfigError(
+            f"problem.label: must not contain ',' or '\"', got {label!r}"
+        )
     # The coefficient count is checked against the dimension make_problem
     # settled on, so that the error names its key.
     if g_coeffs is not None:

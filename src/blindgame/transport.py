@@ -6,8 +6,11 @@ denominator at most 10**12) and the float costs times their largest
 denominator, which is exact as floats are dyadic.  It starts from the
 northwest corner of both sides sorted by their projection onto the
 principal axis of the pooled atoms.  In 1-d that is the monotone coupling,
-which is optimal, so no pivot is needed; sliced Wasserstein distances sort
-along projections the same way (Rabin, Peyre, Delon & Bernot 2011).  It
+which is optimal for squared distances, so no pivot is needed unless
+rounding of huge or tiny squared distances breaks the float costs' Monge
+property (atoms spanning 1e-160 to 6e153 take 4 pivots); sliced Wasserstein
+distances sort along projections the same way (Rabin, Peyre, Delon &
+Bernot 2011).  It
 enters by the most negative reduced cost and leaves by Cunningham's (1976)
 strongly feasible rule, which keeps that pricing finite without Bland's
 rule.  The basis tree and its node potentials persist across pivots
@@ -403,7 +406,8 @@ def wasserstein2(
     rows and columns.  Both sides enter it sorted (stably) by their
     projection onto the pooled atoms' principal axis, oriented from
     ``mean(mu)`` to ``mean(nu)``, so that its northwest-corner start is the
-    sorted coupling: optimal in 1-d, near optimal along a dominant axis.
+    sorted coupling: optimal in 1-d while the float costs stay Monge, near
+    optimal along a dominant axis.
     The cost is the exact sum of flow times integer cost, rounded once, so
     every optimal plan gives the same distance.  The plan is the canonical
     optimum selected by the sorted order and the deterministic pivot rules.

@@ -42,12 +42,11 @@ from .dynamics import (  # noqa: F401
     terminal_costs,
 )
 from .errors import SolverFailure
-from .measures import ParticleMeasure
+from .measures import ParticleMeasure, _probabilities
 from .game_kernel import MatrixGame, MatrixGameSolution, solve_matrix_game
 from .simplex import max_weighted_min
 from .transport import wasserstein2
 
-PROB_TOL = 1e-12
 LATTICE_GUARD = 2 * 10**6
 BRUTE_ROW_GUARD = 10**5
 BRUTE_COL_GUARD = 10**3
@@ -82,7 +81,10 @@ def tree_prefixes(n_stages: int, n_v: int) -> list[tuple[int, ...]]:
 @dataclass(frozen=True, eq=False)
 class MixedStrategyII:
     """Player II's blind mix: ``q[r]`` is the probability of the v-sequence
-    ``seq_from_rank(r, n_stages, n_v)`` (read-only, length n_v**n_stages)."""
+    ``seq_from_rank(r, n_stages, n_v)`` (read-only, length n_v**n_stages).
+
+    ``q`` is copied and held to the probability-vector rule a measure's
+    weights follow, ``measures._probabilities``."""
 
     n_stages: int
     n_v: int
@@ -95,15 +97,7 @@ class MixedStrategyII:
         size = self.n_v**self.n_stages
         if q.shape != (size,):
             raise ValueError(f"q must have shape ({size},), got {q.shape}")
-        if not np.all(np.isfinite(q)) or np.any(q < 0.0):
-            raise ValueError("q must be finite and nonnegative")
-        total = float(np.sum(q[q > 0.0]))
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"q sums to {total!r}")
-        if abs(total - 1.0) > size * np.finfo(float).eps:
-            q = q / total
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _probabilities(q, "q"))
 
     @property
     def support(self) -> np.ndarray:
@@ -663,9 +657,7 @@ def dpp_check(
         prob, *control_pairs(prob, mu0.points), tau, 0
     ).reshape(mu0.n_atoms, n_u, n_v, prob.dim)[atoms, us]
     # mu1's weights, renormalized as its measure would; v-free.
-    weights = ParticleMeasure(
-        images[:, 0], mu0.weights[atoms] * rho[atoms, us]
-    ).weights
+    weights = _probabilities(mu0.weights[atoms] * rho[atoms, us], "weights")
     tables = _tree_tables(
         cont_prob, images.reshape(-1, prob.dim), n - 1
     ).reshape(len(atoms), n_v, -1, n_v ** (n - 1))

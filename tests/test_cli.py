@@ -134,6 +134,9 @@ class TestScenarioParsing:
             "solver.tol = inf",
             "problem.T = nan",
             "ekeland.eps = inf",
+            # Written unquoted, either would shift every CSV column.
+            "problem.label = pennies,v2",
+            'problem.label = "pennies"',
         ],
     )
     def test_bad_value_names_its_field(self, line):
@@ -142,6 +145,32 @@ class TestScenarioParsing:
             row for row in PENNIES.splitlines() if not row.startswith(key)
         )
         with pytest.raises(ConfigError, match=f"^{key}: "):
+            load_scenario(text + "\n" + line + "\n")
+
+    @pytest.mark.parametrize(
+        "kind, extra, line",
+        [
+            ("constant", [], "problem.drift = nan"),
+            ("linear", ["problem.dim = 1"], "problem.A = inf"),
+            ("linear", ["problem.dim = 1"], "problem.A = nan"),
+            ("u_plus_v", ["g.kind = linear"], "g.coeffs = nan"),
+            ("u_plus_v", ["g.kind = custom_table"], "g.table = -1 nan; 1 1"),
+            ("u_plus_v", [], "problem.u_grid = -1, inf"),
+            ("u_plus_v", [], "problem.v_grid = -1; nan"),
+            ("u_plus_v", [], "mu0.atoms = 1.0 -inf"),
+            ("u_plus_v", [], "sweep.n = 1, inf"),
+        ],
+    )
+    def test_number_lists_must_be_finite(self, kind, extra, line):
+        # Each used to fail later, if at all, under another key or none.
+        key = line.split(" =")[0]
+        text = "\n".join(
+            row
+            for row in _kind_scenario(kind, ["mu0.atoms = 1.0 0.0", *extra])
+            .splitlines()
+            if not row.startswith(key)
+        )
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite, got "):
             load_scenario(text + "\n" + line + "\n")
 
     @pytest.mark.parametrize(

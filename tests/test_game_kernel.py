@@ -60,6 +60,12 @@ class TestSolveMatrixGame:
             sol = solve_matrix_game(MatrixGame(a))
             assert certificate_gap(a, sol) <= 1e-9
             assert sol.certified_gap <= 1e-9
+            # The returned mixes are the vectors the LP certified.
+            for mix in (sol.row_mix, sol.col_mix):
+                assert np.all(mix >= 0.0) and abs(mix.sum() - 1.0) <= 1e-12
+            assert sol.certified_gap == pytest.approx(
+                certificate_gap(a, sol), abs=1e-12
+            )
 
     def test_tall_matrix_orientation(self):
         rng = np.random.default_rng(42)
@@ -219,6 +225,8 @@ class TestHamiltonians:
             eval_Hn(q, [0, 0])
         with pytest.raises(ValueError, match="range"):
             eval_Hn(q, [5])
+        with pytest.raises(ValueError, match="integers"):
+            eval_Hn(q, [1.5])  # not truncated to index 1
 
     def test_field_dimension_must_match_problem(self):
         mu = dirac([0.0, 1.0])
@@ -373,13 +381,14 @@ class TestGammaN:
             gamma_n(prob, [0], samples)
 
     def test_coarse_validation(self):
-        # The same three index errors as eval_Hn.
+        # The same four index errors as eval_Hn.
         prob = pennies_problem()
         for coarse, message in [
             ([], "must be nonempty"),
             ([0, 0], "indices must be distinct"),
             ([2], "index out of range"),
             ([-1], "index out of range"),
+            ([1.5], "indices must be integers"),
         ]:
             with pytest.raises(ValueError, match=f"^coarse v-grid {message}$"):
                 gamma_n(prob, coarse, [np.zeros(1)])

@@ -41,6 +41,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="nonnegative"):
             ParticleMeasure(np.array([[0.0], [1.0]]), np.array([-0.1, 1.1]))
 
+    def test_measure_holds_read_only_copies(self):
+        pts, w = np.zeros((2, 1)), np.array([0.5, 0.5])
+        mu = ParticleMeasure(pts, w)
+        pts[0, 0], w[0] = 5.0, 0.9  # the caller's arrays stay writeable
+        assert mu.points.tolist() == [[0.0], [0.0]]
+        assert mu.weights.tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            mu.weights[0] = 0.9
+
     def test_zero_weight_allowed(self):
         mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         assert mu.n_atoms == 2

@@ -121,7 +121,7 @@ class TestStrategyTypes:
             MixedStrategyII(1, 2, np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="nonnegative"):
             MixedStrategyII(1, 3, np.array([0.6, -0.1, 0.5]))
-        # Within PROB_TOL of 1 the mix is renormalised.
+        # Within measures.WEIGHT_TOL of 1 the mix is renormalised.
         mix = MixedStrategyII(1, 2, np.array([0.5, 0.5 + 1e-13]))
         assert mix.q.sum() == pytest.approx(1.0, abs=1e-15)
         # Rounding of a normalized mix is kept as given.
@@ -151,6 +151,34 @@ class TestStrategyTypes:
         assert mix.q.tolist() == [0.0] * 5 + [1.0] + [0.0] * 3
         assert mix.support.tolist() == [5]
         assert MixedStrategyII.pure(1, 2).support.tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "p, valid",
+        [
+            ([0.25, 0.75], True),  # exact
+            ([0.7, 0.1, 0.1, 0.1], True),  # sums to 1 - 2**-53
+            ([0.5, 0.5 + 2.0**-51], True),  # 2 ulps: at the threshold
+            ([0.5, 0.5 + 1e-13], True),  # renormalised
+            ([0.5, 0.5 + 1e-11], False),
+            ([0.0, 0.3, 0.0, 0.7 + 1e-13, 0.0], True),
+            ([0.6, -0.1, 0.5], False),
+            ([np.nan, 1.0], False),
+        ],
+        ids=["exact", "ulp", "ulps", "1e-13", "1e-11", "zeros", "negative",
+             "nan"],
+    )
+    def test_mix_and_measure_weights_follow_one_rule(self, p, valid):
+        p = np.array(p)
+        k = len(p)
+        if not valid:
+            with pytest.raises(ValueError):
+                MixedStrategyII(1, k, p)
+            with pytest.raises(ValueError):
+                ParticleMeasure(np.zeros((k, 1)), p)
+            return
+        q = MixedStrategyII(1, k, p).q
+        weights = ParticleMeasure(np.zeros((k, 1)), p).weights
+        assert q.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("rank", [-1, 4])
     def test_pure_mix_rejects_out_of_range_ranks(self, rank):
