@@ -108,8 +108,11 @@ def cmd_solve(scn: Scenario, out_dir: str, repro: bool) -> int:
         cert.append(f"q_star,,{label},{_fmt(q_star.q[rank])}")
     for k, rows in enumerate(res.cuts, start=1):
         for atom, cut in enumerate(rows):
-            for rank, coef in enumerate(cut):
-                cert.append(f"cut,br{k:03d}-a{atom},{rank},{_fmt(coef)}")
+            # On a Python float f"{c:.12g}" is exactly ``_fmt``.
+            tag = f"cut,br{k:03d}-a{atom},"
+            cert.extend(
+                f"{tag}{rank},{c:.12g}" for rank, c in enumerate(cut.tolist())
+            )
     _write(out_dir, "certificate.csv", "\n".join(cert) + "\n")
 
     print(f"value {_fmt(res.value)} gap {_fmt(res.gap)} iterations {res.iterations}")

@@ -1,25 +1,46 @@
 """One in-house simplex used by every LP in the package.
 
 Everything the solvers need (matrix games, the two Hamiltonians, the
-cutting-plane master) is an instance of a single concave problem:
+cutting-plane master) is an instance of one concave problem over q in
+the K-simplex, split into ``blocks`` blocks q_b of W = K / blocks
+entries:
 
-    maximize  sum_j  w_j * min_r (C_j q)_r    over q in the K-simplex,
+    maximize  sum_i w_i min_u sum_b min_r (C_(i,u,b) q_b)_r,
 
-for positive weights w_j and per-group constraint matrices C_j of shape
-(R_j, K).  The LP reformulation introduces one shifted level variable per
-group and one slack per constraint row.
+for positive weights w_i and one constraint matrix C_h of shape (R_h, W)
+per group h = (i, u, b).  With one group per weight (one branch u, one
+block) this is
 
-Cold and warm starts.  A cold solve starts from a crash basis (Bixby
-1992): q_0 in the simplex row, each group's level basic in the group's
-lead row, and the slacks elsewhere.  Once q_0 is eliminated the shift
-keeps every right-hand side positive; the lead row is the one of least
-right-hand side in its group, ties to the last row (the row the
-lexicographic test below picks from q_0 and the slacks).  Making every
-level basic at once subtracts each lead row from the other rows of its
-group, so every right-hand side stays >= 0 exactly and no phase-1 is
-needed.  It is the basis Dantzig's rule reaches after its J level pivots
-when no q column enters in between, and its columns are the identity in
-the tableau, so they serve as the primal phase's lexicographic keys.
+    maximize  sum_j  w_j * min_r (C_j q)_r,
+
+the per-group form of matrix games, both Hamiltonians and the masters
+of games with n <= 2 stages.  The node form is the top level of the
+sequence form of Koller, Megiddo and von Stengel (1996): w_i is the mass
+of atom i, u its first-stage control, b the first-stage v and C_h the
+cuts of decision node h.
+
+The LP introduces one shifted level per group and one slack per group
+row; in the per-group form the level of group j is its weight's level,
+shifted up by 1 + max |C_j|.  The node form has a level t_i per weight
+and z_h per group, a coupling row t_i - sum_b z_(i,u,b) + s = 0 per
+(i, u), and the group rows z_h - C_h q_b + s = S.  Every z_h is shifted
+up by one S = 1 + max |C| and every t_i by blocks * S, so the coupling
+rows' right-hand sides are 0 and q_0 with every slack is primal
+feasible.
+
+Cold and warm starts.  A cold solve of the per-group form starts from a
+crash basis (Bixby 1992): q_0 in the simplex row, each group's level
+basic in the group's lead row, and the slacks elsewhere.  Once q_0 is
+eliminated the shift keeps every right-hand side positive; the lead row
+is the one of least right-hand side in its group, ties to the last row
+(the row the lexicographic test below picks from q_0 and the slacks).
+Making every level basic at once subtracts each lead row from the other
+rows of its group, so every right-hand side stays >= 0 exactly and no
+phase-1 is needed.  It is the basis Dantzig's rule reaches after its J
+level pivots when no q column enters in between, and its columns are the
+identity in the tableau, so they serve as the primal phase's
+lexicographic keys.  A cold solve of the node form starts from q_0 and
+the slacks, with no phase-1 either.
 
 A warm solve starts from an earlier solution of the same groups, such as
 the previous cutting-plane master, with its basis mapped into the LP of
@@ -68,12 +89,17 @@ it can return to an earlier basis and cycle.  So, in floating point:
 
 Certificate.  Reported objective values are recomputed from the primal
 point, not read off the tableau, so exact inputs give exact values.  Duals
-of the coupling rows are returned as well (for a single group they are the
+of the group rows are returned as well (for a single group they are the
 minimizing player's optimal mix), and every answer is checked against them
-before it is returned: by weak duality, max_k (sum_j lam_j' C_j)_k bounds
-the objective from above, and that bound must meet the primal value within
-DUALITY_TOL, else ``SolverFailure`` is raised.  A wrong value is never
-returned.
+before it is returned.  Each group's duals lam_h are scaled to sum to its
+mass: w_j in the per-group form; in the node form the mass of branch
+(i, u), from the coupling rows' duals scaled to sum to w_i over u (Player
+I's first-stage mix).  A branch or group with mass but no dual mass puts
+it all on its least entry at q.  By weak duality, max_k of the
+dual-weighted group rows summed over every group, each over its block,
+bounds the objective from above, and that bound must meet the primal
+value within DUALITY_TOL, else ``SolverFailure`` is raised.  A wrong
+value is never returned.
 """
 
 from __future__ import annotations
@@ -101,10 +127,12 @@ class MinmaxSolution:
 
     Attributes
     ----------
-    value : the recomputed objective sum_j w_j min_r (C_j q)_r.
+    value : the recomputed objective, sum_j w_j min_r (C_j q)_r in the
+        per-group form.
     q : optimal point of the K-simplex.
     row_duals : per group, nonnegative multipliers over that group's rows
-        summing to w_j (a scaled optimal mix of the inner minimizer).
+        summing to its mass, w_j in the per-group form (a scaled optimal
+        mix of the inner minimizer).
     iterations : simplex pivots performed, a failed warm start's included.
     certified_gap : the dual upper bound minus ``value``, at most
         DUALITY_TOL.
@@ -125,8 +153,17 @@ def max_weighted_min(
     weights: Sequence[float],
     groups: Sequence[np.ndarray],
     start: MinmaxSolution | None = None,
+    blocks: int = 1,
 ) -> MinmaxSolution:
-    """Maximize sum_j w_j min_r (C_j q)_r over the simplex.
+    """Maximize sum_j w_j min_r (C_j q)_r over the simplex, or, in the
+    node form, sum_i w_i min_u sum_b min_r (C_(i,u,b) q_b)_r.
+
+    ``groups`` holds one matrix per weight, or in the node form
+    len(weights) * U * ``blocks`` matrices in (weight, branch, block)
+    order, for U >= 1 branches per weight and one block of q per
+    ``blocks``.  Every group has the same width W, and q has K = blocks
+    * W entries; group (i, u, b) acts on q_b = q[b * W:(b + 1) * W].
+    With one group per weight the two forms agree.
 
     ``start`` is an optional earlier solution of the same groups before
     rows were appended to them.  The solve runs the dual simplex from its
@@ -134,75 +171,108 @@ def max_weighted_min(
     basis is singular or not dual feasible within PIVOT_TOL, or when the
     warm solve raises ``SolverFailure``.
 
-    Raises ``ValueError`` on a ``start`` that does not fit (another group
-    count or K, fewer rows in a group, or a basis that is not one of the
-    start's own LP), and ``SolverFailure`` when the cold simplex hits
+    Raises ``ValueError`` on a group count that is not a positive multiple
+    of len(weights) * blocks, on a ``start`` that does not fit (another
+    group count or K, fewer rows in a group, or a basis that is not one of
+    the start's own LP), and ``SolverFailure`` when the cold simplex hits
     MAX_PIVOTS or when its answer fails the duality certificate.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     mats = [np.atleast_2d(np.asarray(c, dtype=float)) for c in groups]
-    if w.shape[0] != len(mats) or w.shape[0] == 0:
-        raise ValueError("need one weight per group, at least one group")
+    blocks = operator.index(blocks)
+    J, H = w.shape[0], len(mats)
+    if J == 0 or blocks < 1 or H == 0 or H % (J * blocks):
+        raise ValueError(
+            "need one weight per group, or per branch of `blocks` groups, "
+            "at least one group"
+        )
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("group weights must be positive and finite")
-    K = mats[0].shape[1]
-    if any(c.shape[1] != K or c.shape[0] < 1 for c in mats):
-        raise ValueError("all groups must have K columns and >= 1 row")
+    W = mats[0].shape[1]
+    if any(c.shape[1] != W or c.shape[0] < 1 for c in mats):
+        raise ValueError(
+            "all groups must have equally many columns and >= 1 row"
+        )
     stacked = np.vstack(mats)
     if not np.all(np.isfinite(stacked)):
         raise ValueError("group matrices must be finite")
-    J = len(mats)
+    K = blocks * W
     rows_per = [c.shape[0] for c in mats]
     r_tot = stacked.shape[0]
     starts = np.cumsum([0, *rows_per[:-1]])
-    group_of_row = np.repeat(np.arange(J), rows_per)
-    shifts = np.maximum.reduceat(np.abs(stacked).max(axis=1), starts) + 1.0
+    group_of_row = np.repeat(np.arange(H), rows_per)
+    wide = stacked
+    if blocks > 1:
+        wide = np.zeros((r_tot, blocks, W))
+        wide[np.arange(r_tot), group_of_row % blocks] = stacked
+        wide = wide.reshape(r_tot, K)
+    nodes = H > J
 
-    # Standard form min c.x, A x = b, x >= 0 with variable order
-    # [q_0..q_{K-1}, t_0..t_{J-1}, s_0..s_{r_tot-1}] where t_j is the
-    # group level shifted up by shifts[j].
-    m = 1 + r_tot
-    n = K + J + r_tot
+    # Standard form min c.x, A x = b, x >= 0.  With one group per weight
+    # the variables are [q_0..q_{K-1}, t_0..t_{J-1}, s_0..s_{r_tot-1}],
+    # t_j the group level shifted up by shifts[j], and the rows the
+    # simplex row and every group row.  The node form puts one level z_h
+    # per group after the J atom levels, shifted up by S > max |C|, and
+    # the atom levels up by blocks * S; its rows are the simplex row, one
+    # coupling row t_i - sum_b z_(i,u,b) + s = 0 per (i, u), then every
+    # group row.  In both, q_0 and the slacks are primal feasible.
+    coupling = H // blocks if nodes else 0
+    z0 = K + J if nodes else K
+    m = 1 + coupling + r_tot
+    n = z0 + H + coupling + r_tot
     a_mat = np.zeros((m, n))
     a_mat[0, :K] = 1.0
-    a_mat[1:, :K] = -stacked
-    a_mat[np.arange(1, m), K + group_of_row] = 1.0
-    a_mat[1:, K + J:] = np.eye(r_tot)
-    b = np.concatenate([[1.0], shifts[group_of_row]])
+    a_mat[1 + coupling:, :K] = -wide
+    a_mat[np.arange(1 + coupling, m), z0 + group_of_row] = 1.0
+    a_mat[1:, n - (m - 1):] = np.eye(m - 1)
+    if nodes:
+        branch = np.arange(coupling)
+        a_mat[1 + branch, K + branch // (coupling // J)] = 1.0
+        a_mat[1 + np.arange(H) // blocks, z0 + np.arange(H)] = -1.0
+        shift = float(np.abs(stacked).max()) + 1.0
+        b = np.concatenate([[1.0], np.zeros(coupling), np.full(r_tot, shift)])
+    else:
+        shifts = np.maximum.reduceat(np.abs(stacked).max(axis=1), starts) + 1.0
+        b = np.concatenate([[1.0], shifts[group_of_row]])
     cost = np.zeros(n)
     cost[K:K + J] = -w
 
+    def certified(basis, iters, x_basic, y):
+        return _certified(
+            w, wide, rows_per, starts, blocks, (m, n), basis, iters, x_basic, y
+        )
+
     warm_pivots = 0
     if start is not None:
-        basis = _grown_basis(start, rows_per, K)
+        basis = _grown_basis(start, rows_per, K, n - r_tot, coupling)
         try:
-            return _certified(w, stacked, rows_per, starts, *_dual_simplex(
-                a_mat, b, cost, basis
-            ))
+            return certified(*_dual_simplex(a_mat, b, cost, basis))
         except SolverFailure as exc:
             warm_pivots = exc.iterations
-    sol = _certified(
-        w, stacked, rows_per, starts, *_primal_simplex(a_mat, b, cost)
-    )
+    sol = certified(*_primal_simplex(a_mat, b, cost))
     if warm_pivots:
         sol = replace(sol, iterations=sol.iterations + warm_pivots)
     return sol
 
 
 def _grown_basis(
-    start: MinmaxSolution, rows_per: list[int], K: int
+    start: MinmaxSolution,
+    rows_per: list[int],
+    K: int,
+    n_fixed: int,
+    coupling: int,
 ) -> list[int]:
     """``start.basis``, checked against the start's own LP (its rows per
     group read off ``row_duals``, its K off ``q``), mapped into the LP
-    whose groups have ``rows_per`` rows: the mix and level columns keep
-    their indices, each old slack shifts by the rows added to earlier
-    groups, and every new row's slack is basic."""
+    whose groups have ``rows_per`` rows: the ``n_fixed`` columns before
+    the group rows' slacks (q, the levels and the ``coupling`` rows'
+    slacks) keep their indices, each group row's slack shifts by the rows
+    added to earlier groups, and every new row's slack is basic."""
     old_rows = [len(lam) for lam in start.row_duals]
     if len(old_rows) != len(rows_per) or len(start.q) != K:
         raise ValueError(f"start has {len(old_rows)} groups, K {len(start.q)}")
     basis = [operator.index(col) for col in start.basis]
-    n_fixed = K + len(old_rows)
-    m, n = 1 + sum(old_rows), n_fixed + sum(old_rows)
+    m, n = 1 + coupling + sum(old_rows), n_fixed + sum(old_rows)
     if len(basis) != m:
         raise ValueError(f"start needs {m} columns, got {len(basis)}")
     if len(set(basis)) != m or not all(0 <= col < n for col in basis):
@@ -221,20 +291,25 @@ def _grown_basis(
 
 def _certified(
     w: np.ndarray,
-    stacked: np.ndarray,
+    wide: np.ndarray,
     rows_per: list[int],
     starts: np.ndarray,
+    blocks: int,
+    shape: tuple[int, int],
     basis: list[int],
     iters: int,
     x_basic: np.ndarray,
     y: np.ndarray,
 ) -> MinmaxSolution:
-    """The solution of an optimal basis, its value recomputed from the
-    primal point and checked against the row duals' upper bound.
-    ``stacked`` holds every group's rows, group j's ``rows_per[j]`` from
-    ``starts[j]``."""
-    r_tot, K = stacked.shape
-    n = K + len(rows_per) + r_tot
+    """The solution of an optimal basis of ``max_weighted_min``'s LP of
+    ``shape``, its value recomputed from the primal point and checked
+    against the row duals' upper bound.  ``wide`` holds every group's
+    rows over all K columns (zero outside the group's block), group h's
+    ``rows_per[h]`` from ``starts[h]``."""
+    m, n = shape
+    r_tot, K = wide.shape
+    J = len(w)
+    coupling = m - 1 - r_tot
     x = np.zeros(n)
     x[basis] = x_basic
     q = np.clip(x[:K], 0.0, None)
@@ -243,30 +318,55 @@ def _certified(
         raise SolverFailure("simplex returned a defective primal point", iters)
     q = q / total
 
-    minima = np.minimum.reduceat(stacked @ q, starts)
-    value = float(np.dot(w, minima))
-
-    lam = np.clip(-y[1:], 0.0, None)
-    sums = np.add.reduceat(lam, starts)
-    positive = sums > 0.0
-    if not positive.all():
-        raise SolverFailure(
-            f"LP duals of group {positive.argmin()} are all zero", iters
+    at_q = wide @ q
+    minima = np.minimum.reduceat(at_q, starts)
+    if coupling:
+        # Player I's first stage: the coupling duals are a mix over each
+        # weight's branches, and each branch's mass is what the duals of
+        # its groups' rows sum to.
+        branches = minima.reshape(coupling, blocks).sum(axis=1)
+        value = float(np.dot(w, branches.reshape(J, -1).min(axis=1)))
+        mu = _spread(
+            np.clip(-y[1:1 + coupling], 0.0, None), branches,
+            np.arange(0, coupling, coupling // J), w,
         )
-    lam *= np.repeat(w / sums, rows_per)
-    # Weak duality: sum_j w_j min_r (C_j q)_r <= (sum_j lam_j' C_j) q for
-    # every q in the simplex, since each lam_j >= 0 sums to w_j.
-    gap = float(np.max(lam @ stacked)) - value
+        mass = np.repeat(mu, blocks)
+    else:
+        value = float(np.dot(w, minima))
+        mass = w
+    lam = _spread(np.clip(-y[1 + coupling:], 0.0, None), at_q, starts, mass)
+    # Weak duality: each weight's branch mix sums to w_i, and each group's
+    # lam_h >= 0 to its branch's mass (to w_j with one group per weight),
+    # so the value is at most (sum_h lam_h' C_h) q for every q in the
+    # simplex.
+    gap = float(np.max(lam @ wide)) - value
     if not gap <= DUALITY_TOL:
         raise SolverFailure(
             f"LP certificate gap {gap:.3e} exceeds {DUALITY_TOL} "
-            f"on a {1 + r_tot} x {n} LP",
+            f"on a {m} x {n} LP",
             iters,
         )
     duals = tuple(
         lam[a:a + r] for a, r in zip(starts.tolist(), rows_per)
     )
     return MinmaxSolution(value, q, duals, iters, gap, tuple(basis))
+
+
+def _spread(
+    duals: np.ndarray, at_q: np.ndarray, starts: np.ndarray, mass: np.ndarray
+) -> np.ndarray:
+    """``duals`` scaled, segment h (from ``starts[h]`` to the next start)
+    to sum to ``mass[h]``.  A segment with mass but no dual mass puts all
+    of it on its entry of least ``at_q``, which keeps weak duality valid:
+    any nonnegative duals of the right sums bound the value."""
+    sizes = np.diff(np.append(starts, len(duals)))
+    sums = np.add.reduceat(duals, starts)
+    for h in np.flatnonzero((sums == 0.0) & (mass > 0.0)).tolist():
+        a = int(starts[h])
+        duals[a + int(at_q[a:a + sizes[h]].argmin())] = 1.0
+        sums[h] = 1.0
+    scale = np.divide(mass, sums, out=np.zeros(len(sums)), where=sums > 0.0)
+    return duals * np.repeat(scale, sizes)
 
 
 def _solve_basis(
@@ -318,8 +418,9 @@ def _crash(
     (ties to the last row, as the lexicographic test with slack keys
     breaks them; a near tie is not a tie), and the slacks in every other
     row.  K, the groups and the weights are read off the LP: row 0 is the
-    simplex row, and each group's rows are consecutive.  The last tableau
-    row holds the reduced costs.
+    simplex row, and each group's rows are consecutive.  The node form,
+    whose coupling rows hold -1 at the group levels, starts from q_0 and
+    the slacks alone.  The last tableau row holds the reduced costs.
     """
     m, n = a_mat.shape
     K = int(np.count_nonzero(a_mat[0]))
@@ -328,16 +429,18 @@ def _crash(
     tableau[:m, :n] = a_mat
     tableau[:m, n] = b
     tableau[m, :n] = cost
-    # Eliminating q_0 from the coupling rows leaves each right-hand side
-    # at its group's shift plus a C entry, so > 0.
+    # Eliminating q_0 from the group rows leaves each right-hand side at
+    # its group's shift plus a C entry, so > 0.
     tableau[1:m] -= tableau[1:m, 0, None] * tableau[0]
+    levels = a_mat[1:, K:K + J]
+    if levels.min() < 0.0:
+        return [0, *range(K + J, n)], tableau
     # Every level pivot at once: each lead row is subtracted from the
     # other rows of its group (its level's entry there is 1), which keeps
     # their right-hand sides >= 0 exactly, and w_j times it is added to
     # the reduced costs.  No lead row has another group's level, so the
     # pivots do not interact.
     rhs = tableau[1:m, n]
-    levels = a_mat[1:, K:K + J]
     group, starts = levels.argmax(axis=1), levels.argmax(axis=0)
     least = np.minimum.reduceat(rhs, starts)
     rows = np.arange(m - 1)

@@ -11,13 +11,13 @@ The value
     sup over Q   inf over trees   E[ g(X_T) ]
 
 is computed by a cutting-plane loop: each best response of Player I against
-the master's current Q yields one linear functional of Q per atom (that
-atom's payoff against every pure sequence), the master maximizes the
-weighted sum of the atoms' running lower envelopes over the sequence
-simplex, and the loop stops when the gap between the master value and the
-best lower bound closes.  Every state reachable from the atoms depends
-only on the stage-control history, so a solve integrates them once, as a
-lattice, and reads every best response and cut off its leaf payoffs.  A
+the master's current Q yields linear functionals of Q (per atom, or from
+n = 3 on per first-stage decision node), the master maximizes the weighted
+sum of their running lower envelopes over the sequence simplex, and the
+loop stops when the gap between the master value and the best lower bound
+closes.  Every state reachable from the atoms depends only on the
+stage-control history, so a solve integrates them once, as a lattice, and
+reads every best response and cut off its leaf payoffs.  A
 brute-force oracle builds the full matrix game over product trees and
 sequences and solves it directly; a one-step dynamic-programming check and
 a finite-space variational point search round out the module.
@@ -260,7 +260,7 @@ def best_response_I(
     mu0: ParticleMeasure,
     strat_ii: MixedStrategyII,
     lattice: StateLattice | None = None,
-) -> tuple[StrategyTreeI, float]:
+) -> tuple[StrategyTreeI, float, list[np.ndarray]]:
     """Exact minimizing delayed tree per atom, by backward induction.
 
     At each v-history prefix the chosen u minimizes the conditional
@@ -274,6 +274,11 @@ def best_response_I(
     history at once: a live v-prefix sums its live children in v order, a
     dead one takes the uniform mean of its children, and ties go to the
     first u.
+
+    Returns the tree, its value against the mix and the sweep's choices:
+    ``choices[k][i, a, c]`` is the u-grid index atom i plays at stage k
+    after the u-history of rank ``a`` and the v-prefix of rank ``c``, at
+    every node, also off the tree's own path.
     """
     n = strat_ii.n_stages
     _check_compat(prob, mu0, n)
@@ -312,7 +317,26 @@ def best_response_I(
         decisions.append(dec)
         hist = np.repeat(hist * n_u + dec, n_v, axis=1)
     tree = StrategyTreeI(n, n_v, np.concatenate(decisions, axis=1))
-    return tree, float(value)
+    return tree, float(value), choices
+
+
+def _node_cuts(lattice: StateLattice, choices: list[np.ndarray]) -> np.ndarray:
+    """Payoffs against every pure sequence of the continuations a
+    backward sweep chose below each first-stage u: entry [i, u0, s] is
+    atom i's g at the leaf reached by playing u0 first and ``choices``
+    after it (shape (atoms, n_u, n_v**n), for n >= 2).
+
+    Rows [i, u0] read forward as ``best_response_I`` reads its tree, all
+    u0 at once, and ``cut_coefficients`` of that tree is the row at the
+    tree's own u0, bit for bit.
+    """
+    atoms, n_u, n_v = choices[1].shape
+    rows = np.arange(atoms)[:, None, None]
+    hist = np.broadcast_to(np.arange(n_u)[:, None], (atoms, n_u, n_v))
+    for k in range(1, lattice.n_stages):
+        dec = choices[k][rows, hist, np.arange(n_v**k)]
+        hist = np.repeat(hist * n_u + dec, n_v, axis=2)
+    return lattice.payoffs[rows, hist, np.arange(n_v**lattice.n_stages)]
 
 
 def cut_coefficients(
@@ -361,11 +385,13 @@ class IterationRecord:
 class VnSolution:
     """``cuts[t, i]`` is atom i's row of iteration t's best-response tree
     against every pure sequence, by rank (read-only, shape
-    (iterations, atoms, n_v**n)).  The value is the last master's,
-    sum_i w_i min_t cuts[t, i] @ q at its mix q.  ``q_star`` is the
-    incumbent, the mix whose best response gave the best lower bound, so
-    Player I's best response against it is worth at least value - gap;
-    at ``q_star`` the cut sum above bounds that worth from above."""
+    (iterations, atoms, n_v**n)).  The value is the last master's at its
+    mix q: for n <= 2 it is sum_i w_i min_t cuts[t, i] @ q; for n >= 3
+    the master also holds the off-path node cuts, so its value is at
+    most that sum.  ``q_star`` is the incumbent, the mix whose best
+    response gave the best lower bound, so Player I's best response
+    against it is worth at least value - gap; at ``q_star`` the cut sum
+    above bounds that worth from above."""
 
     value: float
     q_star: MixedStrategyII
@@ -389,12 +415,20 @@ def solve_Vn(
     Player I's exact best response at the master's mix (lower bound and
     new cuts) until the gap closes below tol, and returns the mix of the
     best lower bound as ``q_star``: the last master's mix has met no best
-    response.  Player I knows the atom, so
-    the best response separates by atom and each iteration adds one cut
-    per atom: the master maximizes sum_i w_i min over atom i's distinct
-    cuts, the multicut decomposition of Birge and Louveaux (1988).  An
-    atom of zero weight still gets its cuts, but no group in the master.
-    Termination is finite: there are finitely many pure trees per atom.
+    response.  Player I knows the atom, so the best response separates by
+    atom.  For n <= 2 each iteration adds one cut per atom, and the master
+    maximizes sum_i w_i min over atom i's distinct cuts, the multicut
+    decomposition of Birge and Louveaux (1988).  For n >= 3 Player I also
+    decides after seeing the first stage, so the best response separates
+    by first-stage node (atom i, u0, v0): the backward sweep picks a best
+    continuation below every u0, also off the tree's path, and each
+    iteration adds to every node the payoff of its continuation against
+    the n_v**(n-1) sequences that start with v0.  The master is then
+    ``max_weighted_min``'s node form, sum_i w_i min_u0 sum_v0 min over
+    node (i, u0, v0)'s distinct cuts.  A cut equal to one its group holds
+    is dropped.  An atom of zero weight still gets its cuts, but no group
+    in the master.  Termination is finite: there are finitely many pure
+    trees per atom.
     Each master after the first is warm-started from the last one's
     solution (``max_weighted_min``'s ``start``), so it may end on another
     optimal vertex than a cold solve would, and the iterations may differ
@@ -414,11 +448,18 @@ def solve_Vn(
     q_current = MixedStrategyII.pure(n, prob.n_v)
     q_vec = q_current.q
     cuts: list[np.ndarray] = []
-    # Each positive-weight atom's distinct cut rows, and their bytes to
-    # drop repeats: the master's weights must be positive, while ``cuts``
-    # keeps every atom.
+    # From n = 3 on the master holds one cut group per first-stage node
+    # (atom, u0, v0), in that order, each acting on the v0 block of q.
+    nodes = n >= 3
+    blocks = prob.n_v if nodes else 1
+    per_atom = prob.n_u * prob.n_v if nodes else 1
+    # Each positive-weight atom's groups of distinct cut rows, and their
+    # bytes to drop repeats: the master's weights must be positive, while
+    # ``cuts`` keeps every atom.
     live = mu0.weights > 0.0
-    groups: list[list[np.ndarray]] = [[] for _ in range(np.count_nonzero(live))]
+    groups: list[list[np.ndarray]] = [
+        [] for _ in range(np.count_nonzero(live) * per_atom)
+    ]
     seen: list[set[bytes]] = [set() for _ in groups]
     history: list[IterationRecord] = []
     best_lower = -np.inf
@@ -429,10 +470,18 @@ def solve_Vn(
     converged = False
 
     for _ in range(max_iter):
-        tree, br_value = best_response_I(prob, mu0, q_current, lattice)
-        rows = cut_coefficients(prob, mu0, tree, lattice)
+        tree, br_value, choices = best_response_I(
+            prob, mu0, q_current, lattice
+        )
+        if nodes:
+            node_rows = _node_cuts(lattice, choices)
+            rows = node_rows[np.arange(mu0.n_atoms), tree.decisions[:, 0]]
+            new_rows = node_rows[live].reshape(len(groups), -1)
+        else:
+            rows = cut_coefficients(prob, mu0, tree, lattice)
+            new_rows = rows[live]
         cuts.append(rows)
-        for group, keys, row in zip(groups, seen, rows[live]):
+        for group, keys, row in zip(groups, seen, new_rows):
             key = row.tobytes()
             if key not in keys:
                 keys.add(key)
@@ -443,7 +492,8 @@ def solve_Vn(
 
         try:
             last = max_weighted_min(
-                mu0.weights[live], [np.vstack(g) for g in groups], last
+                mu0.weights[live], [np.vstack(g) for g in groups], last,
+                blocks=blocks,
             )
         except SolverFailure as exc:
             raise SolverFailure(

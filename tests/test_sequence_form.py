@@ -100,13 +100,15 @@ def _grid(rng, size, dim):
     return np.round(rng.uniform(-1.0, 1.0, (size, dim)), 3)
 
 
-def _random_game(rng, kind):
+def _random_game(rng, kind, n=None):
     """A seeded ``u_plus_v``, planar ``pursuit`` or planar ``affine`` game
-    with 2 to 8 grid points, 1 to 3 atoms and n <= 3; the larger grid
-    shrinks until the lattice has at most ``LEAF_CAP`` leaves."""
+    with 2 to 8 grid points, 1 to 3 atoms and n stages, drawn from 1 to 3
+    when not given; the larger grid shrinks until the lattice has at most
+    ``LEAF_CAP`` leaves."""
     n_u, n_v = (int(k) for k in rng.integers(2, 9, size=2))
     atoms = int(rng.integers(1, 4))
-    n = int(rng.integers(1, 4))
+    if n is None:
+        n = int(rng.integers(1, 4))
     while atoms * (n_u * n_v) ** n > LEAF_CAP:
         if n_u > n_v:
             n_u -= 1
@@ -148,6 +150,21 @@ def test_solver_matches_sequence_form_lp(kind, seed):
     assert abs(res.value - sequence_form_value(prob, mu, n)) <= 1e-7 + 1e-9
 
 
+DEEP_BATTERY = [
+    (kind, seed) for kind in ("u_plus_v", "pursuit", "affine")
+    for seed in range(14, 18)
+]
+
+
+@pytest.mark.parametrize("kind,seed", DEEP_BATTERY)
+def test_solver_matches_sequence_form_lp_at_four_stages(kind, seed):
+    rng = np.random.default_rng([seed, len(kind)])
+    prob, mu, n = _random_game(rng, kind, n=4)
+    res = solve_Vn(prob, mu, n)
+    assert res.converged and res.gap <= 1e-7
+    assert abs(res.value - sequence_form_value(prob, mu, n)) <= 1e-7 + 1e-9
+
+
 def _thirds(points):
     return ParticleMeasure(np.array(points), np.full(len(points), 1 / 3))
 
@@ -184,6 +201,13 @@ class TestLargeMasters:
             "u_plus_v", T=1.0, u_grid=[-1.0, 1.0], v_grid=[-1.0, 1.0]
         )
         self.check(prob, _thirds([[-0.3], [0.1], [0.4]]), 6)
+
+    def test_u_plus_v_seven_by_seven_single_atom_at_three_stages(self):
+        # Under the per-atom master this game stopped unconverged at
+        # max_iter = 200 with a gap of 2.6e-3.
+        grid = np.linspace(-1.0, 1.0, 7)
+        prob = make_problem("u_plus_v", T=1.0, u_grid=grid, v_grid=grid)
+        self.check(prob, ParticleMeasure(np.array([[0.1]]), np.array([1.0])), 3)
 
     def test_u_plus_v_three_by_three_at_four_stages(self):
         prob = make_problem(

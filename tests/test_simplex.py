@@ -372,6 +372,156 @@ class TestCertificate:
             max_weighted_min([1.0], [self.PENNIES])
 
 
+def _node_instance(rng):
+    """Node-form groups: 1-3 weights, 1-3 branches and 1-3 blocks of width
+    1-4, 1-4 rows per group over {-2, ..., 2} (ties are the rule), some
+    of them divided by 7."""
+    j, u, blocks = (int(x) for x in rng.integers(1, 4, size=3))
+    width = int(rng.integers(1, 5))
+    groups = []
+    for _ in range(j * u * blocks):
+        c = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), width))
+        groups.append(c / 7.0 if rng.random() < 0.3 else c.astype(float))
+    return rng.integers(1, 4, size=j) / 4.0, groups, blocks
+
+
+def _highs_node_value(weights, groups, blocks):
+    """The node LP solved by scipy's HiGHS over [q, t, z]: max sum_i w_i
+    t_i subject to t_i <= sum_b z_(i,u,b) for every (i, u) and z_h <=
+    (C_h q_b)_r for every row r of group h, q in the simplex."""
+    optimize = pytest.importorskip("scipy.optimize")
+    j, h, width = len(weights), len(groups), groups[0].shape[1]
+    k = blocks * width
+    u = h // (j * blocks)
+    rows = []
+    for branch in range(j * u):
+        row = np.zeros(k + j + h)
+        row[k + branch // u] = 1.0
+        row[k + j + branch * blocks:k + j + (branch + 1) * blocks] = -1.0
+        rows.append(row)
+    for node, c in enumerate(groups):
+        b = node % blocks
+        part = np.zeros((len(c), k + j + h))
+        part[:, b * width:(b + 1) * width] = -c
+        part[:, k + j + node] = 1.0
+        rows.extend(part)
+    res = optimize.linprog(
+        np.concatenate([np.zeros(k), -np.asarray(weights), np.zeros(h)]),
+        A_ub=np.array(rows),
+        b_ub=np.zeros(len(rows)),
+        A_eq=np.concatenate([np.ones(k), np.zeros(j + h)])[None],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * k + [(None, None)] * (j + h),
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def node_certificate(weights, groups, blocks, sol):
+    """The value sum_i w_i min_u sum_b min_r (C_(i,u,b) q_b)_r at the
+    returned q, and the upper bound max_k of the dual-weighted rows of
+    every group, each placed over its block."""
+    j, width = len(weights), groups[0].shape[1]
+    bound = np.zeros(blocks * width)
+    minima = []
+    for node, (lam, c) in enumerate(zip(sol.row_duals, groups)):
+        cols = slice(node % blocks * width, (node % blocks + 1) * width)
+        bound[cols] += lam @ c
+        minima.append(np.min(c @ sol.q[cols]))
+    branches = np.array(minima).reshape(j, -1, blocks).sum(axis=2)
+    return float(np.dot(weights, branches.min(axis=1))), float(bound.max())
+
+
+class TestNodeForm:
+    def test_values_match_highs(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(100):
+            weights, groups, blocks = _node_instance(rng)
+            sol = max_weighted_min(weights, groups, blocks=blocks)
+            assert sol.certified_gap <= simplex.DUALITY_TOL
+            assert sol.value == pytest.approx(
+                _highs_node_value(weights, groups, blocks), abs=1e-9
+            )
+
+    def test_gap_is_recomputed_from_the_returned_duals(self):
+        rng = np.random.default_rng(2027)
+        for _ in range(50):
+            weights, groups, blocks = _node_instance(rng)
+            sol = max_weighted_min(weights, groups, blocks=blocks)
+            value, bound = node_certificate(weights, groups, blocks, sol)
+            assert sol.value == pytest.approx(value, abs=1e-12)
+            assert sol.certified_gap == pytest.approx(bound - value, abs=1e-12)
+            # Each group's duals sum to its branch's mass, the same in
+            # every block, and each weight's branches to the weight.
+            sums = np.array([lam.sum() for lam in sol.row_duals])
+            sums = sums.reshape(len(weights), -1, blocks)
+            assert min(lam.min() for lam in sol.row_duals) >= 0.0
+            assert np.allclose(sums, sums[:, :, :1], rtol=0.0, atol=1e-12)
+            assert np.allclose(
+                sums[:, :, 0].sum(axis=1), weights, rtol=0.0, atol=1e-12
+            )
+
+    def test_warm_starts_from_grown_groups_match_cold_and_highs(
+        self, monkeypatch
+    ):
+        cold_calls = []
+        cold = simplex._primal_simplex
+
+        def counted(*args):
+            cold_calls.append(1)
+            return cold(*args)
+
+        rng = np.random.default_rng(2028)
+        for _ in range(100):
+            weights, groups, blocks = _node_instance(rng)
+            first = max_weighted_min(weights, groups, blocks=blocks)
+            grown = [c.copy() for c in groups]
+            for _ in range(int(rng.integers(1, 4))):
+                node = int(rng.integers(len(grown)))
+                row = rng.integers(-2, 3, size=(1, grown[node].shape[1]))
+                grown[node] = np.vstack([grown[node], row])
+            monkeypatch.setattr(simplex, "_primal_simplex", counted)
+            warm = max_weighted_min(weights, grown, first, blocks)
+            monkeypatch.undo()
+            assert not cold_calls  # the warm solve needed no fallback
+            assert warm.certified_gap <= simplex.DUALITY_TOL
+            assert warm.value == pytest.approx(
+                max_weighted_min(weights, grown, blocks=blocks).value,
+                abs=1e-9,
+            )
+            assert warm.value == pytest.approx(
+                _highs_node_value(weights, grown, blocks), abs=1e-9
+            )
+
+    def test_wrong_basis_raises(self, monkeypatch):
+        # One weight, two branches, two blocks of one column: the value is
+        # max_q min(q_0, q_1) = 1/2.  q_0, the atom level, the four group
+        # levels and the first coupling slack: feasible with q = (1, 0),
+        # value 0, while its duals bound the value by 1.
+        groups = [np.array([[1.0]]), np.array([[0.0]]),
+                  np.array([[0.0]]), np.array([[1.0]])]
+        assert max_weighted_min([1.0], groups, blocks=2).value == 0.5
+        wrong = [0, 2, 3, 4, 5, 6, 7]
+
+        def wrong_simplex(a_mat, b, cost):
+            x_basic = simplex._solve_basis(a_mat, wrong, b)
+            y = simplex._solve_basis(a_mat, wrong, cost[wrong], transpose=True)
+            return wrong, 0, x_basic, y
+
+        monkeypatch.setattr(simplex, "_primal_simplex", wrong_simplex)
+        with pytest.raises(SolverFailure, match="certificate gap 1.000e\\+00"):
+            max_weighted_min([1.0], groups, blocks=2)
+
+    @pytest.mark.parametrize(
+        "weights, count, blocks",
+        [([1.0], 3, 2), ([1.0, 1.0], 3, 1), ([1.0], 2, 0)],
+    )
+    def test_group_count_must_fill_every_block(self, weights, count, blocks):
+        with pytest.raises(ValueError, match="per branch of `blocks` groups"):
+            max_weighted_min(weights, [PENNIES] * count, blocks=blocks)
+
+
 class TestValidation:
     def test_empty_groups_rejected(self):
         with pytest.raises(ValueError):
