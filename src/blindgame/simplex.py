@@ -28,19 +28,22 @@ up by one S = 1 + max |C| and every t_i by blocks * S, so the coupling
 rows' right-hand sides are 0 and q_0 with every slack is primal
 feasible.
 
-Cold and warm starts.  A cold solve of the per-group form starts from a
-crash basis (Bixby 1992): q_0 in the simplex row, each group's level
-basic in the group's lead row, and the slacks elsewhere.  Once q_0 is
-eliminated the shift keeps every right-hand side positive; the lead row
-is the one of least right-hand side in its group, ties to the last row
-(the row the lexicographic test below picks from q_0 and the slacks).
-Making every level basic at once subtracts each lead row from the other
-rows of its group, so every right-hand side stays >= 0 exactly and no
-phase-1 is needed.  It is the basis Dantzig's rule reaches after its J
-level pivots when no q column enters in between, and its columns are the
-identity in the tableau, so they serve as the primal phase's
-lexicographic keys.  A cold solve of the node form starts from q_0 and
-the slacks, with no phase-1 either.
+Cold and warm starts.  A cold solve starts from a crash basis (Bixby
+1992): q_0 in the simplex row, every level basic in its lead row, and
+the slacks elsewhere.  Once q_0 is eliminated the shift keeps every
+right-hand side positive.  One step makes a set of levels basic, each
+in the lead row of its rows, the one of least right-hand side, ties to
+the last row (the row the lexicographic test below picks from q_0 and
+the slacks): each lead row is subtracted from the other rows of its
+level, so every right-hand side stays >= 0 exactly and no phase-1 is
+needed.  The per-group form runs the step once, on the group levels in
+the group rows.  The node form runs it on the z_h in the group rows;
+each coupling row, which holds -1 at its groups' levels, then adds
+their lead rows, so its right-hand side stays >= 0, and the step runs
+again on the t_i in the coupling rows.  In the per-group form the crash
+basis is the one Dantzig's rule reaches after its J level pivots when no
+q column enters in between.  Its columns are the identity in the
+tableau, so they serve as the primal phase's lexicographic keys.
 
 A warm solve starts from an earlier solution of the same groups, such as
 the previous cutting-plane master, with its basis mapped into the LP of
@@ -206,7 +209,6 @@ def max_weighted_min(
         wide = np.zeros((r_tot, blocks, W))
         wide[np.arange(r_tot), group_of_row % blocks] = stacked
         wide = wide.reshape(r_tot, K)
-    nodes = H > J
 
     # Standard form min c.x, A x = b, x >= 0.  With one group per weight
     # the variables are [q_0..q_{K-1}, t_0..t_{J-1}, s_0..s_{r_tot-1}],
@@ -216,8 +218,8 @@ def max_weighted_min(
     # the atom levels up by blocks * S; its rows are the simplex row, one
     # coupling row t_i - sum_b z_(i,u,b) + s = 0 per (i, u), then every
     # group row.  In both, q_0 and the slacks are primal feasible.
-    coupling = H // blocks if nodes else 0
-    z0 = K + J if nodes else K
+    coupling = H // blocks if H > J else 0
+    z0 = K + J if coupling else K
     m = 1 + coupling + r_tot
     n = z0 + H + coupling + r_tot
     a_mat = np.zeros((m, n))
@@ -225,7 +227,7 @@ def max_weighted_min(
     a_mat[1 + coupling:, :K] = -wide
     a_mat[np.arange(1 + coupling, m), z0 + group_of_row] = 1.0
     a_mat[1:, n - (m - 1):] = np.eye(m - 1)
-    if nodes:
+    if coupling:
         branch = np.arange(coupling)
         a_mat[1 + branch, K + branch // (coupling // J)] = 1.0
         a_mat[1 + np.arange(H) // blocks, z0 + np.arange(H)] = -1.0
@@ -249,7 +251,8 @@ def max_weighted_min(
             return certified(*_dual_simplex(a_mat, b, cost, basis))
         except SolverFailure as exc:
             warm_pivots = exc.iterations
-    sol = certified(*_primal_simplex(a_mat, b, cost))
+    layout = (K, J, coupling, starts)
+    sol = certified(*_primal_simplex(a_mat, b, cost, layout))
     if warm_pivots:
         sol = replace(sol, iterations=sol.iterations + warm_pivots)
     return sol
@@ -305,7 +308,14 @@ def _certified(
     ``shape``, its value recomputed from the primal point and checked
     against the row duals' upper bound.  ``wide`` holds every group's
     rows over all K columns (zero outside the group's block), group h's
-    ``rows_per[h]`` from ``starts[h]``."""
+    ``rows_per[h]`` from ``starts[h]``.
+
+    Both forms take one path: each branch sums its ``blocks`` groups'
+    minima, the value is w . (each weight's least branch), and each
+    group's duals sum to its branch's mass mu.  The per-group form is the
+    node form with one branch and one block, and its mu is w; the node
+    form's mu is Player I's first-stage mix, the coupling rows' duals
+    scaled to sum to w_i over each weight's branches."""
     m, n = shape
     r_tot, K = wide.shape
     J = len(w)
@@ -320,21 +330,15 @@ def _certified(
 
     at_q = wide @ q
     minima = np.minimum.reduceat(at_q, starts)
+    branches = minima.reshape(-1, blocks).sum(axis=1)
+    value = float(np.dot(w, branches.reshape(J, -1).min(axis=1)))
+    prices = np.clip(-y[1:], 0.0, None)
+    mu = w
     if coupling:
-        # Player I's first stage: the coupling duals are a mix over each
-        # weight's branches, and each branch's mass is what the duals of
-        # its groups' rows sum to.
-        branches = minima.reshape(coupling, blocks).sum(axis=1)
-        value = float(np.dot(w, branches.reshape(J, -1).min(axis=1)))
-        mu = _spread(
-            np.clip(-y[1:1 + coupling], 0.0, None), branches,
-            np.arange(0, coupling, coupling // J), w,
-        )
-        mass = np.repeat(mu, blocks)
-    else:
-        value = float(np.dot(w, minima))
-        mass = w
-    lam = _spread(np.clip(-y[1 + coupling:], 0.0, None), at_q, starts, mass)
+        first = np.arange(coupling)[::coupling // J]
+        mu = _spread(prices[:coupling], branches, first, w)
+    mass = np.repeat(mu, blocks)
+    lam = _spread(prices[coupling:], at_q, starts, mass)
     # Weak duality: each weight's branch mix sums to w_i, and each group's
     # lam_h >= 0 to its branch's mass (to w_j with one group per weight),
     # so the value is at most (sum_h lam_h' C_h) q for every q in the
@@ -397,7 +401,7 @@ def _fresh_tableau(
 
 
 def _primal_simplex(
-    a_mat: np.ndarray, b: np.ndarray, cost: np.ndarray
+    a_mat: np.ndarray, b: np.ndarray, cost: np.ndarray, layout: tuple
 ) -> tuple[list[int], int, np.ndarray, np.ndarray]:
     """Cold solve: ``_simplex`` from the crash basis of ``_crash``, which
     is primal feasible, so only its primal phase pivots.
@@ -405,26 +409,25 @@ def _primal_simplex(
     Returns the optimal basis (column index per row), the pivot count, and
     the basic values and row duals solved afresh for that basis.
     """
-    return _simplex(a_mat, b, cost, *_crash(a_mat, b, cost))
+    return _simplex(a_mat, b, cost, *_crash(a_mat, b, cost, layout))
 
 
 def _crash(
-    a_mat: np.ndarray, b: np.ndarray, cost: np.ndarray
+    a_mat: np.ndarray, b: np.ndarray, cost: np.ndarray, layout: tuple
 ) -> tuple[list[int], np.ndarray]:
     """The crash basis of ``max_weighted_min``'s LP and its tableau.
 
-    q_0 is basic in the simplex row, each group's level in the group's
-    lead row, the row of least right-hand side once q_0 is eliminated
-    (ties to the last row, as the lexicographic test with slack keys
-    breaks them; a near tie is not a tie), and the slacks in every other
-    row.  K, the groups and the weights are read off the LP: row 0 is the
-    simplex row, and each group's rows are consecutive.  The node form,
-    whose coupling rows hold -1 at the group levels, starts from q_0 and
-    the slacks alone.  The last tableau row holds the reduced costs.
+    ``layout`` is (K, J, coupling, starts): K entries of q, J weights,
+    the coupling rows (0 in the per-group form) and each group's first
+    row among the group rows.  q_0 is basic in the simplex row, each
+    level in its lead row and the slacks in every other row.  The group
+    levels come first, in the group rows; in the node form each coupling
+    row then adds the lead rows of its groups, at whose levels it holds
+    -1, and the weight levels follow in the coupling rows.  The last
+    tableau row holds the reduced costs.
     """
+    K, J, coupling, starts = layout
     m, n = a_mat.shape
-    K = int(np.count_nonzero(a_mat[0]))
-    J = n - K - (m - 1)
     tableau = np.zeros((m + 1, n + 1))
     tableau[:m, :n] = a_mat
     tableau[:m, n] = b
@@ -432,27 +435,46 @@ def _crash(
     # Eliminating q_0 from the group rows leaves each right-hand side at
     # its group's shift plus a C entry, so > 0.
     tableau[1:m] -= tableau[1:m, 0, None] * tableau[0]
-    levels = a_mat[1:, K:K + J]
-    if levels.min() < 0.0:
-        return [0, *range(K + J, n)], tableau
-    # Every level pivot at once: each lead row is subtracted from the
-    # other rows of its group (its level's entry there is 1), which keeps
-    # their right-hand sides >= 0 exactly, and w_j times it is added to
-    # the reduced costs.  No lead row has another group's level, so the
-    # pivots do not interact.
-    rhs = tableau[1:m, n]
-    group, starts = levels.argmax(axis=1), levels.argmax(axis=0)
-    least = np.minimum.reduceat(rhs, starts)
-    rows = np.arange(m - 1)
-    lead = np.maximum.reduceat(np.where(rhs == least[group], rows, -1), starts)
-    leads = tableau[1 + lead[group]]
+    basis = np.array([0, *range(n - (m - 1), n)])
+    top = 1 + coupling
+    lead = _lead_rows(tableau, top, m, starts)
+    basis[lead] = np.arange(n - (m - 1) - len(starts), n - (m - 1))
+    if coupling:
+        # Adding the lead rows keeps the coupling rows' right-hand sides
+        # >= 0: they were 0 and the lead rows' are > 0.
+        tableau[1:top] += tableau[lead].reshape(coupling, -1, n + 1).sum(1)
+        first = np.arange(coupling)[::coupling // J]
+        lead = _lead_rows(tableau, 1, top, first)
+        basis[lead] = np.arange(K, K + J)
+    # The weight levels' pivots add w_i times their lead rows to the
+    # reduced costs; the group levels of the node form cost nothing.
+    tableau[m] += (-cost[K:K + J, None] * tableau[lead]).sum(axis=0)
+    return basis.tolist(), tableau
+
+
+def _lead_rows(
+    tableau: np.ndarray, top: int, end: int, starts: np.ndarray
+) -> np.ndarray:
+    """Make level h basic in the lead row of segment h of ``tableau``'s
+    rows ``top`` to ``end`` (each segment from its start to the next),
+    where the level's entry is 1 in every row of its segment and 0 in
+    every other row of the range.
+
+    The lead row is the segment's row of least right-hand side, ties to
+    the last row, as the lexicographic test with slack keys breaks them (a
+    near tie is not a tie).  Each lead row is subtracted from the other
+    rows of its segment, which keeps their right-hand sides >= 0 exactly;
+    no lead row holds another segment's level, so the pivots do not
+    interact.  Returns the lead rows' indices in ``tableau``."""
+    rhs = tableau[top:end, -1]
+    sizes = np.diff(np.append(starts, len(rhs)))
+    least = np.repeat(np.minimum.reduceat(rhs, starts), sizes)
+    rows = np.arange(len(rhs))
+    lead = np.maximum.reduceat(np.where(rhs == least, rows, -1), starts)
+    leads = np.repeat(tableau[top + lead], sizes, axis=0)
     leads[lead] = 0.0
-    tableau[1:m] -= leads
-    tableau[m] += (-cost[K:K + J, None] * tableau[1 + lead]).sum(axis=0)
-    basis = [0, *range(K + J, n)]
-    for j, r in enumerate(lead.tolist()):
-        basis[1 + r] = K + j
-    return basis, tableau
+    tableau[top:end] -= leads
+    return top + lead
 
 
 def _dual_simplex(

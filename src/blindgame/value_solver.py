@@ -17,7 +17,9 @@ sum of their running lower envelopes over the sequence simplex, and the
 loop stops when the gap between the master value and the best lower bound
 closes.  Every state reachable from the atoms depends only on the
 stage-control history, so a solve integrates them once, as a lattice, and
-reads every best response and cut off its leaf payoffs.  A
+reads every best response and cut off its leaf payoffs: one backward sweep
+chooses a u at every node, and one forward read of those choices, from the
+root or from every first-stage node, gives the tree and the cuts.  A
 brute-force oracle builds the full matrix game over product trees and
 sequences and solves it directly; a one-step dynamic-programming check and
 a finite-space variational point search round out the module.
@@ -307,36 +309,32 @@ def best_response_I(
     for w, atom_value in zip(mu0.weights, values[:, 0, 0]):
         value += w * atom_value
 
-    # Read each tree forward along its own decisions: ``hist`` is the
-    # u-history rank each v-prefix of the current level reaches.
-    rows = np.arange(mu0.n_atoms)[:, None]
-    hist = np.zeros((mu0.n_atoms, 1), dtype=np.int64)
-    decisions = []
-    for k in range(n):
-        dec = choices[k][rows, hist, np.arange(n_v**k)]
-        decisions.append(dec)
-        hist = np.repeat(hist * n_u + dec, n_v, axis=1)
-    tree = StrategyTreeI(n, n_v, np.concatenate(decisions, axis=1))
+    decisions, _ = _read_forward(choices, n_u, n_v, 0)
+    tree = StrategyTreeI(n, n_v, np.concatenate(decisions, axis=2)[:, 0])
     return tree, float(value), choices
 
 
-def _node_cuts(lattice: StateLattice, choices: list[np.ndarray]) -> np.ndarray:
-    """Payoffs against every pure sequence of the continuations a
-    backward sweep chose below each first-stage u: entry [i, u0, s] is
-    atom i's g at the leaf reached by playing u0 first and ``choices``
-    after it (shape (atoms, n_u, n_v**n), for n >= 2).
-
-    Rows [i, u0] read forward as ``best_response_I`` reads its tree, all
-    u0 at once, and ``cut_coefficients`` of that tree is the row at the
-    tree's own u0, bit for bit.
+def _read_forward(
+    choices: list[np.ndarray], n_u: int, n_v: int, depth: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Follow a backward sweep's ``choices`` forward from every node at
+    level ``depth``: every u-history of that length against every
+    v-prefix of that length, the u-history of rank a starting the paths
+    of index a.  Returns each level's decisions, entry [i, a, c] of level
+    k's (k >= depth) being atom i's u-grid index after v-prefix c of
+    length k, and every leaf's u-history rank, entry [i, a, s] for the
+    sequence of rank s (shape (atoms, n_u**depth, n_v**n)).  At depth 0
+    this reads the best-response tree along its own decisions.
     """
-    atoms, n_u, n_v = choices[1].shape
-    rows = np.arange(atoms)[:, None, None]
-    hist = np.broadcast_to(np.arange(n_u)[:, None], (atoms, n_u, n_v))
-    for k in range(1, lattice.n_stages):
+    rows = np.arange(len(choices[0]))[:, None, None]
+    # ``hist`` is the u-history rank each v-prefix of the level reaches.
+    hist = np.indices((len(rows), n_u**depth, n_v**depth))[1]
+    decisions = []
+    for k in range(depth, len(choices)):
         dec = choices[k][rows, hist, np.arange(n_v**k)]
+        decisions.append(dec)
         hist = np.repeat(hist * n_u + dec, n_v, axis=2)
-    return lattice.payoffs[rows, hist, np.arange(n_v**lattice.n_stages)]
+    return decisions, hist
 
 
 def cut_coefficients(
@@ -386,9 +384,11 @@ class VnSolution:
     """``cuts[t, i]`` is atom i's row of iteration t's best-response tree
     against every pure sequence, by rank (read-only, shape
     (iterations, atoms, n_v**n)).  The value is the last master's at its
-    mix q: for n <= 2 it is sum_i w_i min_t cuts[t, i] @ q; for n >= 3
-    the master also holds the off-path node cuts, so its value is at
-    most that sum.  ``q_star`` is the incumbent, the mix whose best
+    mix q.  The master reads its cuts at depth 1 if n >= 3, else at depth
+    0: for n <= 2 (depth 0, one group per atom) the value is sum_i w_i
+    min_t cuts[t, i] @ q; for n >= 3 (depth 1, one group per first-stage
+    node) the master also holds the off-path node cuts, so its value is
+    at most that sum.  ``q_star`` is the incumbent, the mix whose best
     response gave the best lower bound, so Player I's best response
     against it is worth at least value - gap; at ``q_star`` the cut sum
     above bounds that worth from above."""
@@ -425,7 +425,10 @@ def solve_Vn(
     iteration adds to every node the payoff of its continuation against
     the n_v**(n-1) sequences that start with v0.  The master is then
     ``max_weighted_min``'s node form, sum_i w_i min_u0 sum_v0 min over
-    node (i, u0, v0)'s distinct cuts.  A cut equal to one its group holds
+    node (i, u0, v0)'s distinct cuts.  Both are one cut read at a depth,
+    1 if n >= 3, else 0: the sweep's choices are read forward from every
+    node at that level, (n_u * n_v)**depth groups per atom, each acting
+    on one of n_v**depth blocks of q.  A cut equal to one its group holds
     is dropped.  An atom of zero weight still gets its cuts, but no group
     in the master.  Termination is finite: there are finitely many pure
     trees per atom.
@@ -448,11 +451,14 @@ def solve_Vn(
     q_current = MixedStrategyII.pure(n, prob.n_v)
     q_vec = q_current.q
     cuts: list[np.ndarray] = []
-    # From n = 3 on the master holds one cut group per first-stage node
-    # (atom, u0, v0), in that order, each acting on the v0 block of q.
-    nodes = n >= 3
-    blocks = prob.n_v if nodes else 1
-    per_atom = prob.n_u * prob.n_v if nodes else 1
+    # The master holds one cut group per node (atom, u-history, v-prefix)
+    # at level ``depth``, in that order, each acting on its v-prefix's
+    # block of q: per first-stage node from n = 3 on, per atom below.
+    depth = 1 if n >= 3 else 0
+    blocks = prob.n_v**depth
+    per_atom = (prob.n_u * prob.n_v) ** depth
+    atom = np.arange(mu0.n_atoms)
+    seqs = np.arange(prob.n_v**n)
     # Each positive-weight atom's groups of distinct cut rows, and their
     # bytes to drop repeats: the master's weights must be positive, while
     # ``cuts`` keeps every atom.
@@ -473,13 +479,10 @@ def solve_Vn(
         tree, br_value, choices = best_response_I(
             prob, mu0, q_current, lattice
         )
-        if nodes:
-            node_rows = _node_cuts(lattice, choices)
-            rows = node_rows[np.arange(mu0.n_atoms), tree.decisions[:, 0]]
-            new_rows = node_rows[live].reshape(len(groups), -1)
-        else:
-            rows = cut_coefficients(prob, mu0, tree, lattice)
-            new_rows = rows[live]
+        _, leaves = _read_forward(choices, prob.n_u, prob.n_v, depth)
+        node_rows = lattice.payoffs[atom[:, None, None], leaves, seqs]
+        rows = node_rows[atom, tree.decisions[:, 0] if depth else 0]
+        new_rows = node_rows[live].reshape(len(groups), -1)
         cuts.append(rows)
         for group, keys, row in zip(groups, seen, new_rows):
             key = row.tobytes()

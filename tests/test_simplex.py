@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -171,18 +172,18 @@ class TestDegenerateBattery:
 
 
 def _cold_lps(instances, monkeypatch):
-    """The (a_mat, b, cost) of each instance's cold LP, as
+    """The (a_mat, b, cost, layout) of each instance's cold LP, as
     ``max_weighted_min`` hands them to ``_primal_simplex``."""
     lps = []
     cold = simplex._primal_simplex
 
-    def spy(a_mat, b, cost):
-        lps.append((a_mat, b, cost))
-        return cold(a_mat, b, cost)
+    def spy(a_mat, b, cost, layout):
+        lps.append((a_mat, b, cost, layout))
+        return cold(a_mat, b, cost, layout)
 
     monkeypatch.setattr(simplex, "_primal_simplex", spy)
-    for weights, groups in instances:
-        max_weighted_min(weights, groups)
+    for weights, groups, *blocks in instances:
+        max_weighted_min(weights, groups, None, *blocks)
     return lps
 
 
@@ -197,12 +198,19 @@ def _tie_instances():
         ]
 
 
+def _node_instances():
+    """Node-form instances of ``TestNodeForm``'s generator."""
+    rng = np.random.default_rng(2029)
+    yield from (_node_instance(rng) for _ in range(100))
+
+
 class TestCrash:
     def test_crash_tableau_is_the_fresh_tableau_of_its_basis(
         self, monkeypatch
     ):
-        for a_mat, b, cost in _cold_lps(_tie_instances(), monkeypatch):
-            basis, tableau = simplex._crash(a_mat, b, cost)
+        instances = itertools.chain(_tie_instances(), _node_instances())
+        for a_mat, b, cost, layout in _cold_lps(instances, monkeypatch):
+            basis, tableau = simplex._crash(a_mat, b, cost, layout)
             assert sorted(basis) == sorted(set(basis))
             fresh = simplex._fresh_tableau(a_mat, b, cost, basis)
             assert np.allclose(tableau, fresh, rtol=0.0, atol=1e-12)
@@ -212,7 +220,7 @@ class TestCrash:
         # From q_0 and the slacks, pivoting each level in by the primal
         # phase's ratio test, with those columns as keys, leaves the rows
         # where the crash makes the levels basic.
-        for a_mat, b, cost in _cold_lps(_tie_instances(), monkeypatch):
+        for a_mat, b, cost, layout in _cold_lps(_tie_instances(), monkeypatch):
             m, n = a_mat.shape
             k = int(a_mat[0].sum())
             levels = range(k, n - (m - 1))
@@ -225,7 +233,7 @@ class TestCrash:
                 tableau -= tableau[:, col, None] * pivot_row
                 tableau[row] = pivot_row
                 leaving.append(row)
-            basis, _ = simplex._crash(a_mat, b, cost)
+            basis, _ = simplex._crash(a_mat, b, cost, layout)
             assert leaving == [basis.index(col) for col in levels]
 
 
@@ -337,7 +345,7 @@ class TestCertificate:
         # value -1, while its duals bound the value by 1.
         wrong = [0, 2, 3]
 
-        def wrong_simplex(a_mat, b, cost):
+        def wrong_simplex(a_mat, b, cost, layout):
             x_basic = simplex._solve_basis(a_mat, wrong, b)
             y = simplex._solve_basis(a_mat, wrong, cost[wrong], transpose=True)
             return wrong, 0, x_basic, y
@@ -504,7 +512,7 @@ class TestNodeForm:
         assert max_weighted_min([1.0], groups, blocks=2).value == 0.5
         wrong = [0, 2, 3, 4, 5, 6, 7]
 
-        def wrong_simplex(a_mat, b, cost):
+        def wrong_simplex(a_mat, b, cost, layout):
             x_basic = simplex._solve_basis(a_mat, wrong, b)
             y = simplex._solve_basis(a_mat, wrong, cost[wrong], transpose=True)
             return wrong, 0, x_basic, y
@@ -542,8 +550,6 @@ class TestValidation:
 
 def _simplex_grid(k, resolution):
     """All simplex points with denominator `resolution` (coarse oracle)."""
-    import itertools
-
     out = []
     for comp in itertools.combinations_with_replacement(range(k), resolution):
         counts = np.bincount(comp, minlength=k).astype(float)

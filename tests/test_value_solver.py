@@ -687,15 +687,16 @@ class TestMasterLPRegressions:
 
     @pytest.mark.parametrize(
         "game, iterations, pivots",
-        [("upv-3x8", 14, 43), ("upv-3x3-n4", 27, 137), ("pursuit", 17, 227)],
+        [("upv-3x8", 14, 43), ("upv-3x3-n4", 24, 108), ("pursuit", 13, 172)],
     )
     def test_warm_master_pivots_are_pinned(self, game, iterations, pivots):
-        # The per-atom master (n = 2) starts from its crash basis, one
-        # level per atom already basic: at q_0 and the slacks upv-3x8 took
-        # 45 pivots, with the same iterations.  The node masters (n >= 3)
-        # are large enough for their path to depend on the BLAS thread
-        # count, so they are counted in a child with one thread, as the
-        # benchmark runs them.
+        # Every first master starts from its crash basis, every level
+        # already basic: at q_0 and the slacks upv-3x8 (n = 2) took 45
+        # pivots with the same iterations, upv-3x3-n4 27 iterations and
+        # 137 pivots, pursuit 17 and 227.  The node masters (n >= 3) are
+        # large enough for their path to depend on the BLAS thread count,
+        # so they are counted in a child with one thread, as the benchmark
+        # runs them.
         if game == "upv-3x8":
             counts = pinned_counts(game)
         else:
@@ -716,6 +717,17 @@ class TestMasterLPRegressions:
             ).stdout
             counts = tuple(int(c) for c in out.split())
         assert counts == (iterations, pivots)
+
+    def test_first_node_master_starts_from_its_crash_basis(self):
+        # From q_0 and the slacks this master took 43 pivots.
+        prob = make_problem(
+            "affine", A=[[0.0, 1.0], [-1.0, 0.0]], B=[[1.0], [0.0]],
+            C=[[0.0], [1.0]], dim=2, T=1.0, u_grid=np.linspace(-1.0, 1.0, 7),
+            v_grid=np.linspace(-1.0, 1.0, 6),
+        )
+        mu = ParticleMeasure(np.array([[0.2, -0.3]]), np.array([1.0]))
+        res = solve_Vn(prob, mu, 3)
+        assert res.history[0].master_pivots <= 2
 
     def test_u_plus_v_on_three_point_grids_at_four_stages(self):
         prob = make_problem(
@@ -759,6 +771,10 @@ class TestStateLattice:
             "pursuit", T=1.0, u_grid=[[1.0, 0.0], [0.0, 1.0]],
             v_grid=[[1.0, 0.0], [0.0, -1.0]],
         ), ParticleMeasure(np.array([[0.2, 0.1]]), np.array([1.0])), 3
+        yield make_problem(
+            "u_plus_v", T=1.0, u_grid=[-1.0, 0.0, 1.0],
+            v_grid=[-1.0, 0.5, 1.0],
+        ), ParticleMeasure(np.array([[0.3], [-0.1]]), np.array([0.6, 0.4])), 1
 
     @staticmethod
     def _mixes(rng, n, n_v):
@@ -819,23 +835,35 @@ class TestStateLattice:
                 assert np.array_equal(acc, row)
 
     def test_node_cuts_are_best_continuations_below_every_first_u(self):
-        # Row [i, u0] of the node cuts is the payoff of a real tree of
-        # atom i that plays u0 first, the best such tree against the mix;
-        # at the tree's own u0 it is the tree's cut, bit for bit.
+        # Read forward from depth 1, row [i, u0] of the node cuts is the
+        # payoff of a real tree of atom i that plays u0 first, the best
+        # such tree against the mix; at the tree's own u0 it is the tree's
+        # cut, bit for bit.  Read from depth 0, the one row is that cut.
         rng = np.random.default_rng(31)
         for prob, mu, n in self._games():
             lattice = build_lattice(prob, mu, n)
             tables = value_solver._tree_tables(prob, mu.points, n)
             n_prefix = len(tree_prefixes(n, prob.n_v))
             first = np.arange(tables.shape[1]) // prob.n_u ** (n_prefix - 1)
+            atoms = np.arange(mu.n_atoms)
+            seqs = np.arange(prob.n_v**n)
+
+            def read(choices, depth):
+                _, leaves = value_solver._read_forward(
+                    choices, prob.n_u, prob.n_v, depth
+                )
+                return lattice.payoffs[atoms[:, None, None], leaves, seqs]
+
             for q, mix in self._mixes(rng, n, prob.n_v):
                 tree, _, choices = best_response_I(prob, mu, mix, lattice)
-                nodes = value_solver._node_cuts(lattice, choices)
+                cut = cut_coefficients(prob, mu, tree, lattice)
+                tree_row = read(choices, 0)
+                assert tree_row.shape == (mu.n_atoms, 1, prob.n_v**n)
+                assert np.array_equal(tree_row[:, 0], cut)
+                nodes = read(choices, 1)
                 assert nodes.shape == (mu.n_atoms, prob.n_u, prob.n_v**n)
-                own = nodes[np.arange(mu.n_atoms), tree.decisions[:, 0]]
-                assert np.array_equal(
-                    own, cut_coefficients(prob, mu, tree, lattice)
-                )
+                own = nodes[atoms, tree.decisions[:, 0]]
+                assert np.array_equal(own, cut)
                 for i, u0 in np.ndindex(nodes.shape[:2]):
                     table = tables[i, first == u0]
                     assert (table == nodes[i, u0]).all(axis=1).any()
